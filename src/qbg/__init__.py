@@ -70,7 +70,6 @@ from .exactgeom import (
     Flag,
     StratumLabel,
     complete_to_permutation,
-    flag_from_matrix,
     member_T_grassmann,
     member_T_plucker,
     member_T_rank,

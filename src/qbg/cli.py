@@ -135,7 +135,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 def cmd_stratify(args: argparse.Namespace) -> int:
     u, v = _perm_pair(args.u, args.v, args.n)
     matrix = exactgeom.parse_matrix(Path(args.matrix).read_text(encoding="utf-8"))
-    F = exactgeom.flag_from_matrix(matrix)
+    F = exactgeom.Flag(matrix)
     if not exactgeom.member_T_plucker(u, v, F, open_cell=False):
         print(
             f"flag is not a member of the tilted Richardson variety of "

@@ -6,12 +6,22 @@ tests are literal equality, and no floating point appears anywhere.  A
 flag is an invertible n x n matrix; its k-th space is the span of the
 first k columns, and P_I is the minor on rows I and the first |I| columns.
 
+All elimination runs through one fraction-free integer kernel (Bareiss)
+on a column-scaled integer copy of each flag; rationals reappear only at
+the API boundary (`Flag.plucker`, `nullspace_basis`, sampled matrices),
+with the same values exact rational elimination gives.  Each flag fills
+three caches on first use, under its lock: the Plucker table P_I, the
+rank of every cyclic row window on every column prefix, and the P_w memo.
+
 Membership of a flag in the (open) tilted Richardson variety of a pair
 (u, v) is decided three provably equivalent ways: rank bounds on cyclic
 row windows, per-column rotated Grassmannian Richardson conditions, and
 vanishing of the multi-Plucker coordinates P_w for w outside [u, v].  The
-implementations share nothing on purpose; their agreement is part of the
-verification suites.
+implementations share nothing on purpose: the rank route reads only
+window ranks, the per-column route only P_I, and the multi-Plucker route
+only P_w, and their agreement is part of the verification suites.  What
+the first two read of (u, v, a) is planned once per (u, v, a, n) in a
+bounded cache.
 """
 from __future__ import annotations
 
@@ -19,7 +29,10 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .diagrams import EquationSet, PluckerEquation, find_flat
@@ -51,78 +64,125 @@ SAMPLE_BOUND = 100
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra on Fraction rows
+# The exact integer kernel
+#
+# Every rank, determinant, window rank and nullspace below comes from one
+# fraction-free elimination (Bareiss 1968) over int.  Rows enter one at a
+# time and are reduced against the pivot rows found so far by the two-term
+# Bareiss update; its division by the previous pivot is exact by
+# Sylvester's identity, so every entry stays an integer minor of the input
+# and nothing grows beyond the Hadamard bound.
+
+Pivots = list[tuple[int, Sequence[int]]]
 
 
-def _echelon_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination; mutates its argument."""
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+def _add_row(pivots: Pivots, row: Sequence[int]) -> int | None:
+    """
+    Reduce an integer row against the pivot rows and, if anything is left,
+    append it as a new pivot at its leftmost nonzero column.  Returns that
+    column, or None when the row lies in the span of the earlier rows.  The
+    pivot columns stay distinct and each pivot row vanishes left of its
+    own, so the rank on the first k columns is the number of pivot columns
+    below k.
+    """
+    prev = 1
+    vec = row
+    for col, prow in pivots:
+        p, f = prow[col], vec[col]
+        vec = [(p * x - f * y) // prev for x, y in zip(vec, prow)]
+        prev = p
+    for col, x in enumerate(vec):
+        if x:
+            pivots.append((col, vec))
+            return col
+    return None
+
+
+def _rank(rows: Iterable[Sequence[int]]) -> int:
+    pivots: Pivots = []
+    for row in rows:
+        _add_row(pivots, row)
+    return len(pivots)
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the last Bareiss pivot, signed
+    by the order in which the pivot columns were found."""
+    pivots: Pivots = []
+    for row in rows:
+        if _add_row(pivots, row) is None:
+            return 0
+    if not pivots:
+        return 1
+    cols = [col for col, _ in pivots]
+    inversions = sum(1 for i, c in enumerate(cols) for d in cols[i + 1:] if c > d)
+    col, last = pivots[-1]
+    return -last[col] if inversions % 2 else last[col]
+
+
+def _integer_row(row: Iterable[Fraction]) -> list[int]:
+    """Clear the denominators of a rational row (scaling a row changes no
+    rank, no zero test and no kernel)."""
+    row = list(row)
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _nullspace(pivots: Pivots, ncols: int) -> list[list[Fraction]]:
+    """
+    The canonical basis of the kernel of the pivot rows' span: reduce them
+    to the (unique) reduced row echelon form, then one basis vector per
+    free column, with a 1 there and minus that column of the RREF at the
+    pivot columns.
+    """
+    reduced: dict[int, list[Fraction]] = {}
+    for col, prow in sorted(pivots, key=lambda piv: piv[0], reverse=True):
+        row = [Fraction(x, prow[col]) for x in prow]
+        for c, other in reduced.items():
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, other)]
+        reduced[col] = row
+    basis = []
+    for free in range(ncols):
+        if free in reduced:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                for c in range(col, ncols):
-                    rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-    return rank
-
-
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by elimination with row swaps; mutates its argument."""
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        lead = rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for col, row in reduced.items():
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
 
 
 def nullspace_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """A basis of {x : Rx = 0} via reduced row echelon form."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [x / lead for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][f]
-        basis.append(vec)
-    return basis
+    """A basis of {x : Rx = 0}, read off the reduced row echelon form."""
+    pivots: Pivots = []
+    for row in rows:
+        _add_row(pivots, _integer_row(row))
+    return _nullspace(pivots, ncols)
+
+
+def _window_table(rows: Sequence[Sequence[int]]) -> bytes:
+    """
+    Rank of every cyclic row window on the first k columns, for every k:
+    entry (k * n + s) * (n + 1) + length is the rank of the `length` rows
+    cyclically from row s + 1 on the first k columns.  One incremental
+    elimination per start row gives all lengths and all k at once.
+    """
+    n = len(rows)
+    table = [0] * ((n + 1) * n * (n + 1))
+    for s in range(n):
+        pivots: Pivots = []
+        ranks = [0] * (n + 1)
+        for length in range(1, n + 1):
+            col = _add_row(pivots, rows[(s + length - 1) % n])
+            if col is not None:
+                for k in range(col + 1, n + 1):
+                    ranks[k] += 1
+            for k in range(n + 1):
+                table[(k * n + s) * (n + 1) + length] = ranks[k]
+    return bytes(table)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +242,32 @@ def chi_set(values: Iterable[int], n: int) -> frozenset[int]:
 
 class Flag:
     """
-    An invertible exact-rational matrix with a lazily built, internally
-    synchronized table of Plucker coordinates.  Immutable once built.
+    An invertible exact-rational matrix.  Immutable once built; three lazily
+    filled caches sit behind it, each written under the flag's lock: the
+    Plucker table P_I, the table of cyclic window ranks, and the memo of
+    the multi-Plucker coordinates P_w.
+
+    The exact work runs on a column-scaled integer copy of the matrix: each
+    column is multiplied by the lcm of its denominators.  That keeps every
+    space of the flag, every rank, and multiplies each P_I by the product
+    of the first |I| scales, which `plucker` divides back out.
     """
 
-    def __init__(self, matrix: Matrix):
+    def __init__(self, matrix: Sequence[Sequence[object]]):
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise PreconditionError("flag matrices must be square and nonempty")
         self.matrix: Matrix = matrix_from_rows(matrix)
         self.n = n
+        scales = [lcm(*(x.denominator for x in col)) for col in zip(*self.matrix)]
+        self._rows = tuple(
+            tuple(x.numerator * (s // x.denominator) for x, s in zip(row, scales))
+            for row in self.matrix
+        )
+        self._scale = tuple(accumulate(scales, mul, initial=1))
         self._cache: dict[frozenset[int], Fraction] = {frozenset(): Fraction(1)}
+        self._windows: bytes | None = None
+        self._perm_cache: dict[Perm, Fraction] = {}
         self._lock = threading.Lock()
         if self.plucker(range(1, n + 1)) == 0:
             raise PreconditionError("matrix is singular; a flag needs full rank")
@@ -207,43 +282,63 @@ class Flag:
         if rows_idx and not (1 <= rows_idx[0] and rows_idx[-1] <= self.n):
             raise PreconditionError(f"row set {sorted(key)} out of range 1..{self.n}")
         k = len(rows_idx)
-        sub = [list(self.matrix[r - 1][:k]) for r in rows_idx]
-        value = _determinant(sub)
+        value = Fraction(_det([self._rows[r - 1][:k] for r in rows_idx]), self._scale[k])
         with self._lock:
             self._cache[key] = value
         return value
 
     def plucker_perm(self, w: Perm) -> Fraction:
         """P_w: the product of the prefix coordinates of w."""
+        w = tuple(w)
+        cached = self._perm_cache.get(w)
+        if cached is not None:
+            return cached
         out = Fraction(1)
         for k in range(1, self.n):
             out *= self.plucker(prefix_set(w, k))
             if out == 0:
-                return out
+                break
+        with self._lock:
+            self._perm_cache[w] = out
         return out
 
+    def _window_ranks(self) -> bytes:
+        """The window table of `_window_table`, built on first use."""
+        table = self._windows
+        if table is None:
+            table = _window_table(self._rows)
+            with self._lock:
+                self._windows = table
+        return table
 
-def flag_from_matrix(m: Matrix) -> Flag:
-    return Flag(m)
+    def window_rank(self, start: int, length: int, k: int) -> int:
+        """Rank of the `length` rows cyclically from row `start` (start,
+        start + 1, ... mod n) restricted to the first k columns."""
+        n = self.n
+        if not (1 <= start <= n and 0 <= length <= n and 0 <= k <= n):
+            raise PreconditionError(
+                f"window ({start}, {length}) on {k} columns out of range for n={n}"
+            )
+        return self._window_ranks()[(k * n + start - 1) * (n + 1) + length]
 
 
 def permutation_flag(w: Perm) -> Flag:
     """The coordinate flag of w: matrix with a 1 at (w(i), i)."""
     validate_permutation(w)
     n = len(w)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
-        rows[w[i - 1] - 1][i - 1] = Fraction(1)
-    return Flag(matrix_from_rows(rows))
+        rows[w[i - 1] - 1][i - 1] = 1
+    return Flag(rows)
 
 
 def random_flag(n: int, seed: int | random.Random, bound: int = SAMPLE_BOUND) -> Flag:
     """A generic flag: integer entries uniform on [-bound, bound]."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     while True:
-        rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
-        if _determinant([row[:] for row in rows]) != 0:
-            return Flag(matrix_from_rows(rows))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if _det(rows) != 0:
+            return Flag(rows)
 
 
 def plucker_table_json(F: Flag) -> str:
@@ -346,11 +441,75 @@ def rank_region(F: Flag, region: Iterable[int], k: int) -> int:
         raise PreconditionError(f"column count {k} out of range 0..{F.n}")
     if not rows_idx or k == 0:
         return 0
-    return _echelon_rank([list(F.matrix[r - 1][:k]) for r in rows_idx])
+    return _rank(F._rows[r - 1][:k] for r in rows_idx)
 
 
 # ---------------------------------------------------------------------------
 # The three membership definitions
+#
+# What a route reads of (u, v, a) does not depend on the flag, so it is
+# worked out once per (u, v, a, n) and kept in a bounded cache.  A failed
+# precondition raises inside the cached function and is never stored, so a
+# bad shift sequence raises on every call.
+
+#: (u, v, a, n) plans kept per route: every shift sequence of a pair fits at n <= 4.
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=64)
+def _subsets(n: int, k: int) -> dict[frozenset[int], frozenset[int]]:
+    """The k-subsets of [n] in lexicographic order, mapped to themselves so
+    that every plan shares one frozenset per subset."""
+    return {K: K for K in map(frozenset, combinations(range(1, n + 1), k))}
+
+
+def _check_shift(u: Perm, v: Perm, a: tuple[int, ...]) -> None:
+    if not shift_leq(u, v, a):
+        raise PreconditionError("u is not below v under the supplied shift sequence")
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rank_plan(
+    u: Perm, v: Perm, a: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], bytes]:
+    """
+    The windows of the rank route as positions in a flag's window table,
+    with their bounds: for column i and endpoint j, the rows cyclically
+    from the cut a_i through j may have rank at most |u[i] & window|, and
+    the rows from j up to the cut at most |v[i] & window|.
+    """
+    _check_shift(u, v, a)
+    slots: list[int] = []
+    bounds: list[int] = []
+    for i in range(1, n):
+        u_i, v_i = prefix_set(u, i), prefix_set(v, i)
+        cut = a[i - 1]
+        for j in range(1, n + 1):
+            for start, window, ref in (
+                (cut, cyclic_set(cut, j, n), u_i),
+                (j, cyclic_set(j, cut - 1, n), v_i),
+            ):
+                slots.append((i * n + start - 1) * (n + 1) + len(window))
+                bounds.append(len(ref & window))
+    return tuple(slots), bytes(bounds)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _grassmann_plan(
+    u: Perm, v: Perm, a: tuple[int, ...], n: int
+) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+    """For every column k, the k-subsets outside the shifted Gale window of
+    (u[k], v[k], a_k); and the endpoint sets u[k], v[k] of every column."""
+    _check_shift(u, v, a)
+    off: list[frozenset[int]] = []
+    ends: list[frozenset[int]] = []
+    for k in range(1, n):
+        u_k, v_k = prefix_set(u, k), prefix_set(v, k)
+        window = shifted_interval(u_k, v_k, a[k - 1], n)
+        pool = _subsets(n, k)
+        off.extend(K for K in pool if K not in window)
+        ends += (pool[u_k], pool[v_k])
+    return tuple(off), tuple(ends)
 
 
 def member_T_rank(
@@ -361,26 +520,11 @@ def member_T_rank(
     cyclically at or after the cut a_i satisfy the bound from u and the
     rows before it the bound from v (equalities for the open cell).
     """
-    n = F.n
-    if not shift_leq(u, v, a):
-        raise PreconditionError("u is not below v under the supplied shift sequence")
-    for i in range(1, n):
-        u_i, v_i = prefix_set(u, i), prefix_set(v, i)
-        cut = a[i - 1]
-        for j in range(1, n + 1):
-            upper = cyclic_set(cut, j, n)
-            lower = cyclic_set(j, cut - 1, n)
-            bound_u = len(u_i & upper)
-            bound_v = len(v_i & lower)
-            ru = rank_region(F, upper, i)
-            rv = rank_region(F, lower, i)
-            if open_cell:
-                if ru != bound_u or rv != bound_v:
-                    return False
-            else:
-                if ru > bound_u or rv > bound_v:
-                    return False
-    return True
+    slots, bounds = _rank_plan(tuple(u), tuple(v), tuple(a), F.n)
+    ranks = F._window_ranks()
+    if open_cell:
+        return all(ranks[s] == b for s, b in zip(slots, bounds))
+    return all(ranks[s] <= b for s, b in zip(slots, bounds))
 
 
 def member_T_grassmann(
@@ -392,19 +536,10 @@ def member_T_grassmann(
     the shifted Gale interval vanishes; the open cell also needs the two
     endpoint coordinates nonzero.
     """
-    n = F.n
-    if not shift_leq(u, v, a):
-        raise PreconditionError("u is not below v under the supplied shift sequence")
-    for k in range(1, n):
-        window = shifted_interval(prefix_set(u, k), prefix_set(v, k), a[k - 1], n)
-        for K in combinations(range(1, n + 1), k):
-            if frozenset(K) not in window and F.plucker(K) != 0:
-                return False
-        if open_cell and (
-            F.plucker(prefix_set(u, k)) == 0 or F.plucker(prefix_set(v, k)) == 0
-        ):
-            return False
-    return True
+    off, ends = _grassmann_plan(tuple(u), tuple(v), tuple(a), F.n)
+    if any(F.plucker(K) != 0 for K in off):
+        return False
+    return not open_cell or all(F.plucker(K) != 0 for K in ends)
 
 
 def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool:
@@ -437,20 +572,25 @@ class StratumLabel:
     a: tuple[int, ...]
 
 
-def _rank_jump_rows(F: Flag, k: int, row_order: Sequence[int]) -> frozenset[int]:
-    """Rows where the rank of the first k columns jumps while scanning."""
-    basis: list[list[Fraction]] = []
+def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> frozenset[int]:
+    """
+    Rows where the rank of the first k columns jumps while scanning
+    cyclically from the cut: forward cut, cut + 1, ...; backward cut - 1,
+    cut - 2, ....  Each prefix of the scan is a cyclic window.
+    """
+    n = F.n
     jumps = set()
-    for r in row_order:
-        vec = list(F.matrix[r - 1][:k])
-        for b in basis:
-            lead = next((c for c in range(k) if b[c] != 0), None)
-            if lead is not None and vec[lead] != 0:
-                factor = vec[lead] / b[lead]
-                vec = [x - factor * y for x, y in zip(vec, b)]
-        if any(x != 0 for x in vec):
-            jumps.add(r)
-            basis.append(vec)
+    prev = 0
+    for length in range(1, n + 1):
+        if backward:
+            row = (cut - 1 - length) % n + 1
+            rank = F.window_rank(row, length, k)
+        else:
+            row = (cut + length - 2) % n + 1
+            rank = F.window_rank(cut, length, k)
+        if rank > prev:
+            jumps.add(row)
+        prev = rank
     return frozenset(jumps)
 
 
@@ -471,11 +611,8 @@ def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
     J_prev: frozenset[int] = frozenset()
     for k in range(1, n + 1):
         if k < n:
-            cut = a[k - 1]
-            forward = [(cut - 1 + s) % n + 1 for s in range(n)]
-            backward = list(reversed(forward))
-            I_k = _rank_jump_rows(F, k, forward)
-            J_k = _rank_jump_rows(F, k, backward)
+            I_k = _rank_jump_rows(F, k, a[k - 1], backward=False)
+            J_k = _rank_jump_rows(F, k, a[k - 1], backward=True)
         else:
             I_k = J_k = frozenset(range(1, n + 1))
         for name, cur, prev in (("forward", I_k, I_prev), ("backward", J_k, J_prev)):
@@ -560,11 +697,6 @@ def all_equations_vanish(F: Flag, es: EquationSet) -> bool:
     return all(equation_vanishes(F, eq) for eq in es.equations)
 
 
-def _minor_of_columns(cols: list[list[Fraction]], rows_idx: Sequence[int]) -> Fraction:
-    sub = [[cols[c][r - 1] for c in range(len(rows_idx))] for r in rows_idx]
-    return _determinant(sub)
-
-
 def _cap_constraints(
     cols: list[list[Fraction]], rows_idx: Sequence[int], cap: int, n: int
 ) -> list[list[Fraction]] | None:
@@ -574,14 +706,16 @@ def _cap_constraints(
     inside their restricted span, a linear condition; below the cap the new
     column is unconstrained; above it, the partial matrix is already bad.
     """
-    restricted = [[col[r - 1] for r in rows_idx] for col in cols]
-    rank = _echelon_rank([row[:] for row in restricted]) if restricted else 0
+    pivots: Pivots = []
+    for col in cols:
+        _add_row(pivots, _integer_row(col[r - 1] for r in rows_idx))
+    rank = len(pivots)
     if rank > cap:
         return None
     if rank < cap:
         return []
     out = []
-    for lam in nullspace_basis(restricted, len(rows_idx)):
+    for lam in _nullspace(pivots, len(rows_idx)):
         coeffs = [Fraction(0)] * n
         for m, r in enumerate(rows_idx):
             coeffs[r - 1] = lam[m]
@@ -679,7 +813,10 @@ def sample_in_open_stratum(
                         for r in range(n)
                     ]
                     trial = cols + [col]
-                    if all(_minor_of_columns(trial, rows) != 0 for rows in chart_rows):
+                    if all(
+                        _det([_integer_row(c[r - 1] for c in trial) for r in rows]) != 0
+                        for rows in chart_rows
+                    ):
                         accepted = col
                         break
             if accepted is None:
@@ -689,8 +826,7 @@ def sample_in_open_stratum(
             cols.append(accepted)
         if failed:
             continue
-        matrix = matrix_from_rows([[cols[c][r] for c in range(n)] for r in range(n)])
-        flag = Flag(matrix)
+        flag = Flag([[cols[c][r] for c in range(n)] for r in range(n)])
         if member_T_plucker(u, v, flag, open_cell=True):
             return flag
         last_failure = n

@@ -40,7 +40,7 @@ from .permcore import (
 
 QExponent = tuple[int, ...]
 
-#: Largest n for which a full graph is built (5040 vertices, ~1.3e5 edges).
+#: Largest n for which a full graph is built (5040 vertices, 56,196 edges).
 MAX_GRAPH_N = 7
 
 

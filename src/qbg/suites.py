@@ -316,17 +316,22 @@ def suite_fixedpoints(n: int, seed: int, samples: int) -> SuiteResult:
     )
 
 
-def _equivalence_pairs(n: int, seed: int, count: int) -> list[tuple[Perm, Perm]]:
+def _draw_pairs(
+    n: int, seed: int, fixed: list[tuple[Perm, Perm]], count: int
+) -> list[tuple[Perm, Perm]]:
+    """
+    The fixed pairs, then distinct random pairs of S_n until there are
+    `count`, or every pair of S_n x S_n when it has fewer.
+    """
     rng = random.Random(seed)
     perms = list(all_permutations(n))
-    pairs: list[tuple[Perm, Perm]] = []
-    if n == 4:
-        pairs.append(((4, 3, 2, 1), (3, 1, 4, 2)))
-    pairs.append((identity(n), longest_element(n)))
-    pairs.append((identity(n), identity(n)))
+    pairs = list(dict.fromkeys(fixed))
+    seen = set(pairs)
+    count = min(count, len(perms) ** 2)
     while len(pairs) < count:
         pair = (rng.choice(perms), rng.choice(perms))
-        if pair not in pairs:
+        if pair not in seen:
+            seen.add(pair)
             pairs.append(pair)
     return pairs
 
@@ -348,7 +353,9 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
     and closed) on sampled, generic, and coordinate flags, for every shift
     sequence valid for the pair.
     """
-    pairs = _equivalence_pairs(n, seed, max(50, samples))
+    fixed = [((4, 3, 2, 1), (3, 1, 4, 2))] if n == 4 else []
+    fixed += [(identity(n), longest_element(n)), (identity(n), identity(n))]
+    pairs = _draw_pairs(n, seed, fixed, max(50, samples))
     rng = random.Random(seed + 1)
     bad: list[str] = []
     flags_used = 0
@@ -364,18 +371,22 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
         flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
         flags.extend(exactgeom.permutation_flag(w) for w in all_permutations(n))
         flags_used += len(flags)
-        for F in flags:
-            for open_cell in (False, True):
-                reference = exactgeom.member_T_plucker(u, v, F, open_cell)
-                for a in shift_seqs:
-                    checks += 1
-                    by_rank = exactgeom.member_T_rank(u, v, a, F, open_cell)
-                    by_grass = exactgeom.member_T_grassmann(u, v, a, F, open_cell)
-                    if not by_rank == by_grass == reference:
-                        bad.append(
-                            f"memberships split on ({_fmt(u)}, {_fmt(v)}), "
-                            f"a={a}, open={open_cell}"
-                        )
+        references = [
+            (F, open_cell, exactgeom.member_T_plucker(u, v, F, open_cell))
+            for F in flags
+            for open_cell in (False, True)
+        ]
+        # shift sequence outermost, so each (u, v, a) plan is built once
+        for a in shift_seqs:
+            for F, open_cell, reference in references:
+                checks += 1
+                by_rank = exactgeom.member_T_rank(u, v, a, F, open_cell)
+                by_grass = exactgeom.member_T_grassmann(u, v, a, F, open_cell)
+                if not by_rank == by_grass == reference:
+                    bad.append(
+                        f"memberships split on ({_fmt(u)}, {_fmt(v)}), "
+                        f"a={a}, open={open_cell}"
+                    )
     return SuiteResult(
         "equivalence",
         n,
@@ -452,13 +463,8 @@ def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
     if n <= 3:
         pairs = [(u, v) for u in all_permutations(n) for v in all_permutations(n)]
     else:
-        rng = random.Random(seed)
-        perms = list(all_permutations(n))
-        pairs = [((4, 3, 2, 1), (3, 1, 4, 2)), (identity(n), longest_element(n))]
-        while len(pairs) < max(10, samples):
-            pair = (rng.choice(perms), rng.choice(perms))
-            if pair not in pairs:
-                pairs.append(pair)
+        fixed = [((4, 3, 2, 1), (3, 1, 4, 2)), (identity(n), longest_element(n))]
+        pairs = _draw_pairs(n, seed, fixed, max(10, samples))
     stratified = 0
     for idx, (u, v) in enumerate(pairs):
         try:

@@ -4,7 +4,7 @@ import pytest
 
 from qbg.cli import main
 from qbg.exactgeom import (
-    flag_from_matrix,
+    Flag,
     format_matrix,
     member_T_plucker,
     parse_matrix,
@@ -182,14 +182,14 @@ class TestSample:
             capsys, "sample", "--u", "4321", "--v", "3142", "--out", str(path)
         )
         assert code == 0
-        F = flag_from_matrix(parse_matrix(path.read_text()))
+        F = Flag(parse_matrix(path.read_text()))
         u, v = parse_permutation("4321"), parse_permutation("3142")
         assert member_T_plucker(u, v, F, True)
 
     def test_point_pattern(self, capsys):
         code, out, _ = run(capsys, "sample", "--u", "213", "--v", "213")
         assert code == 0
-        F = flag_from_matrix(parse_matrix(out))
+        F = Flag(parse_matrix(out))
         assert member_T_plucker(parse_permutation("213"), parse_permutation("213"), F, True)
 
     def test_symbolic_needs_size(self, capsys):
@@ -200,7 +200,7 @@ class TestSample:
     def test_symbolic_with_size(self, capsys):
         code, out, _ = run(capsys, "sample", "--u", "id", "--v", "w0", "--n", "3")
         assert code == 0
-        F = flag_from_matrix(parse_matrix(out))
+        F = Flag(parse_matrix(out))
         assert member_T_plucker(identity(3), longest_element(3), F, True)
 
 

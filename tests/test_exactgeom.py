@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,11 +11,13 @@ from qbg.diagrams import equations, find_flat
 from qbg.errors import ParseError, PreconditionError, ResourceLimitError
 from qbg.exactgeom import (
     Flag,
+    _det,
+    _integer_row,
+    _rank,
     all_equations_vanish,
     chi_rotate,
     chi_set,
     complete_to_permutation,
-    flag_from_matrix,
     format_matrix,
     incidence_exchange_rule_holds,
     incidence_product_rule_holds,
@@ -22,6 +26,7 @@ from qbg.exactgeom import (
     member_T_grassmann,
     member_T_plucker,
     member_T_rank,
+    nullspace_basis,
     parse_matrix,
     permutation_flag,
     plucker_table_json,
@@ -81,7 +86,7 @@ class TestFlag:
 
     def test_singular_rejected(self):
         with pytest.raises(PreconditionError):
-            flag_from_matrix(matrix_from_rows([[1, 2], [2, 4]]))
+            Flag(matrix_from_rows([[1, 2], [2, 4]]))
 
     def test_empty_plucker(self):
         F = random_flag(3, 0)
@@ -331,3 +336,209 @@ def test_direct_sum_of_complementary_windows():
                 one = cyclic_set(r, r2, n, include_b=False)
                 other = cyclic_set(r2, r, n, include_b=False)
                 assert rank_region(F, one, k) + rank_region(F, other, k) == k
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against sympy, an independent exact oracle (test-only)
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _random_rows(rng, rows, cols, rational):
+    """A random matrix of at most a random rank: the product of a rows x r
+    and an r x cols factor, or a full random draw; rational ones divide
+    every entry by a random denominator."""
+    def entry():
+        num = rng.randint(-9, 9)
+        return Fraction(num, rng.randint(1, 7)) if rational else num
+
+    if rng.random() < 0.5:
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+    inner = rng.randint(0, min(rows, cols))
+    left = [[entry() for _ in range(inner)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(inner)]
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(inner)), 0) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def _to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _oracle(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+class TestIntegerKernel:
+    def test_rank_and_determinant_on_integers(self, sympy):
+        rng = random.Random(0)
+        singular = 0
+        for _ in range(150):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = _random_rows(rng, rows, cols, rational=False)
+            assert _rank(m) == sympy.Matrix(m).rank()
+            if rows == cols:
+                det = sympy.Matrix(m).det()
+                singular += det == 0
+                assert _det(m) == det
+        assert singular > 5
+
+    def test_rank_determinant_and_nullspace_on_rationals(self, sympy):
+        rng = random.Random(1)
+        for _ in range(120):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = _random_rows(rng, rows, cols, rational=True)
+            oracle = _oracle(sympy, m)
+            ints = [_integer_row(row) for row in m]
+            assert _rank(ints) == oracle.rank()
+            if rows == cols:
+                assert (_det(ints) == 0) == (oracle.det() == 0)
+            expected = [[_to_fraction(x) for x in vec] for vec in oracle.nullspace()]
+            assert nullspace_basis(m, cols) == expected
+
+    def test_empty_and_zero_nullspace(self):
+        identity3 = [[Fraction(i == j) for j in range(3)] for i in range(3)]
+        assert nullspace_basis([], 3) == identity3
+        assert nullspace_basis([[0, 0, 0]], 3) == identity3
+        assert nullspace_basis(identity3, 3) == []
+
+    def test_plucker_coordinates_are_exact_minors(self, sympy):
+        rng = random.Random(2)
+        flags = [sample_in_open_stratum((4, 3, 2, 1), (3, 1, 4, 2), s) for s in range(2)]
+        flags.append(
+            sample_in_open_stratum(parse_permutation("263145"), parse_permutation("465123"), 0)
+        )
+        while len(flags) < 8:
+            n = rng.randint(2, 5)
+            try:
+                flags.append(Flag(matrix_from_rows(_random_rows(rng, n, n, rational=True))))
+            except PreconditionError:
+                continue
+        for F in flags:
+            n = F.n
+            for k in range(1, n + 1):
+                for I in combinations(range(1, n + 1), k):
+                    minor = _oracle(sympy, [F.matrix[r - 1][:k] for r in I]).det()
+                    assert F.plucker(I) == _to_fraction(minor)
+
+
+# Matrices the exact Fraction-elimination sampler produced for these
+# (u, v, seed); the integer kernel must reproduce them byte for byte.
+PINNED_SAMPLES = {
+    ("4312", "3142", 332): "4\n-37 -1776/35 7 0\n0 0 0 -55\n33 95 79 -100\n35 48 51 -43\n",
+    ("21435", "54132", 307): (
+        "5\n0 77 9 74 -12\n63 -105/2 72569/2458 -1 -75\n30 -25 51835/3687 60 -47\n"
+        "-24 33 -29 -47 72\n95 23 -95 49 92\n"
+    ),
+    ("324165", "561423", 241): (
+        "6\n0 0 -40 61 -10 -57\n0 -74 52 4221543/17462 84 78\n"
+        "76 -10 -54705/1088 4617/544 216809/1088 58\n36 79 66 -34 -65 -41\n"
+        "92 81 39 -32 64 30\n0 -84 -58 89 -97 28\n"
+    ),
+    ("4173265", "1362547", 825): (
+        "7\n-31 -72 1071/4094 242499/2852 -5 402057345/2929004 -70\n"
+        "0 62 3286/89 -71 98 -97 -47\n0 89 53 50 -34 -44 -84\n"
+        "64 -1504/23 3264/25 896/25 73 -34 -25\n88 -2068/23 4488/25 1232/25 -28 26 -57\n"
+        "-25 1175/46 -51 -14 -28 35 31\n46 -47 -92 50 -24 -83 -94\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SAMPLES))
+def test_sampled_matrices_are_unchanged(key):
+    u, v, seed = key
+    F = sample_in_open_stratum(parse_permutation(u), parse_permutation(v), seed)
+    assert format_matrix(F.matrix) == PINNED_SAMPLES[key]
+
+
+# ---------------------------------------------------------------------------
+# The window table and the membership plans
+
+
+def _table_flags():
+    flags = [random_flag(n, 30 + n) for n in range(1, 7)]
+    flags += [permutation_flag(w) for w in [(2, 1, 3), (3, 1, 4, 2), (2, 5, 1, 4, 3)]]
+    flags += [sample_in_open_stratum((4, 3, 2, 1), (3, 1, 4, 2), s) for s in range(2)]
+    flags.append(
+        sample_in_open_stratum(parse_permutation("263145"), parse_permutation("465123"), 1)
+    )
+    return flags
+
+
+def test_window_table_matches_rank_region():
+    for F in _table_flags():
+        n = F.n
+        for start in range(1, n + 1):
+            for length in range(n + 1):
+                rows = {(start - 1 + t) % n + 1 for t in range(length)}
+                for k in range(n + 1):
+                    assert F.window_rank(start, length, k) == rank_region(F, rows, k)
+
+
+def test_window_rank_bounds():
+    F = random_flag(3, 0)
+    for args in [(0, 1, 1), (4, 1, 1), (1, 4, 1), (1, 1, 4), (1, -1, 1)]:
+        with pytest.raises(PreconditionError):
+            F.window_rank(*args)
+
+
+def test_bad_shift_sequence_raises_on_every_call():
+    u, v = (4, 3, 2, 1), (3, 1, 4, 2)
+    F = random_flag(4, 8)
+    for route in (member_T_rank, member_T_grassmann):
+        for open_cell in (False, True, False):
+            with pytest.raises(PreconditionError):
+                route(u, v, (1, 1, 1), F, open_cell)
+            assert route(u, v, (4, 2, 2), F, open_cell) is False
+
+
+def test_one_flag_read_from_several_threads():
+    u, v = (4, 3, 2, 1), (3, 1, 4, 2)
+    matrix = sample_in_open_stratum(u, v, 3).matrix
+    shift_seqs = [(4, a2, 2) for a2 in (2, 3, 4)]
+
+    def survey(F, reverse):
+        subsets = [K for k in range(5) for K in combinations(range(1, 5), k)]
+        windows = [(s, length, k) for s in range(1, 5) for length in range(5) for k in range(5)]
+        perms = list(all_permutations(4))
+        if reverse:
+            subsets, windows, perms = subsets[::-1], windows[::-1], perms[::-1]
+        return (
+            sorted((K, F.plucker(K)) for K in subsets),
+            sorted((w, F.window_rank(*w)) for w in windows),
+            sorted((w, F.plucker_perm(w)) for w in perms),
+            [
+                (member_T_rank(u, v, a, F, oc), member_T_grassmann(u, v, a, F, oc))
+                for a in shift_seqs
+                for oc in (False, True)
+            ],
+            [member_T_plucker(u, v, F, oc) for oc in (False, True)],
+        )
+
+    expected = survey(Flag(matrix), reverse=False)
+    shared = Flag(matrix)
+    barrier = threading.Barrier(6, timeout=60)
+    results = [None] * 6
+
+    def worker(i):
+        barrier.wait()
+        results[i] = survey(shared, reverse=i % 2 == 1)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert expected[3] == [(True, True)] * 6
