@@ -45,7 +45,6 @@ from .qbgraph import (
     formula_weight,
     graph_distance,
     graph_from_json,
-    increasing_paths,
     monomial_str,
     oracle_distance,
 )

@@ -56,7 +56,8 @@ from .tiltedorder import interval_member_set
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-#: Full Plucker tables (all 2^n subsets) are only materialized up to here.
+#: Full Plucker tables (all 2^n subsets) and the multi-Plucker route (all of
+#: S_n) only run up to here.
 MAX_TABLE_N = 7
 
 #: Numerators of random rational draws are uniform on [-SAMPLE_BOUND, SAMPLE_BOUND].
@@ -550,6 +551,10 @@ def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool
     n = F.n
     if len(u) != n or len(v) != n:
         raise PreconditionError("permutations must match the flag's size")
+    if n > MAX_TABLE_N:
+        raise ResourceLimitError(
+            f"multi-Plucker membership walks all of S_n and is bounded at n <= {MAX_TABLE_N}"
+        )
     members = interval_member_set(u, v)
     for w in all_permutations(n):
         if w not in members and F.plucker_perm(w) != 0:

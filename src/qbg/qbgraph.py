@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -39,6 +39,8 @@ from .permcore import (
 )
 
 QExponent = tuple[int, ...]
+#: One row per vertex: (neighbour index, root, exps), sorted by neighbour.
+Adjacency = tuple[tuple[tuple[int, Root, QExponent], ...], ...]
 
 #: Largest n for which a full graph is built (5040 vertices, 56,196 edges).
 MAX_GRAPH_N = 7
@@ -74,8 +76,7 @@ def monomial_str(exps: QExponent) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class QbgEdge:
+class QbgEdge(NamedTuple):
     source: Perm
     target: Perm
     root: Root
@@ -107,69 +108,51 @@ def edge_weight(w: Perm, t: Root) -> QExponent | None:
 class QuantumBruhatGraph:
     """
     Immutable after construction.  Vertices are all of S_n in lexicographic
-    order; adjacency is exposed both as tuples of QbgEdge and as an
-    integer-indexed form for the batch drivers.
+    order and `index` maps each to its position.  Adjacency is two index
+    arrays: out_adj[i] holds (j, root, exps) for every edge i -> j, and
+    in_adj[j] holds (i, root, exps) for the same edge, each row sorted by
+    neighbour index.  QbgEdge values are made only on demand (all_edges).
     """
 
-    def __init__(self, n: int, edges: Sequence[QbgEdge]):
+    def __init__(self, n: int, edges: Iterable[tuple[Perm, Perm, Root, QExponent]]):
         self.n = n
         self.vertices: tuple[Perm, ...] = tuple(all_permutations(n))
         self.index: dict[Perm, int] = {w: i for i, w in enumerate(self.vertices)}
-        out: list[list[QbgEdge]] = [[] for _ in self.vertices]
-        inc: list[list[QbgEdge]] = [[] for _ in self.vertices]
-        for e in edges:
-            out[self.index[e.source]].append(e)
-            inc[self.index[e.target]].append(e)
-        self.out_edges: dict[Perm, tuple[QbgEdge, ...]] = {
-            w: tuple(sorted(out[i], key=lambda e: e.target))
-            for i, w in enumerate(self.vertices)
-        }
-        self.in_edges: dict[Perm, tuple[QbgEdge, ...]] = {
-            w: tuple(sorted(inc[i], key=lambda e: e.source))
-            for i, w in enumerate(self.vertices)
-        }
-        # index-form adjacency: (target_index, exps) sorted by target
-        self.out_idx: list[tuple[tuple[int, QExponent], ...]] = [
-            tuple((self.index[e.target], e.exps) for e in self.out_edges[w])
-            for w in self.vertices
-        ]
-        self.in_idx: list[tuple[tuple[int, QExponent], ...]] = [
-            tuple((self.index[e.source], e.exps) for e in self.in_edges[w])
-            for w in self.vertices
-        ]
+        out: list[list] = [[] for _ in self.vertices]
+        inc: list[list] = [[] for _ in self.vertices]
+        for source, target, root, exps in edges:
+            i, j = self.index[source], self.index[target]
+            out[i].append((j, root, exps))
+            inc[j].append((i, root, exps))
+        by_neighbour = itemgetter(0)
+        self.out_adj: Adjacency = tuple(tuple(sorted(r, key=by_neighbour)) for r in out)
+        self.in_adj: Adjacency = tuple(tuple(sorted(r, key=by_neighbour)) for r in inc)
 
     def edge_count(self) -> int:
-        return sum(len(es) for es in self.out_edges.values())
+        return sum(len(row) for row in self.out_adj)
 
     def all_edges(self) -> Iterator[QbgEdge]:
-        for w in self.vertices:
-            yield from self.out_edges[w]
-
-    def distances_from(self, u: Perm) -> dict[Perm, int]:
-        """Unweighted BFS distances from u to every vertex."""
-        dist = self.distance_vector_from(u)
-        return {w: dist[i] for i, w in enumerate(self.vertices)}
-
-    def distances_to(self, v: Perm) -> dict[Perm, int]:
-        """Unweighted BFS distances from every vertex to v."""
-        dist = self.distance_vector_to(v)
-        return {w: dist[i] for i, w in enumerate(self.vertices)}
+        """Every edge, in (source, target) order."""
+        vertices = self.vertices
+        for source, row in zip(vertices, self.out_adj):
+            for j, root, exps in row:
+                yield QbgEdge(source, vertices[j], root, exps)
 
     def distance_vector_from(self, u: Perm) -> list[int]:
         """BFS distances from u, indexed by vertex index."""
-        return self._bfs(self.index[u], self.out_idx)
+        return self._bfs(self.index[u], self.out_adj)
 
     def distance_vector_to(self, v: Perm) -> list[int]:
         """BFS distances to v, indexed by vertex index."""
-        return self._bfs(self.index[v], self.in_idx)
+        return self._bfs(self.index[v], self.in_adj)
 
-    def _bfs(self, start: int, adjacency) -> list[int]:
+    def _bfs(self, start: int, adjacency: Adjacency) -> list[int]:
         dist = [-1] * len(self.vertices)
         dist[start] = 0
         queue = deque([start])
         while queue:
             x = queue.popleft()
-            for y, _ in adjacency[x]:
+            for y, _, _ in adjacency[x]:
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -178,7 +161,8 @@ class QuantumBruhatGraph:
 
 def build_graph(n: int) -> QuantumBruhatGraph:
     """
-    The full quantum Bruhat graph on S_n.
+    The full quantum Bruhat graph on S_n.  Edges share one object per
+    distinct exponent tuple (at most C(n,2) + 1 of them).
 
     >>> g = build_graph(3)
     >>> g.edge_count()
@@ -187,12 +171,13 @@ def build_graph(n: int) -> QuantumBruhatGraph:
     if not 1 <= n <= MAX_GRAPH_N:
         raise ResourceLimitError(f"graph construction is bounded at n <= {MAX_GRAPH_N}")
     roots = all_roots(n)
-    edges = []
-    for w in all_permutations(n):
-        for t in roots:
-            exps = edge_weight(w, t)
-            if exps is not None:
-                edges.append(QbgEdge(w, apply_transposition(w, t), t, exps))
+    interned: dict[QExponent, QExponent] = {}
+    edges = (
+        (w, apply_transposition(w, t), t, interned.setdefault(exps, exps))
+        for w in all_permutations(n)
+        for t in roots
+        if (exps := edge_weight(w, t)) is not None
+    )
     return QuantumBruhatGraph(n, edges)
 
 
@@ -200,6 +185,25 @@ def _check_vertices(g: QuantumBruhatGraph, *perms: Perm) -> None:
     for w in perms:
         if w not in g.index:
             raise PreconditionError(f"{w} is not a vertex of the graph on S_{g.n}")
+
+
+def _geodesic(
+    g: QuantumBruhatGraph, start: int, dist_to_v: list[int]
+) -> tuple[int, QExponent]:
+    """
+    Length and weight of the lexicographically least (by successor one-line
+    notation) shortest walk from vertex index `start` to the vertex whose
+    BFS distance-to vector is dist_to_v.
+    """
+    length = dist_to_v[start]
+    if length < 0:
+        raise InternalInvariantError("graph is not strongly connected")
+    exps = zero_exponent(g.n)
+    w = start
+    for remaining in range(length - 1, -1, -1):
+        w, _, step = next(e for e in g.out_adj[w] if dist_to_v[e[0]] == remaining)
+        exps = exponent_add(exps, step)
+    return length, exps
 
 
 def oracle_distance(g: QuantumBruhatGraph, u: Perm, v: Perm) -> tuple[int, QExponent]:
@@ -210,19 +214,7 @@ def oracle_distance(g: QuantumBruhatGraph, u: Perm, v: Perm) -> tuple[int, QExpo
     weight, which is tested separately rather than assumed here.
     """
     _check_vertices(g, u, v)
-    dist_to_v = g.distances_to(v)
-    length = dist_to_v[u]
-    if length < 0:
-        raise InternalInvariantError("graph is not strongly connected")
-    exps = zero_exponent(g.n)
-    w = u
-    while w != v:
-        step = next(
-            e for e in g.out_edges[w] if dist_to_v[e.target] == dist_to_v[w] - 1
-        )
-        exps = exponent_add(exps, step.exps)
-        w = step.target
-    return length, exps
+    return _geodesic(g, g.index[u], g.distance_vector_to(v))
 
 
 def formula_weight(u: Perm, v: Perm) -> QExponent:
@@ -259,18 +251,20 @@ def shortest_path_weight_sets(
     path is shortest, so the recursion is exact).
     """
     _check_vertices(g, u)
-    dist = g.distances_from(u)
-    order = sorted(g.vertices, key=lambda w: (dist[w], w))
-    weights: dict[Perm, frozenset[QExponent]] = {u: frozenset([zero_exponent(g.n)])}
+    start = g.index[u]
+    dist = g.distance_vector_from(u)
+    order = sorted(range(len(g.vertices)), key=lambda w: (dist[w], w))
+    weights: list[frozenset[QExponent]] = [frozenset()] * len(g.vertices)
+    weights[start] = frozenset([zero_exponent(g.n)])
     for w in order:
-        if w == u:
+        if w == start:
             continue
         acc: set[QExponent] = set()
-        for e in g.in_edges[w]:
-            if dist[e.source] == dist[w] - 1:
-                acc.update(exponent_add(prev, e.exps) for prev in weights[e.source])
+        for x, _, exps in g.in_adj[w]:
+            if dist[x] == dist[w] - 1:
+                acc.update(exponent_add(prev, exps) for prev in weights[x])
         weights[w] = frozenset(acc)
-    return weights
+    return {g.vertices[w]: weights[w] for w in order}
 
 
 def all_shortest_paths(
@@ -278,20 +272,21 @@ def all_shortest_paths(
 ) -> list[tuple[QbgEdge, ...]]:
     """Explicit enumeration of every shortest u -> v path (small cases)."""
     _check_vertices(g, u, v)
-    dist_to_v = g.distances_to(v)
+    vertices = g.vertices
+    dist_to_v = g.distance_vector_to(v)
     paths: list[tuple[QbgEdge, ...]] = []
 
-    def extend(w: Perm, acc: list[QbgEdge]) -> None:
-        if w == v:
+    def extend(w: int, acc: list[QbgEdge]) -> None:
+        if dist_to_v[w] == 0:
             paths.append(tuple(acc))
             return
-        for e in g.out_edges[w]:
-            if dist_to_v[e.target] == dist_to_v[w] - 1:
-                acc.append(e)
-                extend(e.target, acc)
+        for x, root, exps in g.out_adj[w]:
+            if dist_to_v[x] == dist_to_v[w] - 1:
+                acc.append(QbgEdge(vertices[w], vertices[x], root, exps))
+                extend(x, acc)
                 acc.pop()
 
-    extend(u, [])
+    extend(g.index[u], [])
     return paths
 
 
@@ -353,39 +348,33 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
 # Label-increasing paths
 
 
-def increasing_paths(
-    g: QuantumBruhatGraph, u: Perm, v: Perm, ordering: Sequence[Root]
-) -> list[tuple[QbgEdge, ...]]:
-    """
-    Every directed u -> v path whose label sequence strictly increases in
-    the given reflection ordering.  Exactly one such path is predicted for
-    each pair; returning them all keeps the uniqueness testable.
-    """
-    found = increasing_paths_from(g, u, ordering)
-    return found.get(v, [])
-
-
 def increasing_paths_from(
     g: QuantumBruhatGraph, u: Perm, ordering: Sequence[Root]
 ) -> dict[Perm, list[tuple[QbgEdge, ...]]]:
-    """All label-increasing paths out of u, grouped by endpoint."""
+    """
+    Every directed path out of u whose label sequence strictly increases
+    in the given reflection ordering, grouped by endpoint.  Exactly one
+    such path is predicted for each endpoint; returning them all keeps the
+    uniqueness testable.
+    """
     _check_vertices(g, u)
     if not is_reflection_ordering(tuple(ordering), g.n):
         raise PreconditionError("ordering is not a valid reflection ordering")
     position = {root: i for i, root in enumerate(ordering)}
+    vertices = g.vertices
     found: dict[Perm, list[tuple[QbgEdge, ...]]] = {}
     acc: list[QbgEdge] = []
 
-    def extend(w: Perm, floor: int) -> None:
-        found.setdefault(w, []).append(tuple(acc))
-        for e in g.out_edges[w]:
-            pos = position[e.root]
+    def extend(w: int, floor: int) -> None:
+        found.setdefault(vertices[w], []).append(tuple(acc))
+        for x, root, exps in g.out_adj[w]:
+            pos = position[root]
             if pos > floor:
-                acc.append(e)
-                extend(e.target, pos)
+                acc.append(QbgEdge(vertices[w], vertices[x], root, exps))
+                extend(x, pos)
                 acc.pop()
 
-    extend(u, -1)
+    extend(g.index[u], -1)
     return found
 
 

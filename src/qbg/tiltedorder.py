@@ -25,9 +25,10 @@ def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
     """w <=_base v via the length identity (criterion on the graph)."""
     if not len(base) == len(w) == len(v) == g.n:
         raise PreconditionError("permutations must all live in the graph's S_n")
-    dist_from_base = g.distances_from(base)
-    dist_from_w = g.distances_from(w)
-    return dist_from_base[w] + dist_from_w[v] == dist_from_base[v]
+    dist_from_base = g.distance_vector_from(base)
+    dist_from_w = g.distance_vector_from(w)
+    i_w, i_v = g.index[w], g.index[v]
+    return dist_from_base[i_w] + dist_from_w[i_v] == dist_from_base[i_v]
 
 
 def interval_members_criterion(u: Perm, v: Perm, w: Perm, mode: str) -> bool:
@@ -81,13 +82,15 @@ class TiltedInterval:
 
 def interval(u: Perm, v: Perm, g: QuantumBruhatGraph) -> TiltedInterval:
     """[u, v] computed from the graph, with rank(w) = l(u, w)."""
-    dist_from_u = g.distances_from(u)
-    dist_to_v = g.distances_to(v)
-    total = dist_from_u[v]
+    dist_from_u = g.distance_vector_from(u)
+    dist_to_v = g.distance_vector_to(v)
+    total = dist_from_u[g.index[v]]
     members = frozenset(
-        w for w in g.vertices if dist_from_u[w] + dist_to_v[w] == total
+        w
+        for w, d_u, d_v in zip(g.vertices, dist_from_u, dist_to_v)
+        if d_u + d_v == total
     )
-    rank = {w: dist_from_u[w] for w in members}
+    rank = {w: dist_from_u[g.index[w]] for w in members}
     return TiltedInterval(u, v, members, rank)
 
 

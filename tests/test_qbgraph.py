@@ -1,7 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
+from qbg import qbgraph
 from qbg.errors import PreconditionError, ResourceLimitError
 from qbg.permcore import (
     all_permutations,
@@ -19,7 +21,7 @@ from qbg.qbgraph import (
     formula_weight,
     graph_distance,
     graph_from_json,
-    increasing_paths,
+    increasing_paths_from,
     monomial_str,
     oracle_distance,
     path_weight,
@@ -83,7 +85,7 @@ class TestBuildGraph:
     def test_min_outdegree(self):
         for n in (2, 3, 4):
             g = build_graph(n)
-            assert min(len(g.out_edges[w]) for w in g.vertices) >= n - 1
+            assert min(len(row) for row in g.out_adj) >= n - 1
 
     def test_n4_edge_count(self):
         # frozen from enumeration; the cyclic-criterion test cross-checks
@@ -109,6 +111,45 @@ class TestBuildGraph:
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
             build_graph(8)
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_in_and_out_arrays_hold_the_same_edges(self, n):
+        g = build_graph(n)
+        out = {(i, j, t, e) for i, row in enumerate(g.out_adj) for j, t, e in row}
+        inc = {(i, j, t, e) for j, row in enumerate(g.in_adj) for i, t, e in row}
+        assert out == inc
+        assert len(out) == g.edge_count() == sum(len(row) for row in g.in_adj)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_sorted_by_neighbour_index(self, n):
+        g = build_graph(n)
+        for row in g.out_adj + g.in_adj:
+            neighbours = [j for j, _, _ in row]
+            assert neighbours == sorted(neighbours)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_all_edges_in_source_target_order(self, n):
+        g = build_graph(n)
+        pairs = [(e.source, e.target) for e in g.all_edges()]
+        assert pairs == sorted(pairs)
+        assert len(pairs) == g.edge_count()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exponent_tuples_are_interned(self, n):
+        g = build_graph(n)
+        distinct = {id(e) for row in g.out_adj for _, _, e in row}
+        assert len(distinct) <= comb(n, 2) + 1
+
+    def test_oracle_matches_distance_suite_walk(self):
+        g = build_graph(4)
+        for v in g.vertices:
+            to_v = g.distance_vector_to(v)
+            for i, u in enumerate(g.vertices):
+                walk = qbgraph._geodesic(g, i, to_v)
+                assert oracle_distance(g, u, v) == walk
+                assert walk == (graph_distance(u, v), formula_weight(u, v))
 
 
 class TestDistances:
@@ -143,9 +184,9 @@ class TestDistances:
     def test_closed_form_distance(self):
         g = build_graph(3)
         for u in g.vertices:
-            dist = g.distances_from(u)
+            dist = g.distance_vector_from(u)
             for v in g.vertices:
-                assert graph_distance(u, v) == dist[v]
+                assert graph_distance(u, v) == dist[g.index[v]]
 
     def test_size_mismatch(self):
         with pytest.raises(PreconditionError):
@@ -176,10 +217,10 @@ class TestGreedyPath:
     def test_exhaustive_against_oracle(self, n):
         g = build_graph(n)
         for u in g.vertices:
-            dist = g.distances_from(u)
+            dist = g.distance_vector_from(u)
             for v in g.vertices:
                 path = bfp_greedy_path(u, v)
-                assert len(path) == dist[v]
+                assert len(path) == dist[g.index[v]]
                 assert path_weight(path, n) == formula_weight(u, v)
 
 
@@ -187,20 +228,20 @@ class TestIncreasingPaths:
     def test_empty_path(self):
         g = build_graph(3)
         ordering = reflection_ordering((1, 2, 1))
-        paths = increasing_paths(g, (2, 1, 3), (2, 1, 3), ordering)
+        paths = increasing_paths_from(g, (2, 1, 3), ordering)[(2, 1, 3)]
         assert paths == [()]
 
     def test_unique_path(self):
         g = build_graph(3)
         ordering = reflection_ordering((1, 2, 1))
-        paths = increasing_paths(g, (3, 2, 1), (1, 2, 3), ordering)
+        paths = increasing_paths_from(g, (3, 2, 1), ordering)[(1, 2, 3)]
         assert len(paths) == 1
         assert len(paths[0]) == oracle_distance(g, (3, 2, 1), (1, 2, 3))[0]
 
     def test_invalid_ordering(self):
         g = build_graph(3)
         with pytest.raises(PreconditionError):
-            increasing_paths(g, (1, 2, 3), (3, 2, 1), ((1, 3), (1, 2), (2, 3)))
+            increasing_paths_from(g, (1, 2, 3), ((1, 3), (1, 2), (2, 3)))
 
 
 class TestExport:

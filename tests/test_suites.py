@@ -1,14 +1,16 @@
 """
-The `verify` suites: every size ends in bounded time, and the pair requests of
-the sampled suites never exceed what S_n x S_n holds.
+The `verify` suites and the size guards: every size ends in bounded time or
+is refused up front, and the pair requests of the sampled suites never
+exceed what S_n x S_n holds.
 """
 import signal
 from contextlib import contextmanager
 
 import pytest
 
-from qbg import suites
+from qbg import exactgeom, suites
 from qbg.cli import main
+from qbg.errors import PreconditionError, SamplingError
 
 
 @contextmanager
@@ -55,3 +57,36 @@ def test_sampled_suite_bodies_at_n4():
     with time_limit(60):
         stratify = suites.run_suite("stratify", 4, 0, 5)
     assert stratify.body == "10 sampled flags, 0 violations"
+
+
+def test_stratify_samples_only_pairs_of_its_own_size(monkeypatch):
+    lengths = []
+
+    def refuse(u, v, seed):
+        lengths.append(len(u))
+        raise SamplingError("refused", 1)
+
+    monkeypatch.setattr(exactgeom, "sample_in_open_stratum", refuse)
+    with time_limit(30):
+        result = suites.run_suite("stratify", 5, 0, 5)
+    assert not result.ok
+    assert lengths and set(lengths) == {5}
+
+
+@pytest.mark.parametrize("name", ["distance", "rotation", "plucker", "stratify", "equivalence"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_suites_refuse_sizes_below_one(capsys, name, n):
+    with pytest.raises(PreconditionError):
+        suites.run_suite(name, n)
+    assert main(["verify", "--suite", name, "--n", str(n)]) == 2
+    assert "n >= 1" in capsys.readouterr().err
+
+
+def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
+    path = tmp_path / "id10.mat"
+    rows = [" ".join("1" if i == j else "0" for j in range(10)) for i in range(10)]
+    path.write_text("10\n" + "\n".join(rows) + "\n")
+    with time_limit(10):
+        code = main(["stratify", "--matrix", str(path), "--u", "id", "--v", "w0", "--n", "10"])
+    assert code == 2
+    assert "bounded at n <= 7" in capsys.readouterr().err

@@ -86,11 +86,11 @@ class TestCriteria:
 
     def test_exhaustive_equivalence_n3(self, g3):
         for u in g3.vertices:
-            dist_u = g3.distances_from(u)
-            for v in g3.vertices:
-                for w in g3.vertices:
+            dist_u = g3.distance_vector_from(u)
+            for j, v in enumerate(g3.vertices):
+                for k, w in enumerate(g3.vertices):
                     by_len = (
-                        dist_u[w] + g3.distances_from(w)[v] == dist_u[v]
+                        dist_u[k] + g3.distance_vector_from(w)[j] == dist_u[j]
                     )
                     assert by_len == interval_members_criterion(u, v, w, "all_shifts")
                     assert by_len == interval_members_criterion(u, v, w, "exists_shift")
