@@ -27,9 +27,10 @@ from .permcore import (
     shifted_less,
 )
 from .latticepath import (
-    build_path,
     depth,
     find_shift_sequence,
+    path_heights,
+    prefix_paths,
     shift_leq,
     shifted_gale_leq,
     shifted_interval,

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import InternalInvariantError, PreconditionError
-from .latticepath import shift_leq, shifted_gale_leq, valid_shifts
+from .latticepath import prefix_paths, shift_leq, shifted_gale_leq
 from .permcore import (
     Perm,
     cyclic_contains,
@@ -52,14 +51,11 @@ def find_flat(u: Perm, v: Perm) -> tuple[int, ...]:
     both the (k-1)- and k-prefixes.  The intersection is never empty; an
     empty one signals a bug, not bad input.
     """
-    n = len(u)
-    if len(v) != n:
-        raise PreconditionError("permutations must have the same size")
+    shifts = [s for _, s in prefix_paths(u, v)]
     out = []
-    for k in range(1, n):
-        candidates = valid_shifts(prefix_set(u, k), prefix_set(v, k), n)
+    for k, candidates in enumerate(shifts, start=1):
         if k >= 2:
-            candidates &= valid_shifts(prefix_set(u, k - 1), prefix_set(v, k - 1), n)
+            candidates &= shifts[k - 2]
         if not candidates:
             raise InternalInvariantError(
                 f"no common shift for columns {k - 1} and {k} of "
@@ -307,10 +303,3 @@ def equations_to_json(es: EquationSet) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def column_cell_count(u: Perm, v: Perm, a: tuple[int, ...], k: int) -> int:
-    """Cells in column k across both diagrams (n - k of them when u = v)."""
-    down = tilted_rothe(u, a, "down")
-    up = tilted_rothe(v, a, "up")
-    return sum(1 for cell in chain(down, up) if cell[1] == k)

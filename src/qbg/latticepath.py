@@ -13,12 +13,12 @@ against each other).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import PreconditionError
-from .permcore import Perm, prefix_set, shifted_key, shifted_sorted
+from .permcore import Perm, prefix_set, shifted_key, shifted_sorted, validate_permutation
 
 ValueSet = frozenset[int]
 
@@ -34,55 +34,55 @@ def _check_pair(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[Val
     return A, B
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """Steps are +1 (up), -1 (down), 0 (horizontal)."""
-
-    steps: tuple[int, ...]
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        out, h = [], 0
-        for s in self.steps:
-            h += s
-            out.append(h)
-        return tuple(out)
-
-    @cached_property
-    def depth(self) -> int:
-        return max(0, -min(self.heights, default=0))
+def _heights(A: ValueSet, B: ValueSet, n: int) -> list[int]:
+    """Heights of the comparison path after 0..n steps; the one pass every
+    reading below is taken from."""
+    return list(accumulate(((i in A) - (i in B) for i in range(1, n + 1)), initial=0))
 
 
-def build_path(a_set: Iterable[int], b_set: Iterable[int], n: int) -> LatticePath:
+def _depth_and_shifts(A: ValueSet, B: ValueSet, n: int) -> tuple[int, frozenset[int]]:
     """
-    >>> build_path({3, 4, 6, 7}, {1, 2, 3, 5}, 7).heights
+    The depth, and the valid shifts r: r - 1 runs over the x in 0..n-1
+    where the minimum height is attained.  The path ends at the height it
+    starts from, so that set is never empty.
+    """
+    heights = _heights(A, B, n)
+    low = min(heights)
+    return -low, frozenset(x + 1 for x in range(n) if heights[x] == low)
+
+
+def path_heights(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[int, ...]:
+    """
+    Heights after steps 1..n.
+
+    >>> path_heights({3, 4, 6, 7}, {1, 2, 3, 5}, 7)
     (-1, -2, -2, -1, -2, -1, 0)
     """
-    A, B = _check_pair(a_set, b_set, n)
-    steps = []
-    for i in range(1, n + 1):
-        if i in A and i not in B:
-            steps.append(1)
-        elif i in B and i not in A:
-            steps.append(-1)
-        else:
-            steps.append(0)
-    return LatticePath(tuple(steps))
+    return tuple(_heights(*_check_pair(a_set, b_set, n), n)[1:])
 
 
 def depth(a_set: Iterable[int], b_set: Iterable[int], n: int) -> int:
-    return build_path(a_set, b_set, n).depth
+    return _depth_and_shifts(*_check_pair(a_set, b_set, n), n)[0]
 
 
 def valid_shifts(a_set: Iterable[int], b_set: Iterable[int], n: int) -> frozenset[int]:
+    """All r in [n] with A <=_r B, read off the path.  Never empty."""
+    return _depth_and_shifts(*_check_pair(a_set, b_set, n), n)[1]
+
+
+def prefix_paths(u: Perm, v: Perm) -> list[tuple[int, frozenset[int]]]:
     """
-    All r in [n] with A <=_r B, read off the path: r - 1 runs over the
-    x-coordinates where the minimum height is attained.  Never empty.
+    (depth, valid shifts) of the comparison path of the k-prefixes of u and
+    v, for the columns k = 1..n-1.
+
+    >>> prefix_paths((4, 3, 2, 1), (3, 1, 4, 2))
+    [(1, frozenset({4})), (1, frozenset({2, 3, 4})), (1, frozenset({2}))]
     """
-    path = build_path(a_set, b_set, n)
-    low = -path.depth
-    heights = (0,) + path.heights  # height after x steps, x = 0..n
-    return frozenset(x + 1 for x in range(n) if heights[x] == low)
+    u, v = validate_permutation(u), validate_permutation(v)
+    n = len(u)
+    if len(v) != n:
+        raise PreconditionError("permutations must have the same size")
+    return [_depth_and_shifts(frozenset(u[:k]), frozenset(v[:k]), n) for k in range(1, n)]
 
 
 def shifted_gale_leq(a_set: Iterable[int], b_set: Iterable[int], r: int, n: int) -> bool:
@@ -143,7 +143,4 @@ def find_shift_sequence(u: Perm, v: Perm) -> tuple[int, ...]:
     >>> find_shift_sequence((4, 3, 2, 1), (3, 1, 4, 2))
     (4, 2, 2)
     """
-    n = len(u)
-    return tuple(
-        min(valid_shifts(prefix_set(u, k), prefix_set(v, k), n)) for k in range(1, n)
-    )
+    return tuple(min(shifts) for _, shifts in prefix_paths(u, v))

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .latticepath import depth
+from .latticepath import prefix_paths
 from .permcore import (
     Perm,
     Root,
@@ -34,7 +34,6 @@ from .permcore import (
     format_permutation,
     is_reflection_ordering,
     parse_permutation,
-    prefix_set,
     shifted_less,
 )
 
@@ -88,7 +87,10 @@ def edge_weight(w: Perm, t: Root) -> QExponent | None:
     The exponent vector of the edge w -> w t, or None if there is no edge.
     Membership is decided by the length conditions: up edges raise the
     length by 1 and carry the zero exponent, down edges change it by
-    1 - 2(j - i) and carry the indicator of positions i..j-1.
+    1 - 2(j - i) and carry the indicator of positions i..j-1.  The change
+    is counted directly: with m values strictly between w_i and w_j at
+    positions strictly between i and j, swapping w_i < w_j adds 2m + 1
+    inversions and swapping w_i > w_j removes as many.
 
     >>> edge_weight((3, 2, 1), (1, 3))
     (1, 1)
@@ -97,10 +99,14 @@ def edge_weight(w: Perm, t: Root) -> QExponent | None:
     """
     n = len(w)
     i, j = t
-    delta = coxeter_length(apply_transposition(w, t)) - coxeter_length(w)
-    if delta == 1:
-        return zero_exponent(n)
-    if delta == 1 - 2 * (j - i):
+    if not 1 <= i < j <= n:
+        raise PreconditionError(f"root ({i},{j}) out of range for n={n}")
+    a, b = w[i - 1], w[j - 1]
+    lo, hi = min(a, b), max(a, b)
+    m = sum(1 for x in w[i:j - 1] if lo < x < hi)
+    if a < b:
+        return zero_exponent(n) if m == 0 else None
+    if m == j - i - 1:
         return tuple(1 if i <= p <= j - 1 else 0 for p in range(1, n))
     return None
 
@@ -225,12 +231,7 @@ def formula_weight(u: Perm, v: Perm) -> QExponent:
     >>> formula_weight((3, 2, 1), (2, 1, 3))
     (1, 1)
     """
-    n = len(u)
-    if len(v) != n:
-        raise PreconditionError("permutations must have the same size")
-    return tuple(
-        depth(prefix_set(u, k), prefix_set(v, k), n) for k in range(1, n)
-    )
+    return tuple(d for d, _ in prefix_paths(u, v))
 
 
 def graph_distance(u: Perm, v: Perm) -> int:

@@ -13,7 +13,7 @@ from math import comb
 
 from . import diagrams, exactgeom, qbgraph, tiltedorder
 from .errors import PreconditionError, SamplingError
-from .latticepath import valid_shifts
+from .latticepath import prefix_paths
 from .permcore import (
     Perm,
     all_permutations,
@@ -21,7 +21,6 @@ from .permcore import (
     identity,
     long_cycle_rotate,
     longest_element,
-    prefix_set,
     reduced_words_of_longest,
     reflection_ordering,
 )
@@ -179,6 +178,8 @@ def suite_increasing(n: int, seed: int, samples: int) -> SuiteResult:
 
 def suite_rotation(n: int, seed: int, samples: int) -> SuiteResult:
     """Rotating all values by the long cycle preserves the unweighted edges."""
+    if n < 2:
+        raise PreconditionError(f"suite rotation needs n >= 2 (S_1 has no roots), got {n}")
     bad = 0
     checked = 0
     roots = qbgraph.all_roots(n)
@@ -331,11 +332,7 @@ def _draw_pairs(
 def _all_shift_sequences(u: Perm, v: Perm) -> list[tuple[int, ...]]:
     from itertools import product
 
-    n = len(u)
-    per_column = [
-        sorted(valid_shifts(prefix_set(u, k), prefix_set(v, k), n))
-        for k in range(1, n)
-    ]
+    per_column = [sorted(shifts) for _, shifts in prefix_paths(u, v)]
     return [tuple(a) for a in product(*per_column)]
 
 
@@ -504,24 +501,23 @@ def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
 
 def suite_plucker(n: int, seed: int, samples: int) -> SuiteResult:
     """Incidence relations hold exactly on random coordinates of real flags."""
+    if n < 3:
+        raise PreconditionError(f"suite plucker needs n >= 3 (no relation below), got {n}")
     rng = random.Random(seed)
     flags = [exactgeom.random_flag(n, rng) for _ in range(max(2, samples // 2))]
     flags.append(exactgeom.permutation_flag(longest_element(n)))
-    if n >= 3:
-        u, v = identity(n), longest_element(n)
-        flags.append(exactgeom.sample_in_open_stratum(u, v, seed))
+    flags.append(exactgeom.sample_in_open_stratum(identity(n), longest_element(n), seed))
     universe = list(range(1, n + 1))
     bad = 0
     checked = 0
     for F in flags:
         for _ in range(100):
-            if n >= 3:
-                k = rng.randint(2, n - 1)
-                I = rng.sample(universe, k)
-                J = rng.sample(universe, k - 1)
-                checked += 1
-                if not exactgeom.incidence_product_rule_holds(F, I, J):
-                    bad += 1
+            k = rng.randint(2, n - 1)
+            I = rng.sample(universe, k)
+            J = rng.sample(universe, k - 1)
+            checked += 1
+            if not exactgeom.incidence_product_rule_holds(F, I, J):
+                bad += 1
             if n >= 4:
                 r = rng.randint(3, n - 1)
                 s = rng.randint(1, r - 2)

@@ -15,10 +15,10 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PreconditionError
-from .latticepath import shifted_gale_leq, valid_shifts
+from .errors import PreconditionError, ResourceLimitError
+from .latticepath import prefix_paths, shifted_gale_leq
 from .permcore import Perm, all_permutations, format_permutation, prefix_set
-from .qbgraph import QbgEdge, QuantumBruhatGraph, edge_weight, monomial_str
+from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_weight, monomial_str
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -42,14 +42,13 @@ def interval_members_criterion(u: Perm, v: Perm, w: Perm, mode: str) -> bool:
     n = len(u)
     if mode == "exists_shift":
         return all(
-            valid_shifts(prefix_set(u, k), prefix_set(w, k), n)
-            & valid_shifts(prefix_set(w, k), prefix_set(v, k), n)
-            for k in range(1, n)
+            below & above
+            for (_, below), (_, above) in zip(prefix_paths(u, w), prefix_paths(w, v))
         )
     if mode == "all_shifts":
-        for k in range(1, n):
+        for k, (_, shifts) in enumerate(prefix_paths(u, v), start=1):
             uk, vk, wk = prefix_set(u, k), prefix_set(v, k), prefix_set(w, k)
-            for r in valid_shifts(uk, vk, n):
+            for r in shifts:
                 if not (
                     shifted_gale_leq(uk, wk, r, n) and shifted_gale_leq(wk, vk, r, n)
                 ):
@@ -60,7 +59,12 @@ def interval_members_criterion(u: Perm, v: Perm, w: Perm, mode: str) -> bool:
 
 @lru_cache(maxsize=4096)
 def interval_member_set(u: Perm, v: Perm) -> frozenset[Perm]:
-    """All of [u, v], graph-free (exists_shift route over all of S_n)."""
+    """
+    All of [u, v], graph-free (exists_shift route over all of S_n), so it
+    is bounded like the graph: n <= MAX_GRAPH_N.
+    """
+    if len(u) > MAX_GRAPH_N:
+        raise ResourceLimitError(f"interval enumeration is bounded at n <= {MAX_GRAPH_N}")
     return frozenset(
         w
         for w in all_permutations(len(u))

@@ -3,17 +3,26 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from qbg.diagrams import find_flat
 from qbg.errors import PreconditionError
 from qbg.latticepath import (
-    build_path,
     depth,
     find_shift_sequence,
+    path_heights,
+    prefix_paths,
     shift_leq,
     shifted_gale_leq,
     shifted_interval,
     valid_shifts,
 )
-from qbg.permcore import cyclic_set, identity, longest_element, parse_permutation
+from qbg.permcore import (
+    all_permutations,
+    cyclic_set,
+    identity,
+    longest_element,
+    parse_permutation,
+)
+from qbg.qbgraph import formula_weight, graph_distance
 
 
 def brute_shifts(A, B, n):
@@ -28,23 +37,21 @@ def brute_shifts(A, B, n):
 
 class TestPath:
     def test_paper_heights(self):
-        path = build_path({3, 4, 6, 7}, {1, 2, 3, 5}, 7)
-        assert path.heights == (-1, -2, -2, -1, -2, -1, 0)
-        assert path.depth == 2
+        assert path_heights({3, 4, 6, 7}, {1, 2, 3, 5}, 7) == (-1, -2, -2, -1, -2, -1, 0)
+        assert depth({3, 4, 6, 7}, {1, 2, 3, 5}, 7) == 2
 
     def test_equal_sets_flat(self):
-        path = build_path({2, 4}, {2, 4}, 5)
-        assert path.steps == (0,) * 5
-        assert path.depth == 0
+        # all steps horizontal: every height is 0
+        assert path_heights({2, 4}, {2, 4}, 5) == (0,) * 5
+        assert depth({2, 4}, {2, 4}, 5) == 0
 
     def test_single_ascent(self):
-        path = build_path({1}, {2}, 2)
-        assert path.heights == (1, 0)
-        assert path.depth == 0
+        assert path_heights({1}, {2}, 2) == (1, 0)
+        assert depth({1}, {2}, 2) == 0
 
     def test_size_mismatch(self):
         with pytest.raises(PreconditionError):
-            build_path({1, 2}, {3}, 3)
+            path_heights({1, 2}, {3}, 3)
 
 
 class TestDepth:
@@ -160,6 +167,24 @@ class TestShiftSequences:
         assert shift_leq(u, v, (4, 2, 2))
         assert not shift_leq(u, v, (1, 1, 1))
         assert shift_leq(u, v, find_shift_sequence(u, v))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_prefix_paths_match_sorting_route(self, n):
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms:
+                shifts = [s for _, s in prefix_paths(u, v)]
+                assert shifts == [brute_shifts(u[:k], v[:k], n) for k in range(1, n)]
+
+    @pytest.mark.parametrize(
+        "fn", [formula_weight, graph_distance, find_flat, find_shift_sequence]
+    )
+    @pytest.mark.parametrize("bad", [(1, 1, 2), (0, 1, 2), (1, 2, 4), (2, 1)])
+    def test_per_column_callers_reject_non_permutations(self, fn, bad):
+        with pytest.raises(PreconditionError):
+            fn(bad, (1, 2, 3))
+        with pytest.raises(PreconditionError):
+            fn((1, 2, 3), bad)
 
     def test_example_pair_n6(self):
         u = parse_permutation("263145")

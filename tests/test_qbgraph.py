@@ -8,6 +8,8 @@ from qbg.errors import PreconditionError, ResourceLimitError
 from qbg.permcore import (
     all_permutations,
     all_roots,
+    apply_transposition,
+    coxeter_length,
     cyclic_contains,
     parse_permutation,
     reflection_ordering,
@@ -52,6 +54,24 @@ class TestEdgeWeight:
 
     def test_up_edge(self):
         assert edge_weight((1, 2, 3), (1, 2)) == (0, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_length_change(self, n):
+        for w in all_permutations(n):
+            for i, j in all_roots(n):
+                delta = coxeter_length(apply_transposition(w, (i, j))) - coxeter_length(w)
+                if delta == 1:
+                    expected = zero_exponent(n)
+                elif delta == 1 - 2 * (j - i):
+                    expected = tuple(1 if i <= p <= j - 1 else 0 for p in range(1, n))
+                else:
+                    expected = None
+                assert edge_weight(w, (i, j)) == expected
+
+    @pytest.mark.parametrize("t", [(0, 2), (2, 2), (2, 1), (1, 4)])
+    def test_root_out_of_range(self, t):
+        with pytest.raises(PreconditionError):
+            edge_weight((1, 2, 3), t)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cyclic_criterion_agrees(self, n):

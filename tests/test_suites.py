@@ -8,9 +8,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from qbg import exactgeom, suites
+from qbg import exactgeom, suites, tiltedorder
 from qbg.cli import main
-from qbg.errors import PreconditionError, SamplingError
+from qbg.errors import PreconditionError, ResourceLimitError, SamplingError
 
 
 @contextmanager
@@ -73,13 +73,32 @@ def test_stratify_samples_only_pairs_of_its_own_size(monkeypatch):
     assert lengths and set(lengths) == {5}
 
 
-@pytest.mark.parametrize("name", ["distance", "rotation", "plucker", "stratify", "equivalence"])
-@pytest.mark.parametrize("n", [0, -1])
-def test_suites_refuse_sizes_below_one(capsys, name, n):
+# Sizes at which a suite would check nothing: every suite below n = 1,
+# rotation at n = 1 (no roots) and plucker below n = 3 (no relations).
+LEAST_N = {"rotation": 2, "plucker": 3}
+TOO_SMALL = [
+    (n, name)
+    for n in (0, -1)
+    for name in ("distance", "rotation", "plucker", "stratify", "equivalence")
+] + [(1, "rotation"), (1, "plucker"), (2, "plucker")]
+
+
+@pytest.mark.parametrize("n, name", TOO_SMALL)
+def test_suites_refuse_sizes_below_one(capsys, n, name):
     with pytest.raises(PreconditionError):
         suites.run_suite(name, n)
     assert main(["verify", "--suite", name, "--n", str(n)]) == 2
-    assert "n >= 1" in capsys.readouterr().err
+    least = LEAST_N[name] if n >= 1 else 1
+    assert f"n >= {least}" in capsys.readouterr().err
+
+
+def test_interval_member_set_refuses_n_beyond_the_graph_bound():
+    u = tuple(range(1, 9))
+    entries = tiltedorder.interval_member_set.cache_info().currsize
+    for _ in range(2):  # a raise is not cached: the second call refuses too
+        with time_limit(10), pytest.raises(ResourceLimitError):
+            tiltedorder.interval_member_set(u, u)
+    assert tiltedorder.interval_member_set.cache_info().currsize == entries
 
 
 def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
