@@ -26,7 +26,6 @@ from .permcore import (
     format_permutation,
     inverse,
     prefix_set,
-    shifted_less,
 )
 from .qbgraph import graph_distance
 from .tiltedorder import interval_members_criterion
@@ -79,15 +78,17 @@ def tilted_rothe(w: Perm, a: tuple[int, ...], kind: str) -> frozenset[Cell]:
     if kind not in ("down", "up"):
         raise PreconditionError(f"kind must be 'down' or 'up', got {kind!r}")
     w_inv = inverse(w)
+    down = kind == "down"
     cells = set()
     for k in range(1, n):
         r = a[k - 1]
-        wk = w[k - 1]
+        # ranks in the shifted order with minimum a_k, as permcore.shifted_key
+        wk_rank = (w[k - 1] - r) % n
         for i in range(1, n + 1):
             if w_inv[i - 1] <= k:
                 continue
-            below = shifted_less(r, i, wk, n)
-            if (kind == "down" and below) or (kind == "up" and shifted_less(r, wk, i, n)):
+            i_rank = (i - r) % n
+            if i_rank < wk_rank if down else i_rank > wk_rank:
                 cells.add((i, k))
     return frozenset(cells)
 

@@ -10,17 +10,27 @@ touches its minimum height at x-coordinate r - 1, which is what makes the
 depth/valid-shift machinery below equivalent to elementwise comparison of
 sorted sets (the two routes are kept separate so tests can play them
 against each other).
+
+One walk, `_walk`, moves the path.  It keeps the heights after 0..n steps
+in a list and takes value pairs (a, b) one at a time: adding a to A and b
+to B raises the heights after steps a..b-1 by one when a < b, lowers those
+after steps b..a-1 by one when a > b, and moves nothing else.  Fed the
+pairs (u_k, v_k) it gives the path of every pair of k-prefixes in turn,
+so `prefix_paths` builds no prefix sets; fed the sorted elements of A and
+B it gives the path of (A, B).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from operator import le
 from typing import Iterable
 
 from .errors import PreconditionError
-from .permcore import Perm, prefix_set, shifted_key, shifted_sorted, validate_permutation
+from .permcore import Perm, prefix_set, validate_permutation
 
 ValueSet = frozenset[int]
+#: (depth, valid shifts) of one comparison path.
+Reading = tuple[int, frozenset[int]]
 
 
 def _check_pair(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[ValueSet, ValueSet]:
@@ -34,21 +44,34 @@ def _check_pair(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[Val
     return A, B
 
 
-def _heights(A: ValueSet, B: ValueSet, n: int) -> list[int]:
-    """Heights of the comparison path after 0..n steps; the one pass every
-    reading below is taken from."""
-    return list(accumulate(((i in A) - (i in B) for i in range(1, n + 1)), initial=0))
+def _walk(heights: list[int], pairs: Iterable[tuple[int, int]]) -> list[Reading]:
+    """
+    Move the path in `heights` (the heights after 0..n steps) through the
+    value pairs one at a time, and read (depth, valid shifts) after each:
+    r - 1 runs over the x in 0..n-1 where the minimum height is attained.
+    The path ends at the height it starts from, so that set is never empty.
+    """
+    steps = range(1, len(heights))
+    readings = []
+    for a, b in pairs:
+        if a < b:
+            for x in range(a, b):
+                heights[x] += 1
+        else:
+            for x in range(b, a):
+                heights[x] -= 1
+        low = min(heights)
+        readings.append((-low, frozenset([r for r, h in zip(steps, heights) if h == low])))
+    return readings
 
 
-def _depth_and_shifts(A: ValueSet, B: ValueSet, n: int) -> tuple[int, frozenset[int]]:
-    """
-    The depth, and the valid shifts r: r - 1 runs over the x in 0..n-1
-    where the minimum height is attained.  The path ends at the height it
-    starts from, so that set is never empty.
-    """
-    heights = _heights(A, B, n)
-    low = min(heights)
-    return -low, frozenset(x + 1 for x in range(n) if heights[x] == low)
+def _whole_path(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[list[int], Reading]:
+    """The heights after 0..n steps of the path of (A, B), and its reading."""
+    A, B = _check_pair(a_set, b_set, n)
+    heights = [0] * (n + 1)
+    # a pair of equal values moves nothing, so (0, 0) first reads the start
+    # and two empty sets get a reading too
+    return heights, _walk(heights, [(0, 0), *zip(sorted(A), sorted(B))])[-1]
 
 
 def path_heights(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[int, ...]:
@@ -58,19 +81,19 @@ def path_heights(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[in
     >>> path_heights({3, 4, 6, 7}, {1, 2, 3, 5}, 7)
     (-1, -2, -2, -1, -2, -1, 0)
     """
-    return tuple(_heights(*_check_pair(a_set, b_set, n), n)[1:])
+    return tuple(_whole_path(a_set, b_set, n)[0][1:])
 
 
 def depth(a_set: Iterable[int], b_set: Iterable[int], n: int) -> int:
-    return _depth_and_shifts(*_check_pair(a_set, b_set, n), n)[0]
+    return _whole_path(a_set, b_set, n)[1][0]
 
 
 def valid_shifts(a_set: Iterable[int], b_set: Iterable[int], n: int) -> frozenset[int]:
     """All r in [n] with A <=_r B, read off the path.  Never empty."""
-    return _depth_and_shifts(*_check_pair(a_set, b_set, n), n)[1]
+    return _whole_path(a_set, b_set, n)[1][1]
 
 
-def prefix_paths(u: Perm, v: Perm) -> list[tuple[int, frozenset[int]]]:
+def prefix_paths(u: Perm, v: Perm) -> list[Reading]:
     """
     (depth, valid shifts) of the comparison path of the k-prefixes of u and
     v, for the columns k = 1..n-1.
@@ -82,21 +105,20 @@ def prefix_paths(u: Perm, v: Perm) -> list[tuple[int, frozenset[int]]]:
     n = len(u)
     if len(v) != n:
         raise PreconditionError("permutations must have the same size")
-    return [_depth_and_shifts(frozenset(u[:k]), frozenset(v[:k]), n) for k in range(1, n)]
+    return _walk([0] * (n + 1), zip(u[:-1], v[:-1]))
 
 
 def shifted_gale_leq(a_set: Iterable[int], b_set: Iterable[int], r: int, n: int) -> bool:
     """
     Sort both sets increasingly under the shifted order with minimum r and
-    compare elementwise.  Independent of the path route above.
+    compare elementwise: each element is replaced by its shifted rank
+    (x - r) mod n once, and the ranks are sorted.  Independent of the path
+    route above; it reads no heights.
     """
     A, B = _check_pair(a_set, b_set, n)
-    a_sorted = shifted_sorted(r, A, n)
-    b_sorted = shifted_sorted(r, B, n)
-    return all(
-        shifted_key(r, x, n) <= shifted_key(r, y, n)
-        for x, y in zip(a_sorted, b_sorted)
-    )
+    a_ranks = sorted([(x - r) % n for x in A])
+    b_ranks = sorted([(y - r) % n for y in B])
+    return all(map(le, a_ranks, b_ranks))
 
 
 def shifted_interval(

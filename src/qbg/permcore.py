@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -237,10 +237,6 @@ def shifted_less(r: int, a: int, b: int, n: int) -> bool:
     True
     """
     return shifted_key(r, a, n) < shifted_key(r, b, n)
-
-
-def shifted_sorted(r: int, values: Iterable[int], n: int) -> tuple[int, ...]:
-    return tuple(sorted(values, key=lambda x: shifted_key(r, x, n)))
 
 
 # ---------------------------------------------------------------------------

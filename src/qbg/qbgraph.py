@@ -35,6 +35,7 @@ from .permcore import (
     is_reflection_ordering,
     parse_permutation,
     shifted_less,
+    validate_permutation,
 )
 
 QExponent = tuple[int, ...]
@@ -313,6 +314,7 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
     k inevitably ends up holding v_k.  The result has minimal length and
     weight, which the test suites check against the graph oracle.
     """
+    u, v = validate_permutation(u), validate_permutation(v)
     n = len(u)
     if len(v) != n:
         raise PreconditionError("permutations must have the same size")

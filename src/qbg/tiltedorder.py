@@ -17,7 +17,13 @@ from functools import lru_cache
 
 from .errors import PreconditionError, ResourceLimitError
 from .latticepath import prefix_paths, shifted_gale_leq
-from .permcore import Perm, all_permutations, format_permutation, prefix_set
+from .permcore import (
+    Perm,
+    all_permutations,
+    format_permutation,
+    prefix_set,
+    validate_permutation,
+)
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_weight, monomial_str
 
 
@@ -46,6 +52,8 @@ def interval_members_criterion(u: Perm, v: Perm, w: Perm, mode: str) -> bool:
             for (_, below), (_, above) in zip(prefix_paths(u, w), prefix_paths(w, v))
         )
     if mode == "all_shifts":
+        if len(validate_permutation(w)) != n:
+            raise PreconditionError("permutations must have the same size")
         for k, (_, shifts) in enumerate(prefix_paths(u, v), start=1):
             uk, vk, wk = prefix_set(u, k), prefix_set(v, k), prefix_set(w, k)
             for r in shifts:

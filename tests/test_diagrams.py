@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from qbg.permcore import (
     inverse,
     longest_element,
     parse_permutation,
+    shifted_less,
 )
 from qbg.qbgraph import build_graph, graph_distance
 from qbg.tiltedorder import interval
@@ -100,6 +102,17 @@ class TestDiagrams:
     def test_bad_kind(self):
         with pytest.raises(PreconditionError):
             tilted_rothe((2, 1), (1,), "left")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_definition_for_every_shift_sequence(self, n):
+        for w in all_permutations(n):
+            w_inv = inverse(w)
+            later = [(i, k) for k in range(1, n) for i in range(1, n + 1) if w_inv[i - 1] > k]
+            for a in product(range(1, n + 1), repeat=n - 1):
+                down = {(i, k) for i, k in later if shifted_less(a[k - 1], i, w[k - 1], n)}
+                up = {(i, k) for i, k in later if shifted_less(a[k - 1], w[k - 1], i, n)}
+                assert tilted_rothe(w, a, "down") == down
+                assert tilted_rothe(w, a, "up") == up
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_equal_pair_column_counts(self, n):

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from qbg.permcore import (
     identity,
     longest_element,
     parse_permutation,
+    shifted_key,
 )
 from qbg.qbgraph import formula_weight, graph_distance
 
@@ -33,6 +35,18 @@ def brute_shifts(A, B, n):
         if all(key(a) <= key(b) for a, b in zip(sorted(A, key=key), sorted(B, key=key))):
             out.add(r)
     return frozenset(out)
+
+
+def rewalked_prefix_paths(u, v):
+    """Reference: walk the path of every pair of k-prefixes from scratch."""
+    n = len(u)
+    out = []
+    for k in range(1, n):
+        A, B = frozenset(u[:k]), frozenset(v[:k])
+        heights = list(accumulate(((i in A) - (i in B) for i in range(1, n + 1)), initial=0))
+        low = min(heights)
+        out.append((-low, frozenset(x + 1 for x in range(n) if heights[x] == low)))
+    return out
 
 
 class TestPath:
@@ -86,6 +100,19 @@ class TestValidShifts:
 
 
 class TestGaleOrder:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_sorting_by_shifted_key(self, n):
+        for r in range(1, n + 1):
+            key = lambda x: shifted_key(r, x, n)
+            for k in range(n + 1):
+                for A in combinations(range(1, n + 1), k):
+                    for B in combinations(range(1, n + 1), k):
+                        expected = all(
+                            key(a) <= key(b)
+                            for a, b in zip(sorted(A, key=key), sorted(B, key=key))
+                        )
+                        assert shifted_gale_leq(A, B, r, n) == expected
+
     def test_ordinary(self):
         assert shifted_gale_leq({1, 2}, {3, 4}, 1, 4)
 
@@ -175,6 +202,19 @@ class TestShiftSequences:
             for v in perms:
                 shifts = [s for _, s in prefix_paths(u, v)]
                 assert shifts == [brute_shifts(u[:k], v[:k], n) for k in range(1, n)]
+
+    @pytest.mark.parametrize("n", [8, 20, 40])
+    def test_prefix_paths_match_rewalk_and_sorting_route(self, n):
+        rng = random.Random(n)
+        for _ in range(30):
+            u = tuple(rng.sample(range(1, n + 1), n))
+            v = tuple(rng.sample(range(1, n + 1), n))
+            got = prefix_paths(u, v)
+            assert got == rewalked_prefix_paths(u, v)
+            assert [s for _, s in got] == [
+                {r for r in range(1, n + 1) if shifted_gale_leq(u[:k], v[:k], r, n)}
+                for k in range(1, n)
+            ]
 
     @pytest.mark.parametrize(
         "fn", [formula_weight, graph_distance, find_flat, find_shift_sequence]

@@ -243,6 +243,13 @@ class TestGreedyPath:
                 assert len(path) == dist[g.index[v]]
                 assert path_weight(path, n) == formula_weight(u, v)
 
+    @pytest.mark.parametrize("bad", [(1, 1, 2), (1, 2, 4), (0, 1, 2)])
+    def test_rejects_non_permutations(self, bad):
+        with pytest.raises(PreconditionError):
+            bfp_greedy_path(bad, (1, 2, 3))
+        with pytest.raises(PreconditionError):
+            bfp_greedy_path((1, 2, 3), bad)
+
 
 class TestIncreasingPaths:
     def test_empty_path(self):

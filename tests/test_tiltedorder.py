@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from qbg.errors import PreconditionError
 from qbg.latticepath import shifted_gale_leq, valid_shifts
 from qbg.permcore import (
     all_permutations,
@@ -79,6 +80,12 @@ class TestCriteria:
         u, v, w = (1, 3, 2), (3, 2, 1), (1, 2, 3)
         assert not tilted_leq(u, u, w, g3) or not tilted_leq(u, w, v, g3)
         assert not interval_members_criterion(u, v, w, "exists_shift")
+
+    @pytest.mark.parametrize("mode", ["exists_shift", "all_shifts"])
+    @pytest.mark.parametrize("w", [(2, 1), (1, 2, 3, 4), (1, 2, 4)])
+    def test_both_modes_reject_a_bad_w(self, mode, w):
+        with pytest.raises(PreconditionError):
+            interval_members_criterion((1, 2, 3), (3, 2, 1), w, mode)
 
     def test_unknown_mode(self):
         with pytest.raises(Exception):
