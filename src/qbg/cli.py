@@ -80,7 +80,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
     g = qbgraph.build_graph(len(u))
     ti = tiltedorder.interval(u, v, g)
     if args.hasse:
-        _emit(tiltedorder.hasse_export(ti, args.format), args.out)
+        _emit(tiltedorder.hasse_export(ti, g, args.format), args.out)
         return 0
     lines = [f"ell={ti.length} members={len(ti.members)}"]
     for w in sorted(ti.members, key=lambda w: (ti.rank[w], w)):

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .latticepath import prefix_paths, shift_leq, shifted_gale_leq
+from .latticepath import check_shift_sequence, prefix_paths, shift_leq, shifted_gale_leq
 from .permcore import (
     Perm,
     cyclic_contains,
@@ -73,8 +73,7 @@ def tilted_rothe(w: Perm, a: tuple[int, ...], kind: str) -> frozenset[Cell]:
     [(1, 2), (2, 2)]
     """
     n = len(w)
-    if len(a) != n - 1:
-        raise PreconditionError(f"shift sequence must have length {n - 1}")
+    check_shift_sequence(a, n)
     if kind not in ("down", "up"):
         raise PreconditionError(f"kind must be 'down' or 'up', got {kind!r}")
     w_inv = inverse(w)
@@ -129,9 +128,6 @@ class EquationSet:
 
     def __len__(self) -> int:
         return len(self.equations)
-
-    def by_column(self, k: int) -> tuple[PluckerEquation, ...]:
-        return tuple(eq for eq in self.equations if eq.column == k)
 
 
 def _vanish(prefix: frozenset[int], extra: int, cell: Cell, origin: str) -> PluckerEquation:

@@ -35,7 +35,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .diagrams import EquationSet, PluckerEquation, find_flat
+from .diagrams import EquationSet, PluckerEquation, find_flat, signed_sorted_insert
 from .errors import (
     InternalInvariantError,
     ParseError,
@@ -56,12 +56,17 @@ from .tiltedorder import interval_member_set
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-#: Full Plucker tables (all 2^n subsets) and the multi-Plucker route (all of
-#: S_n) only run up to here.
+#: The multi-Plucker route (all of S_n), and the sampler that re-checks
+#: through it, only run up to here.
 MAX_TABLE_N = 7
 
 #: Numerators of random rational draws are uniform on [-SAMPLE_BOUND, SAMPLE_BOUND].
 SAMPLE_BOUND = 100
+
+#: The sampler draws each column up to MAX_COLUMN_TRIES times before it
+#: starts the flag over, at most MAX_RESTARTS times.
+MAX_COLUMN_TRIES = 40
+MAX_RESTARTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -333,63 +338,49 @@ def permutation_flag(w: Perm) -> Flag:
     return Flag(rows)
 
 
-def random_flag(n: int, seed: int | random.Random, bound: int = SAMPLE_BOUND) -> Flag:
-    """A generic flag: integer entries uniform on [-bound, bound]."""
+def random_flag(n: int, seed: int | random.Random) -> Flag:
+    """A generic flag: integer entries uniform on [-SAMPLE_BOUND, SAMPLE_BOUND]."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(n)] for _ in range(n)]
         if _det(rows) != 0:
             return Flag(rows)
 
 
-def plucker_table_json(F: Flag) -> str:
-    """Full table keyed by sorted index strings; bounded at n <= MAX_TABLE_N."""
-    import json
-
-    if F.n > MAX_TABLE_N:
-        raise ResourceLimitError(f"full Plucker tables are bounded at n <= {MAX_TABLE_N}")
-    table = {}
-    for k in range(1, F.n + 1):
-        for I in combinations(range(1, F.n + 1), k):
-            table[",".join(map(str, I))] = str(F.plucker(I))
-    return json.dumps(table, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Signed coordinates and the incidence relations
-
-
-def plucker_seq(F: Flag, seq: Sequence[int]) -> Fraction:
-    """P of an arbitrary index sequence: 0 on repeats, else the sign of the
-    sorting permutation times the sorted-subset coordinate."""
-    if len(set(seq)) != len(seq):
-        return Fraction(0)
-    inversions = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    sign = -1 if inversions % 2 else 1
-    return sign * F.plucker(seq)
+#
+# Every sign comes from diagrams.signed_sorted_insert, the rule the ledgers use.
 
 
 def plucker_plus(F: Flag, J: Iterable[int], i: int) -> Fraction:
-    """P_{J + i}: append i to the sorted list of J."""
-    return plucker_seq(F, tuple(sorted(J)) + (i,))
+    """P_{J + i}: append i to the sorted list of J; zero when i is in J."""
+    J = frozenset(J)
+    if i in J:
+        return Fraction(0)
+    subset, sign = signed_sorted_insert(J, i)
+    return sign * F.plucker(subset)
+
+
+def _drop(I: Iterable[int], i: int) -> tuple[frozenset[int], int]:
+    """I - i and the sign that moves i to the end of sorted I."""
+    I = frozenset(I)
+    if i not in I:
+        raise PreconditionError(f"index {i} is not in {sorted(I)}")
+    rest = I - {i}
+    return rest, signed_sorted_insert(rest, i)[1]
 
 
 def plucker_minus(F: Flag, I: Iterable[int], i: int) -> Fraction:
     """P_{I - i}: drop i from sorted I, with the sign (-1)^(k - position)."""
-    I_sorted = tuple(sorted(I))
-    pos = I_sorted.index(i) + 1
-    sign = -1 if (len(I_sorted) - pos) % 2 else 1
-    return sign * F.plucker(frozenset(I_sorted) - {i})
+    rest, sign = _drop(I, i)
+    return sign * F.plucker(rest)
 
 
 def plucker_minus_plus(F: Flag, I: Iterable[int], i: int, j: int) -> Fraction:
     """P_{(I - i) + j}."""
-    I_sorted = tuple(sorted(I))
-    pos = I_sorted.index(i) + 1
-    sign = -1 if (len(I_sorted) - pos) % 2 else 1
-    return sign * plucker_seq(F, tuple(x for x in I_sorted if x != i) + (j,))
+    rest, sign = _drop(I, i)
+    return sign * plucker_plus(F, rest, j)
 
 
 def incidence_product_rule_holds(F: Flag, I: Iterable[int], J: Iterable[int]) -> bool:
@@ -572,9 +563,6 @@ def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool
 class StratumLabel:
     x: Perm
     y: Perm
-    u: Perm
-    v: Perm
-    a: tuple[int, ...]
 
 
 def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> frozenset[int]:
@@ -629,7 +617,6 @@ def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
         y_word.append(next(iter(J_k - J_prev)))
         I_prev, J_prev = I_k, J_k
     x, y = tuple(x_word), tuple(y_word)
-    label = StratumLabel(x, y, u, v, a)
     for k in range(1, n):
         chain = (prefix_set(u, k), prefix_set(x, k), prefix_set(y, k), prefix_set(v, k))
         for lo, hi in zip(chain, chain[1:]):
@@ -639,7 +626,7 @@ def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
                 )
     if not member_T_plucker(x, y, F, open_cell=True):
         raise InternalInvariantError("located stratum rejects its own flag")
-    return label
+    return StratumLabel(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +750,7 @@ def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[tuple[int, 
     return suffix
 
 
-def sample_in_open_stratum(
-    u: Perm,
-    v: Perm,
-    seed: int = 0,
-    *,
-    max_column_tries: int = 40,
-    max_restarts: int = 8,
-) -> Flag:
+def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     """
     A random rational flag in the open stratum of (u, v), built column by
     column with exact rational elimination.  Column k must respect every
@@ -780,16 +760,19 @@ def sample_in_open_stratum(
     space of the flag); the caps are linear in the column once earlier
     columns are fixed.  A random point of the solution space is drawn,
     redrawn until the chart coordinates of the column are nonzero, and
-    the finished flag is re-verified through the Plucker membership route.
+    the finished flag is re-verified through the Plucker membership route,
+    so n is bounded like that route: n <= MAX_TABLE_N, checked first.
     """
     n = len(u)
     if len(v) != n:
         raise PreconditionError("permutations must have the same size")
+    if n > MAX_TABLE_N:
+        raise ResourceLimitError(f"sampling is bounded at n <= {MAX_TABLE_N}")
     a = find_flat(u, v)
     caps_for_column = _sampler_caps(u, v, a)
     rng = random.Random(seed)
     last_failure = n
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         cols: list[list[Fraction]] = []
         failed = False
         for k in range(1, n + 1):
@@ -808,7 +791,7 @@ def sample_in_open_stratum(
             chart_rows = [sorted(prefix_set(u, k)), sorted(prefix_set(v, k))]
             accepted = None
             if basis:
-                for _attempt in range(max_column_tries):
+                for _attempt in range(MAX_COLUMN_TRIES):
                     draw = [
                         Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
                         for _ in basis

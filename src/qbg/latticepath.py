@@ -146,11 +146,19 @@ def _shifted_interval_cached(A: ValueSet, B: ValueSet, r: int, n: int) -> frozen
     )
 
 
+def check_shift_sequence(a: tuple[int, ...], n: int) -> None:
+    """A shift sequence for S_n has n - 1 entries, each in 1..n."""
+    if len(a) != n - 1:
+        raise PreconditionError(f"shift sequence must have length {n - 1}, got {len(a)}")
+    for r in a:
+        if not 1 <= r <= n:
+            raise PreconditionError(f"shift {r} out of range 1..{n}")
+
+
 def shift_leq(u: Perm, v: Perm, a: tuple[int, ...]) -> bool:
     """u <=_a v: every prefix pair compares under its per-column shift."""
     n = len(u)
-    if len(a) != n - 1:
-        raise PreconditionError(f"shift sequence must have length {n - 1}, got {len(a)}")
+    check_shift_sequence(a, n)
     return all(
         shifted_gale_leq(prefix_set(u, k), prefix_set(v, k), a[k - 1], n)
         for k in range(1, n)

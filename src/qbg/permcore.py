@@ -97,11 +97,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(inv)
 
 
-def compose(u: Perm, v: Perm) -> Perm:
-    """(u v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
 def all_permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
     return itertools.permutations(range(1, n + 1))
@@ -150,10 +145,6 @@ def long_cycle_rotate(w: Perm) -> Perm:
     """
     n = len(w)
     return tuple(v % n + 1 for v in w)
-
-
-def root_str(t: Root) -> str:
-    return f"e{t[0]}-e{t[1]}"
 
 
 def all_roots(n: int) -> list[Root]:

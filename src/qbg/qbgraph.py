@@ -269,29 +269,6 @@ def shortest_path_weight_sets(
     return {g.vertices[w]: weights[w] for w in order}
 
 
-def all_shortest_paths(
-    g: QuantumBruhatGraph, u: Perm, v: Perm
-) -> list[tuple[QbgEdge, ...]]:
-    """Explicit enumeration of every shortest u -> v path (small cases)."""
-    _check_vertices(g, u, v)
-    vertices = g.vertices
-    dist_to_v = g.distance_vector_to(v)
-    paths: list[tuple[QbgEdge, ...]] = []
-
-    def extend(w: int, acc: list[QbgEdge]) -> None:
-        if dist_to_v[w] == 0:
-            paths.append(tuple(acc))
-            return
-        for x, root, exps in g.out_adj[w]:
-            if dist_to_v[x] == dist_to_v[w] - 1:
-                acc.append(QbgEdge(vertices[w], vertices[x], root, exps))
-                extend(x, acc)
-                acc.pop()
-
-    extend(g.index[u], [])
-    return paths
-
-
 def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:
     exps = zero_exponent(n)
     for e in path:
@@ -385,6 +362,25 @@ def increasing_paths_from(
 # Export formats
 
 
+def edge_dot(e: QbgEdge) -> str:
+    """One DOT edge line: one-line labels and the weight monomial."""
+    return (
+        f'  "{format_permutation(e.source)}" -> '
+        f'"{format_permutation(e.target)}" '
+        f'[weight="{monomial_str(e.exps)}"];'
+    )
+
+
+def edge_record(e: QbgEdge) -> dict:
+    """One JSON edge record: {"source", "target", "root", "exps"}."""
+    return {
+        "source": format_permutation(e.source),
+        "target": format_permutation(e.target),
+        "root": list(e.root),
+        "exps": list(e.exps),
+    }
+
+
 def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
     """
     DOT: one node per permutation (one-line label) and a "weight" edge
@@ -395,27 +391,14 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
         lines = ["digraph qbg {"]
         for w in g.vertices:
             lines.append(f'  "{format_permutation(w)}";')
-        for e in g.all_edges():
-            lines.append(
-                f'  "{format_permutation(e.source)}" -> '
-                f'"{format_permutation(e.target)}" '
-                f'[weight="{monomial_str(e.exps)}"];'
-            )
+        lines.extend(map(edge_dot, g.all_edges()))
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
             "n": g.n,
             "vertices": [format_permutation(w) for w in g.vertices],
-            "edges": [
-                {
-                    "source": format_permutation(e.source),
-                    "target": format_permutation(e.target),
-                    "root": list(e.root),
-                    "exps": list(e.exps),
-                }
-                for e in g.all_edges()
-            ],
+            "edges": [edge_record(e) for e in g.all_edges()],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")

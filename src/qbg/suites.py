@@ -159,10 +159,10 @@ def suite_increasing(n: int, seed: int, samples: int) -> SuiteResult:
     if n in expected_words and len(words) != expected_words[n]:
         bad.append(f"expected {expected_words[n]} reduced words, found {len(words)}")
     checked = 0
+    dists = [g.distance_vector_from(u) for u in g.vertices]
     for word in sorted(words):
         ordering = reflection_ordering(word)
-        for u in g.vertices:
-            dist = g.distance_vector_from(u)
+        for u, dist in zip(g.vertices, dists):
             found = increasing_paths_from(g, u, ordering)
             for j, v in enumerate(g.vertices):
                 checked += 1
@@ -212,13 +212,8 @@ _FIGURE_D132_EDGES = {
 def base_poset_hasse(g: QuantumBruhatGraph, base: Perm) -> set[tuple[Perm, Perm]]:
     """Cover relations of the order with the given base point: graph edges
     that step one rank further from the base."""
-    dist = g.distance_vector_from(base)
-    return {
-        (g.vertices[i], g.vertices[j])
-        for i, row in enumerate(g.out_adj)
-        for j, _, _ in row
-        if dist[j] == dist[i] + 1
-    }
+    rank = dict(zip(g.vertices, g.distance_vector_from(base)))
+    return {(e.source, e.target) for e in tiltedorder.cover_edges(g, rank)}
 
 
 def suite_tilted(n: int, seed: int, samples: int) -> SuiteResult:
@@ -389,12 +384,15 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
     )
 
 
-def _subinterval_classes(u: Perm, v: Perm) -> dict[frozenset[Perm], list[tuple[Perm, Perm]]]:
+Classes = list[tuple[frozenset[Perm], list[tuple[Perm, Perm]]]]
+
+
+def _subinterval_classes(u: Perm, v: Perm) -> Classes:
     """
-    Subintervals of [u, v] grouped by their member sets.  A subinterval is
-    a geodesically nested pair: x and y on a common shortest u -> v path
-    in that order (member-set containment alone is weaker and would break
-    the disjointness being tested).
+    Subintervals of [u, v] grouped by their member sets, ordered by their
+    first (x, y) pair.  A subinterval is a geodesically nested pair: x and y
+    on a common shortest u -> v path in that order (member-set containment
+    alone is weaker and would break the disjointness being tested).
     """
     members = tiltedorder.interval_member_set(u, v)
     total = graph_distance(u, v)
@@ -406,7 +404,7 @@ def _subinterval_classes(u: Perm, v: Perm) -> dict[frozenset[Perm], list[tuple[P
                 continue
             sub = tiltedorder.interval_member_set(x, y)
             classes.setdefault(sub, []).append((x, y))
-    return classes
+    return sorted(classes.items(), key=lambda kv: kv[1][0])
 
 
 def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, bad: list[str], notes: list[str]) -> None:
@@ -431,11 +429,11 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, bad: list[str], notes: li
         bad.append(f"ledger does not vanish on a ({_fmt(u)}, {_fmt(v)}) sample")
 
 
-def _disjointness(u: Perm, v: Perm, F: exactgeom.Flag, bad: list[str], notes: list[str]) -> None:
+def _disjointness(
+    u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, bad: list[str], notes: list[str]
+) -> None:
     hits = []
-    for member_set, reps in sorted(
-        _subinterval_classes(u, v).items(), key=lambda kv: sorted(kv[1])[0]
-    ):
+    for member_set, reps in classes:
         outcomes = {exactgeom.member_T_plucker(x, y, F, True) for x, y in reps}
         if len(outcomes) > 1:
             notes.append(
@@ -468,14 +466,11 @@ def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
             continue
         stratified += 1
         _stratify_one(u, v, F, bad, notes)
-        _disjointness(u, v, F, bad, notes)
-        # a flag sampled on the boundary must land in its own substratum
         classes = _subinterval_classes(u, v)
-        proper = [
-            reps[0]
-            for member_set, reps in sorted(classes.items(), key=lambda kv: sorted(kv[1])[0])
-            if member_set != tiltedorder.interval_member_set(u, v)
-        ]
+        _disjointness(u, v, classes, F, bad, notes)
+        # a flag sampled on the boundary must land in its own substratum
+        whole = tiltedorder.interval_member_set(u, v)
+        proper = [reps[0] for member_set, reps in classes if member_set != whole]
         if proper:
             x, y = proper[len(proper) // 2]
             try:
@@ -493,7 +488,7 @@ def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
                 bad.append(
                     f"boundary flag of ({_fmt(u)}, {_fmt(v)}) located in the wrong stratum"
                 )
-            _disjointness(x, y, G, bad, notes)
+            _disjointness(x, y, _subinterval_classes(x, y), G, bad, notes)
     return SuiteResult(
         "stratify",
         n,

@@ -24,7 +24,7 @@ from .permcore import (
     prefix_set,
     validate_permutation,
 )
-from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_weight, monomial_str
+from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -106,41 +106,33 @@ def interval(u: Perm, v: Perm, g: QuantumBruhatGraph) -> TiltedInterval:
     return TiltedInterval(u, v, members, rank)
 
 
-def hasse_edges(ti: TiltedInterval) -> list[QbgEdge]:
+def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
     """
-    Cover relations: graph edges between consecutive ranks inside the
-    interval.  Recomputed from edge_weight, so no graph object is needed.
+    Cover relations of a ranked set of vertices: the graph edges from a
+    ranked vertex to a ranked vertex one rank higher, in (source, target)
+    order.  Linear in the edges leaving the ranked vertices.
     """
+    vertices = g.vertices
     edges = []
-    for w in sorted(ti.members):
-        for x in sorted(ti.members):
-            if ti.rank[x] != ti.rank[w] + 1:
-                continue
-            diff = [p for p in range(1, len(w) + 1) if w[p - 1] != x[p - 1]]
-            if len(diff) != 2:
-                continue
-            t = (diff[0], diff[1])
-            exps = edge_weight(w, t)
-            if exps is not None:
-                edges.append(QbgEdge(w, x, t, exps))
+    for source in sorted(rank):
+        above = rank[source] + 1
+        for j, root, exps in g.out_adj[g.index[source]]:
+            target = vertices[j]
+            if rank.get(target) == above:
+                edges.append(QbgEdge(source, target, root, exps))
     return edges
 
 
-def hasse_export(ti: TiltedInterval, fmt: str) -> str:
-    """DOT (rank-grouped) or JSON rendering of the interval's diagram."""
-    edges = hasse_edges(ti)
+def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
+    """DOT (rank-grouped) or JSON rendering of the interval's diagram in g."""
+    edges = cover_edges(g, ti.rank)
     if fmt == "dot":
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for r in range(ti.length + 1):
             row = sorted(w for w in ti.members if ti.rank[w] == r)
             names = " ".join(f'"{format_permutation(w)}";' for w in row)
             lines.append(f"  {{ rank=same; {names} }}")
-        for e in edges:
-            lines.append(
-                f'  "{format_permutation(e.source)}" -> '
-                f'"{format_permutation(e.target)}" '
-                f'[weight="{monomial_str(e.exps)}"];'
-            )
+        lines.extend(map(edge_dot, edges))
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
@@ -152,15 +144,7 @@ def hasse_export(ti: TiltedInterval, fmt: str) -> str:
                 {"perm": format_permutation(w), "rank": ti.rank[w]}
                 for w in sorted(ti.members)
             ],
-            "edges": [
-                {
-                    "source": format_permutation(e.source),
-                    "target": format_permutation(e.target),
-                    "root": list(e.root),
-                    "exps": list(e.exps),
-                }
-                for e in edges
-            ],
+            "edges": [edge_record(e) for e in edges],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")

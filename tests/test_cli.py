@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -127,6 +128,12 @@ class TestDiagram:
         assert code == 2
         assert "not below" in err
 
+    def test_out_of_range_shift(self, capsys):
+        # read mod n, 8,6,6 would act as 4,2,2 under a header naming 8,6,6
+        code, out, err = run(capsys, "diagram", "4321", "3142", "--a", "8,6,6")
+        assert (code, out) == (2, "")
+        assert "out of range 1..4" in err
+
     def test_invalid_x(self, capsys):
         # 4132 = 3142 times a transposition, but it sits outside the interval
         code, _, err = run(capsys, "diagram", "4321", "3142", "--x", "4132")
@@ -191,6 +198,13 @@ class TestSample:
         assert code == 0
         F = Flag(parse_matrix(out))
         assert member_T_plucker(parse_permutation("213"), parse_permutation("213"), F, True)
+
+    def test_refused_beyond_the_table_bound_before_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sample", "--u", "id", "--v", "w0", "--n", "14")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "n <= 7" in err
 
     def test_symbolic_needs_size(self, capsys):
         code, _, err = run(capsys, "sample", "--u", "id", "--v", "w0")

@@ -103,6 +103,12 @@ class TestDiagrams:
         with pytest.raises(PreconditionError):
             tilted_rothe((2, 1), (1,), "left")
 
+    @pytest.mark.parametrize("a", [(8, 6, 6), (4, 2, 0), (5, 1, 1)])
+    @pytest.mark.parametrize("kind", ["down", "up"])
+    def test_rejects_shifts_out_of_range(self, a, kind):
+        with pytest.raises(PreconditionError):
+            tilted_rothe((4, 3, 2, 1), a, kind)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_definition_for_every_shift_sequence(self, n):
         for w in all_permutations(n):

@@ -1,4 +1,3 @@
-import json
 import random
 import sys
 import threading
@@ -8,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from qbg.diagrams import equations, find_flat
-from qbg.errors import ParseError, PreconditionError, ResourceLimitError
+from qbg.errors import ParseError, PreconditionError
 from qbg.exactgeom import (
     Flag,
     _det,
@@ -29,7 +28,9 @@ from qbg.exactgeom import (
     nullspace_basis,
     parse_matrix,
     permutation_flag,
-    plucker_table_json,
+    plucker_minus,
+    plucker_minus_plus,
+    plucker_plus,
     random_flag,
     rank_region,
     sample_in_open_stratum,
@@ -92,19 +93,6 @@ class TestFlag:
         F = random_flag(3, 0)
         assert F.plucker([]) == 1
 
-    def test_table_json(self):
-        F = permutation_flag((2, 1, 3))
-        table = json.loads(plucker_table_json(F))
-        assert table["2"] == "1"
-        assert table["1"] == "0"
-        assert table["1,2,3"] in ("-1", "1")
-        assert len(table) == 7
-
-    def test_table_bound(self):
-        F = permutation_flag(identity(8))
-        with pytest.raises(ResourceLimitError):
-            plucker_table_json(F)
-
 
 class TestIncidenceRelations:
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -129,6 +117,38 @@ class TestIncidenceRelations:
             j = rng.choice([x for x in range(1, n + 1) if x not in J])
             assert incidence_sum_rule_holds(F, I, J)
             assert incidence_exchange_rule_holds(F, I, J, j)
+
+
+def _sequence_coordinate(F, seq):
+    """P of an index sequence by its sorting permutation: zero on a repeat,
+    else the sign of that permutation times the sorted-subset coordinate."""
+    if len(set(seq)) != len(seq):
+        return 0
+    inversions = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return (-1) ** inversions * F.plucker(seq)
+
+
+class TestSignedCoordinates:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_match_the_sequence_signs(self, n):
+        rng = random.Random(100 + n)
+        universe = range(1, n + 1)
+        for F in (random_flag(n, rng), random_flag(n, rng)):
+            for _ in range(60):
+                k = rng.randint(1, n)
+                I = sorted(rng.sample(universe, k))
+                i = rng.choice(I)
+                j = rng.choice(universe)
+                rest = [x for x in I if x != i]
+                # moving i from its place in I to the end
+                sign = (-1) ** (len(I) - 1 - I.index(i))
+                assert plucker_plus(F, rest, j) == _sequence_coordinate(F, rest + [j])
+                assert plucker_minus(F, I, i) == sign * _sequence_coordinate(F, rest)
+                assert plucker_minus_plus(F, I, i, j) == sign * _sequence_coordinate(
+                    F, rest + [j]
+                )
 
 
 class TestRankRegion:

@@ -195,6 +195,11 @@ class TestShiftSequences:
         assert not shift_leq(u, v, (1, 1, 1))
         assert shift_leq(u, v, find_shift_sequence(u, v))
 
+    @pytest.mark.parametrize("a", [(8, 6, 6), (4, 2, 0), (5, 1, 1)])
+    def test_shift_leq_rejects_shifts_out_of_range(self, a):
+        with pytest.raises(PreconditionError):
+            shift_leq((4, 3, 2, 1), (3, 1, 4, 2), a)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_prefix_paths_match_sorting_route(self, n):
         perms = list(all_permutations(n))

@@ -19,7 +19,6 @@ from qbg.permcore import (
     prefix_set,
     reduced_words_of_longest,
     reflection_ordering,
-    root_str,
     shifted_less,
 )
 
@@ -223,4 +222,3 @@ def test_inverse_and_helpers():
     assert inverse((3, 1, 4, 2)) == (2, 4, 1, 3)
     assert identity(4) == (1, 2, 3, 4)
     assert longest_element(4) == (4, 3, 2, 1)
-    assert root_str((2, 5)) == "e2-e5"

@@ -15,7 +15,6 @@ from qbg.permcore import (
     reflection_ordering,
 )
 from qbg.qbgraph import (
-    all_shortest_paths,
     bfp_greedy_path,
     build_graph,
     edge_weight,
@@ -188,12 +187,6 @@ class TestDistances:
         v = parse_permutation("2513746")
         assert formula_weight(u, v) == (1, 1, 2, 2, 1, 1)
         assert monomial_str(formula_weight(u, v)) == "q1*q2*q3^2*q4^2*q5*q6"
-
-    def test_two_shortest_paths(self):
-        g = build_graph(3)
-        paths = all_shortest_paths(g, (3, 2, 1), (2, 1, 3))
-        assert len(paths) == 2
-        assert {path_weight(p, 3) for p in paths} == {(1, 1)}
 
     def test_weight_sets_are_singletons(self):
         g = build_graph(3)

@@ -15,7 +15,7 @@ from qbg.permcore import (
 from qbg.qbgraph import build_graph, edge_weight, graph_distance
 from qbg.suites import _FIGURE_D132_EDGES, base_poset_hasse
 from qbg.tiltedorder import (
-    hasse_edges,
+    cover_edges,
     hasse_export,
     interval,
     interval_member_set,
@@ -133,7 +133,7 @@ class TestInterval:
         pairs = [(u, v) for u in list(g.vertices)[:6] for v in list(g.vertices)[-6:]]
         for u, v in pairs:
             ti = interval(u, v, g)
-            covers = hasse_edges(ti)
+            covers = cover_edges(g, ti.rank)
             for w in ti.members:
                 if ti.rank[w] < ti.length:
                     assert any(e.source == w for e in covers)
@@ -194,32 +194,64 @@ class TestInterval:
                         )
 
 
+def old_hasse_edges(ti):
+    """Covers by the definition: member pairs one rank apart that differ by
+    a transposition which is a graph edge, as (source, target, root, exps)."""
+    edges = []
+    for w in sorted(ti.members):
+        for x in sorted(ti.members):
+            if ti.rank[x] != ti.rank[w] + 1:
+                continue
+            diff = [p for p in range(1, len(w) + 1) if w[p - 1] != x[p - 1]]
+            if len(diff) != 2:
+                continue
+            exps = edge_weight(w, tuple(diff))
+            if exps is not None:
+                edges.append((w, x, tuple(diff), exps))
+    return edges
+
+
 class TestHasse:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cover_edges_match_the_definition(self, n):
+        g = build_graph(n)
+        for u in g.vertices:
+            for v in g.vertices:
+                ti = interval(u, v, g)
+                assert cover_edges(g, ti.rank) == old_hasse_edges(ti)
+
+    def test_covers_of_the_full_interval_are_the_up_edges(self):
+        g = build_graph(5)
+        ti = interval(identity(5), longest_element(5), g)
+        covers = {(e.source, e.target) for e in cover_edges(g, ti.rank)}
+        up = {(e.source, e.target) for e in g.all_edges() if not any(e.exps)}
+        assert covers == up
+
     def test_figure_poset(self, g3):
         assert base_poset_hasse(g3, (1, 3, 2)) == _FIGURE_D132_EDGES
 
     def test_export_dot(self, g3):
         ti = interval((1, 3, 2), (3, 2, 1), g3)
-        text = hasse_export(ti, "dot")
+        text = hasse_export(ti, g3, "dot")
         assert text.count("->") == 4
         assert '"132"' in text
 
     def test_export_json(self, g3):
         ti = interval((1, 3, 2), (3, 2, 1), g3)
-        payload = json.loads(hasse_export(ti, "json"))
+        payload = json.loads(hasse_export(ti, g3, "json"))
         assert payload["length"] == 2
         assert len(payload["members"]) == 4
         assert len(payload["edges"]) == 4
 
     def test_point_export(self, g3):
         ti = interval((3, 1, 2), (3, 1, 2), g3)
-        payload = json.loads(hasse_export(ti, "json"))
+        payload = json.loads(hasse_export(ti, g3, "json"))
         assert payload["members"] == [{"perm": "312", "rank": 0}]
         assert payload["edges"] == []
 
     def test_bruhat_interval_matches_classical_covers(self, g3):
         ti = interval(identity(3), longest_element(3), g3)
-        covers = {(e.source, e.target) for e in hasse_edges(ti)}
+        covers = {(e.source, e.target) for e in cover_edges(g3, ti.rank)}
         classical = set()
         for w in all_permutations(3):
             for x in all_permutations(3):
@@ -231,5 +263,5 @@ class TestHasse:
 
     def test_edges_are_graph_edges(self, g3):
         ti = interval((1, 3, 2), (3, 2, 1), g3)
-        for e in hasse_edges(ti):
+        for e in cover_edges(g3, ti.rank):
             assert edge_weight(e.source, e.root) == e.exps
