@@ -6,22 +6,29 @@ tests are literal equality, and no floating point appears anywhere.  A
 flag is an invertible n x n matrix; its k-th space is the span of the
 first k columns, and P_I is the minor on rows I and the first |I| columns.
 
-All elimination runs through one fraction-free integer kernel (Bareiss)
-on a column-scaled integer copy of each flag; rationals reappear only at
-the API boundary (`Flag.plucker`, `nullspace_basis`, sampled matrices),
-with the same values exact rational elimination gives.  Each flag fills
-three caches on first use, under its lock: the Plucker table P_I, the
-rank of every cyclic row window on every column prefix, and the P_w memo.
+All exact work runs on a column-scaled integer copy of each flag;
+rationals reappear only at the API boundary (`Flag.plucker`,
+`nullspace_basis`, sampled matrices), with the same values exact rational
+elimination gives.  A flag builds the table of all its 2^n minors P_I on
+construction, each by Laplace expansion from the minors one row smaller,
+and with it its live set, the row sets on a chain of nonzero minors from
+the empty set to [n].  On first use, under its lock, it fills the rank of
+every cyclic row window on every column prefix; those and every other
+rank, determinant and nullspace come from one fraction-free integer
+elimination kernel (Bareiss).
 
 Membership of a flag in the (open) tilted Richardson variety of a pair
 (u, v) is decided three provably equivalent ways: rank bounds on cyclic
 row windows, per-column rotated Grassmannian Richardson conditions, and
-vanishing of the multi-Plucker coordinates P_w for w outside [u, v].  The
+vanishing of the multi-Plucker coordinates P_w for w outside [u, v].  P_w
+is the product of the minors on the prefix sets of w, so the last one is
+a check on chains of the subset lattice: every live row set must be an
+admissible prefix set of [u, v] (`tiltedorder.admissible_nodes`).  The
 implementations share nothing on purpose: the rank route reads only
-window ranks, the per-column route only P_I, and the multi-Plucker route
-only P_w, and their agreement is part of the verification suites.  What
-the first two read of (u, v, a) is planned once per (u, v, a, n) in a
-bounded cache.
+window ranks, the per-column route only the minors P_I, and the
+multi-Plucker route only the live set, and their agreement is part of the
+verification suites.  What the first two read of (u, v, a) is planned
+once per (u, v, a, n) in a bounded cache.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -46,18 +53,20 @@ from .errors import (
 from .latticepath import shift_leq, shifted_gale_leq, shifted_interval
 from .permcore import (
     Perm,
-    all_permutations,
     cyclic_set,
     format_permutation,
     prefix_set,
     validate_permutation,
+    value_mask,
 )
-from .tiltedorder import interval_member_set
+from .tiltedorder import admissible_nodes
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-#: The multi-Plucker route (all of S_n), and the sampler that re-checks
-#: through it, only run up to here.
+#: A flag holds all 2^n of its minors, so flags, and with them the sampler,
+#: `stratum` and every membership route, only run up to here.  The table
+#: alone would fit much further (n * 2^(n-1) multiply-adds); the bound stays
+#: at 7 until the sampler and `stratum` are measured and tested above it.
 MAX_TABLE_N = 7
 
 #: Numerators of random rational draws are uniform on [-SAMPLE_BOUND, SAMPLE_BOUND].
@@ -246,12 +255,45 @@ def chi_set(values: Iterable[int], n: int) -> frozenset[int]:
 # Flags
 
 
+def _minor_table(rows: Sequence[Sequence[int]]) -> list[int]:
+    """
+    Every minor on a row set S and the first |S| columns, at index
+    value_mask(S); entry 0 is 1.  Each entry is the Laplace expansion along
+    its last column of the entries one row smaller: row r of S contributes
+    rows[r][|S| - 1] * t[S - r], negated when an odd number of rows of S
+    lie above r.  n * 2^(n-1) multiply-adds in all.
+    """
+    n = len(rows)
+    table = [1] * (1 << n)
+    for S in range(1, 1 << n):
+        col = S.bit_count() - 1
+        total = 0
+        sign = 1
+        for r in range(n - 1, -1, -1):
+            bit = 1 << r
+            if S & bit:
+                total += sign * rows[r][col] * table[S ^ bit]
+                sign = -sign
+        table[S] = total
+    return table
+
+
+def _chain(w: Perm) -> int:
+    """The prefix sets of w, k = 0..n, as a set of nodes."""
+    S = 0
+    nodes = 1
+    for x in w:
+        S |= 1 << (x - 1)
+        nodes |= 1 << S
+    return nodes
+
+
 class Flag:
     """
-    An invertible exact-rational matrix.  Immutable once built; three lazily
-    filled caches sit behind it, each written under the flag's lock: the
-    Plucker table P_I, the table of cyclic window ranks, and the memo of
-    the multi-Plucker coordinates P_w.
+    An invertible exact-rational matrix of size n <= MAX_TABLE_N.
+    Immutable once built.  It holds two tables and a set: the integer
+    table of all its minors and the live set, both built on construction,
+    and the cyclic window ranks, built on first use under the flag's lock.
 
     The exact work runs on a column-scaled integer copy of the matrix: each
     column is multiplied by the lcm of its denominators.  That keeps every
@@ -263,6 +305,10 @@ class Flag:
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise PreconditionError("flag matrices must be square and nonempty")
+        if n > MAX_TABLE_N:
+            raise ResourceLimitError(
+                f"a flag holds all 2^n of its minors; flags are bounded at n <= {MAX_TABLE_N}"
+            )
         self.matrix: Matrix = matrix_from_rows(matrix)
         self.n = n
         scales = [lcm(*(x.denominator for x in col)) for col in zip(*self.matrix)]
@@ -271,42 +317,40 @@ class Flag:
             for row in self.matrix
         )
         self._scale = tuple(accumulate(scales, mul, initial=1))
-        self._cache: dict[frozenset[int], Fraction] = {frozenset(): Fraction(1)}
-        self._windows: bytes | None = None
-        self._perm_cache: dict[Perm, Fraction] = {}
-        self._lock = threading.Lock()
-        if self.plucker(range(1, n + 1)) == 0:
+        self._minors = _minor_table(self._rows)
+        if self._minors[-1] == 0:
             raise PreconditionError("matrix is singular; a flag needs full rank")
+        # The live row sets, as a set of nodes: those on a chain of nonzero
+        # minors from the empty set to [n].  On an invertible matrix that is
+        # every S with P_S != 0: a nonsingular minor on S leaves one on some
+        # S - r once its last column goes, and extends to one on some S + r
+        # because the first |S| + 1 columns have full rank.
+        self._live = sum(1 << S for S, minor in enumerate(self._minors) if minor)
+        self._windows: bytes | None = None
+        self._lock = threading.Lock()
 
     def plucker(self, values: Iterable[int]) -> Fraction:
         """P_I: minor on rows I (sorted) and the first |I| columns; P_{} = 1."""
         key = frozenset(values)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        rows_idx = sorted(key)
-        if rows_idx and not (1 <= rows_idx[0] and rows_idx[-1] <= self.n):
+        if key and not (1 <= min(key) and max(key) <= self.n):
             raise PreconditionError(f"row set {sorted(key)} out of range 1..{self.n}")
-        k = len(rows_idx)
-        value = Fraction(_det([self._rows[r - 1][:k] for r in rows_idx]), self._scale[k])
-        with self._lock:
-            self._cache[key] = value
-        return value
+        return Fraction(self._minors[value_mask(key)], self._scale[len(key)])
 
     def plucker_perm(self, w: Perm) -> Fraction:
-        """P_w: the product of the prefix coordinates of w."""
-        w = tuple(w)
-        cached = self._perm_cache.get(w)
-        if cached is not None:
-            return cached
-        out = Fraction(1)
-        for k in range(1, self.n):
-            out *= self.plucker(prefix_set(w, k))
+        """P_w: the product of the prefix coordinates of w, a permutation of size n."""
+        w = validate_permutation(w)
+        n = self.n
+        if len(w) != n:
+            raise PreconditionError(f"P_w needs a permutation of size {n}, got {len(w)}")
+        minors = self._minors
+        out = 1
+        S = 0
+        for x in w[:-1]:
+            S |= 1 << (x - 1)
+            out *= minors[S]
             if out == 0:
-                break
-        with self._lock:
-            self._perm_cache[w] = out
-        return out
+                return Fraction(0)
+        return Fraction(out, prod(self._scale[1:n]))
 
     def _window_ranks(self) -> bytes:
         """The window table of `_window_table`, built on first use."""
@@ -448,13 +492,6 @@ def rank_region(F: Flag, region: Iterable[int], k: int) -> int:
 PLAN_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=64)
-def _subsets(n: int, k: int) -> dict[frozenset[int], frozenset[int]]:
-    """The k-subsets of [n] in lexicographic order, mapped to themselves so
-    that every plan shares one frozenset per subset."""
-    return {K: K for K in map(frozenset, combinations(range(1, n + 1), k))}
-
-
 def _check_shift(u: Perm, v: Perm, a: tuple[int, ...]) -> None:
     if not shift_leq(u, v, a):
         raise PreconditionError("u is not below v under the supplied shift sequence")
@@ -489,18 +526,20 @@ def _rank_plan(
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _grassmann_plan(
     u: Perm, v: Perm, a: tuple[int, ...], n: int
-) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """For every column k, the k-subsets outside the shifted Gale window of
-    (u[k], v[k], a_k); and the endpoint sets u[k], v[k] of every column."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For every column k, the masks of the k-subsets outside the shifted
+    Gale window of (u[k], v[k], a_k); and the masks of the endpoint sets
+    u[k], v[k] of every column."""
     _check_shift(u, v, a)
-    off: list[frozenset[int]] = []
-    ends: list[frozenset[int]] = []
+    off: list[int] = []
+    ends: list[int] = []
     for k in range(1, n):
         u_k, v_k = prefix_set(u, k), prefix_set(v, k)
         window = shifted_interval(u_k, v_k, a[k - 1], n)
-        pool = _subsets(n, k)
-        off.extend(K for K in pool if K not in window)
-        ends += (pool[u_k], pool[v_k])
+        for K in combinations(range(1, n + 1), k):
+            if frozenset(K) not in window:
+                off.append(value_mask(K))
+        ends += (value_mask(u_k), value_mask(v_k))
     return tuple(off), tuple(ends)
 
 
@@ -529,29 +568,27 @@ def member_T_grassmann(
     endpoint coordinates nonzero.
     """
     off, ends = _grassmann_plan(tuple(u), tuple(v), tuple(a), F.n)
-    if any(F.plucker(K) != 0 for K in off):
+    minors = F._minors
+    if any(minors[K] for K in off):
         return False
-    return not open_cell or all(F.plucker(K) != 0 for K in ends)
+    return not open_cell or all(minors[K] for K in ends)
 
 
 def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool:
     """
     Multi-Plucker route, needing no shift sequence: P_w vanishes for every
-    w outside [u, v]; the open cell adds P_u P_v != 0.
+    w outside [u, v]; the open cell adds P_u P_v != 0.  The w with P_w != 0
+    are the chains of nonzero minors and [u, v] is the set of chains of
+    admissible nodes, so the first condition says that every live row set
+    of F (see Flag) is admissible, and P_w != 0 that the chain of w is live.
     """
     n = F.n
     if len(u) != n or len(v) != n:
         raise PreconditionError("permutations must match the flag's size")
-    if n > MAX_TABLE_N:
-        raise ResourceLimitError(
-            f"multi-Plucker membership walks all of S_n and is bounded at n <= {MAX_TABLE_N}"
-        )
-    members = interval_member_set(u, v)
-    for w in all_permutations(n):
-        if w not in members and F.plucker_perm(w) != 0:
-            return False
+    if F._live & ~admissible_nodes(tuple(u), tuple(v)):
+        return False
     if open_cell:
-        return F.plucker_perm(u) != 0 and F.plucker_perm(v) != 0
+        return not (_chain(u) | _chain(v)) & ~F._live
     return True
 
 
@@ -761,7 +798,7 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     columns are fixed.  A random point of the solution space is drawn,
     redrawn until the chart coordinates of the column are nonzero, and
     the finished flag is re-verified through the Plucker membership route,
-    so n is bounded like that route: n <= MAX_TABLE_N, checked first.
+    so n is bounded like a flag: n <= MAX_TABLE_N, checked first.
     """
     n = len(u)
     if len(v) != n:

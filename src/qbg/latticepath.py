@@ -44,6 +44,11 @@ def _check_pair(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[Val
     return A, B
 
 
+def _check_shift(r: int, n: int) -> None:
+    if not 1 <= r <= n:
+        raise PreconditionError(f"shift {r} out of range 1..{n}")
+
+
 def _walk(heights: list[int], pairs: Iterable[tuple[int, int]]) -> list[Reading]:
     """
     Move the path in `heights` (the heights after 0..n steps) through the
@@ -113,9 +118,10 @@ def shifted_gale_leq(a_set: Iterable[int], b_set: Iterable[int], r: int, n: int)
     Sort both sets increasingly under the shifted order with minimum r and
     compare elementwise: each element is replaced by its shifted rank
     (x - r) mod n once, and the ranks are sorted.  Independent of the path
-    route above; it reads no heights.
+    route above; it reads no heights.  The shift r must be in 1..n.
     """
     A, B = _check_pair(a_set, b_set, n)
+    _check_shift(r, n)
     a_ranks = sorted([(x - r) % n for x in A])
     b_ranks = sorted([(y - r) % n for y in B])
     return all(map(le, a_ranks, b_ranks))
@@ -151,8 +157,7 @@ def check_shift_sequence(a: tuple[int, ...], n: int) -> None:
     if len(a) != n - 1:
         raise PreconditionError(f"shift sequence must have length {n - 1}, got {len(a)}")
     for r in a:
-        if not 1 <= r <= n:
-            raise PreconditionError(f"shift {r} out of range 1..{n}")
+        _check_shift(r, n)
 
 
 def shift_leq(u: Perm, v: Perm, a: tuple[int, ...]) -> bool:

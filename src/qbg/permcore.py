@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -133,6 +133,20 @@ def prefix_set(w: Perm, k: int) -> frozenset[int]:
     if not 0 <= k <= len(w):
         raise PreconditionError(f"prefix length {k} out of range 0..{len(w)}")
     return frozenset(w[:k])
+
+
+def value_mask(values: Iterable[int]) -> int:
+    """
+    A value set as an int: bit x - 1 is set for each value x, so the
+    subsets of [n] are the ints 0 .. 2^n - 1.
+
+    >>> value_mask({1, 3})
+    5
+    """
+    mask = 0
+    for x in values:
+        mask |= 1 << (x - 1)
+    return mask
 
 
 def long_cycle_rotate(w: Perm) -> Perm:

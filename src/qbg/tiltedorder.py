@@ -8,21 +8,27 @@ built graph, and the prefix criteria (for one shift sequence / for all
 shift sequences), which need no graph.  The equivalence of the routes is a
 theorem and is exercised by the test suites, so the two implementations
 are deliberately kept apart.
+
+The exists_shift criterion reads only the prefix sets {w_1..w_k}, so per
+pair it is a set of admissible nodes of the lattice of subsets of [n], and
+[u, v] is the set of chains from the empty set to [n] through them:
+`interval_member_set` walks those chains instead of all of S_n.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import PreconditionError, ResourceLimitError
-from .latticepath import prefix_paths, shifted_gale_leq
+from .latticepath import prefix_paths, shifted_gale_leq, valid_shifts
 from .permcore import (
     Perm,
-    all_permutations,
     format_permutation,
     prefix_set,
     validate_permutation,
+    value_mask,
 )
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
 
@@ -65,19 +71,58 @@ def interval_members_criterion(u: Perm, v: Perm, w: Perm, mode: str) -> bool:
     raise PreconditionError(f"unknown mode {mode!r} (expected exists_shift or all_shifts)")
 
 
+# one entry per (u, v) pair; at n = 7 an entry is a 128-bit int
+@lru_cache(maxsize=4096)
+def admissible_nodes(u: Perm, v: Perm) -> int:
+    """
+    The value sets S that pass the exists_shift test of column |S| against
+    (u, v): the paths of (u[k], S) and (S, v[k]) share a valid shift, with
+    u[k], v[k] the k-prefix sets.  Returned as a set of nodes, bit
+    value_mask(S) set for each such S; the empty set and [n] always pass.
+    Since the test reads only the prefix sets, [u, v] is exactly the set of
+    w whose chain of prefix sets runs through these nodes.  Two path walks
+    per subset of [n]; the callers bound n.
+    """
+    u, v = validate_permutation(u), validate_permutation(v)
+    n = len(u)
+    if len(v) != n:
+        raise PreconditionError("permutations must have the same size")
+    nodes = 1 | 1 << ((1 << n) - 1)
+    for k in range(1, n):
+        u_k, v_k = prefix_set(u, k), prefix_set(v, k)
+        for S in combinations(range(1, n + 1), k):
+            if valid_shifts(u_k, S, n) & valid_shifts(S, v_k, n):
+                nodes |= 1 << value_mask(S)
+    return nodes
+
+
 @lru_cache(maxsize=4096)
 def interval_member_set(u: Perm, v: Perm) -> frozenset[Perm]:
     """
-    All of [u, v], graph-free (exists_shift route over all of S_n), so it
-    is bounded like the graph: n <= MAX_GRAPH_N.
+    All of [u, v], graph-free: the chains of admissible nodes from the
+    empty set to [n], one value added per step, read as words (in
+    lexicographic order).  Bounded like the graph: n <= MAX_GRAPH_N.
     """
-    if len(u) > MAX_GRAPH_N:
+    n = len(u)
+    if n > MAX_GRAPH_N:
         raise ResourceLimitError(f"interval enumeration is bounded at n <= {MAX_GRAPH_N}")
-    return frozenset(
-        w
-        for w in all_permutations(len(u))
-        if interval_members_criterion(u, v, w, "exists_shift")
-    )
+    nodes = admissible_nodes(u, v)
+    members: list[Perm] = []
+    word: list[int] = []
+
+    def extend(S: int) -> None:
+        if len(word) == n:
+            members.append(tuple(word))
+            return
+        for x in range(1, n + 1):
+            T = S | 1 << (x - 1)
+            if T != S and nodes >> T & 1:
+                word.append(x)
+                extend(T)
+                word.pop()
+
+    extend(0)
+    return frozenset(members)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from qbg.diagrams import equations, find_flat
-from qbg.errors import ParseError, PreconditionError
+from qbg.errors import ParseError, PreconditionError, ResourceLimitError
 from qbg.exactgeom import (
+    MAX_TABLE_N,
     Flag,
     _det,
     _integer_row,
@@ -44,8 +47,9 @@ from qbg.permcore import (
     longest_element,
     parse_permutation,
     prefix_set,
+    value_mask,
 )
-from qbg.tiltedorder import interval_member_set
+from qbg.tiltedorder import interval_member_set, interval_members_criterion
 
 
 class TestMatrixFormat:
@@ -92,6 +96,19 @@ class TestFlag:
     def test_empty_plucker(self):
         F = random_flag(3, 0)
         assert F.plucker([]) == 1
+
+    @pytest.mark.parametrize("w", [(1, 1, 2), (1, 2), (1, 2, 4), (1, 2, 3, 4), ()])
+    def test_plucker_perm_needs_a_permutation_of_size_n(self, w):
+        with pytest.raises(PreconditionError):
+            random_flag(3, 1).plucker_perm(w)
+
+    def test_refused_beyond_the_table_bound_before_work(self):
+        for n in (MAX_TABLE_N + 1, 30):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match=f"bounded at n <= {MAX_TABLE_N}"):
+                Flag(rows)
+            assert time.perf_counter() - start < 2
 
 
 class TestIncidenceRelations:
@@ -518,6 +535,9 @@ def test_bad_shift_sequence_raises_on_every_call():
 
 
 def test_one_flag_read_from_several_threads():
+    # the minor table and the live set are built with the flag, the window
+    # table on first use; half the threads start with the window ranks, half
+    # with the chain route
     u, v = (4, 3, 2, 1), (3, 1, 4, 2)
     matrix = sample_in_open_stratum(u, v, 3).matrix
     shift_seqs = [(4, a2, 2) for a2 in (2, 3, 4)]
@@ -528,17 +548,21 @@ def test_one_flag_read_from_several_threads():
         perms = list(all_permutations(4))
         if reverse:
             subsets, windows, perms = subsets[::-1], windows[::-1], perms[::-1]
-        return (
-            sorted((K, F.plucker(K)) for K in subsets),
-            sorted((w, F.window_rank(*w)) for w in windows),
-            sorted((w, F.plucker_perm(w)) for w in perms),
-            [
+        parts = [
+            lambda: sorted((w, F.window_rank(*w)) for w in windows),
+            lambda: sorted((K, F.plucker(K)) for K in subsets),
+            lambda: sorted((w, F.plucker_perm(w)) for w in perms),
+            lambda: [
                 (member_T_rank(u, v, a, F, oc), member_T_grassmann(u, v, a, F, oc))
                 for a in shift_seqs
                 for oc in (False, True)
             ],
-            [member_T_plucker(u, v, F, oc) for oc in (False, True)],
-        )
+            lambda: [member_T_plucker(u, v, F, oc) for oc in (False, True)],
+            lambda: (F._live, list(F._minors)),
+        ]
+        order = range(len(parts))[::-1] if reverse else range(len(parts))
+        seen = {i: parts[i]() for i in order}
+        return [seen[i] for i in range(len(parts))]
 
     expected = survey(Flag(matrix), reverse=False)
     shared = Flag(matrix)
@@ -562,3 +586,108 @@ def test_one_flag_read_from_several_threads():
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
     assert expected[3] == [(True, True)] * 6
+
+
+# ---------------------------------------------------------------------------
+# The minor table and the multi-Plucker chain route, against the S_n walk
+
+
+def _oracle_flags(n):
+    """Generic, coordinate (most minors zero) and sampled flags of size n,
+    and the pairs whose open strata were sampled."""
+    rng = random.Random(60 + n)
+    perms = list(all_permutations(n))
+    flags = [random_flag(n, rng) for _ in range(2)]
+    flags += [permutation_flag(w) for w in rng.sample(perms, min(4, len(perms)))]
+    pairs = [(identity(n), longest_element(n))]
+    pairs += [(rng.choice(perms), rng.choice(perms)) for _ in range(3)]
+    flags += [sample_in_open_stratum(u, v, 70 + s) for s, (u, v) in enumerate(pairs)]
+    return flags, pairs
+
+
+def test_minor_table_matches_the_elimination_kernel():
+    # sampled flags at n = 6 and 7: the pinned samples, read back
+    for n in range(1, 8):
+        if n <= 5:
+            flags = _oracle_flags(n)[0]
+        else:
+            w = tuple(random.Random(n).sample(range(1, n + 1), n))
+            flags = [random_flag(n, n), permutation_flag(w)]
+        flags += [
+            Flag(parse_matrix(text)) for text in PINNED_SAMPLES.values() if text[0] == str(n)
+        ]
+        for F in flags:
+            assert len(F._minors) == 2 ** n
+            for k in range(n + 1):
+                for I in combinations(range(1, n + 1), k):
+                    minor = _det([F._rows[r - 1][:k] for r in I])
+                    assert F._minors[value_mask(I)] == minor
+                    assert F.plucker(I) == Fraction(minor, F._scale[k])
+
+
+def test_every_nonzero_minor_lies_on_a_nonzero_chain():
+    # why the live set of a flag is its set of nonzero minors: each one
+    # completes to a w through it with P_w != 0
+    for n in range(1, 6):
+        for F in _oracle_flags(n)[0]:
+            nonzero = [S for S in range(2 ** n) if F._minors[S]]
+            assert F._live == sum(1 << S for S in nonzero)
+            for S in nonzero:
+                I = {r for r in range(1, n + 1) if S >> (r - 1) & 1}
+                w = complete_to_permutation(F, I)
+                assert prefix_set(w, len(I)) == I and F.plucker_perm(w) != 0
+
+
+@lru_cache(maxsize=None)
+def _walked_members(u, v):
+    return frozenset(
+        w
+        for w in all_permutations(len(u))
+        if interval_members_criterion(u, v, w, "exists_shift")
+    )
+
+
+def walked_member_T_plucker(u, v, F, open_cell=False):
+    """The multi-Plucker route as an S_n walk: P_w for every w outside [u, v],
+    then P_u and P_v; how member_T_plucker decided before it read chains."""
+    members = _walked_members(u, v)
+    for w in all_permutations(F.n):
+        if w not in members and F.plucker_perm(w) != 0:
+            return False
+    if open_cell:
+        return F.plucker_perm(u) != 0 and F.plucker_perm(v) != 0
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chain_route_matches_the_walk(n):
+    perms = list(all_permutations(n))
+    flags, sampled = _oracle_flags(n)
+    if n <= 4:
+        pairs = [(u, v) for u in perms for v in perms]
+    else:
+        rng = random.Random(n)
+        pairs = sampled + [(rng.choice(perms), rng.choice(perms)) for _ in range(40)]
+    outcomes = set()
+    for F in flags:
+        for u, v in pairs:
+            for open_cell in (False, True):
+                got = member_T_plucker(u, v, F, open_cell)
+                assert got == walked_member_T_plucker(u, v, F, open_cell)
+                outcomes.add((open_cell, got))
+    assert len(outcomes) == (2 if n == 1 else 4)
+
+
+def test_chain_route_reads_no_coordinate_and_no_window(monkeypatch):
+    u, v = (4, 3, 2, 1), (3, 1, 4, 2)
+    flags = [sample_in_open_stratum(u, v, 0), random_flag(4, 9), permutation_flag((2, 1, 4, 3))]
+    flags.append(sample_in_open_stratum((4, 3, 1, 2), (3, 1, 4, 2), 1))
+    expected = [[walked_member_T_plucker(u, v, F, oc) for oc in (False, True)] for F in flags]
+    assert {tuple(e) for e in expected} == {(True, True), (False, False), (True, False)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the multi-Plucker route read a coordinate or a window")
+
+    for name in ("plucker", "plucker_perm", "window_rank", "_window_ranks"):
+        monkeypatch.setattr(Flag, name, refuse)
+    assert [[member_T_plucker(u, v, F, oc) for oc in (False, True)] for F in flags] == expected

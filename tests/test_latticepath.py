@@ -122,6 +122,12 @@ class TestGaleOrder:
     def test_ordinary_fails(self):
         assert not shifted_gale_leq({4, 3}, {3, 1}, 1, 4)
 
+    @pytest.mark.parametrize("r", [0, 9])
+    def test_rejects_shifts_out_of_range(self, r):
+        # r = 9 = n + 5 used to act as r = 1, and r = 0 as r = n
+        with pytest.raises(PreconditionError, match="out of range 1..4"):
+            shifted_gale_leq({1, 2}, {3, 4}, r, 4)
+
     @given(st.data())
     def test_depth_zero_is_plain_gale(self, data):
         n = data.draw(st.integers(1, 7))
@@ -161,6 +167,11 @@ class TestShiftedInterval:
     def test_incomparable_rejected(self):
         with pytest.raises(PreconditionError):
             shifted_interval({3, 4}, {1, 2}, 1, 4)
+
+    @pytest.mark.parametrize("r", [0, 9])
+    def test_rejects_shifts_out_of_range(self, r):
+        with pytest.raises(PreconditionError, match="out of range 1..4"):
+            shifted_interval({1, 2}, {3, 4}, r, 4)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_interval_independent_of_shift(self, n):

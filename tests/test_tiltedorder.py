@@ -1,5 +1,6 @@
 import json
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -11,10 +12,12 @@ from qbg.permcore import (
     longest_element,
     parse_permutation,
     prefix_set,
+    value_mask,
 )
 from qbg.qbgraph import build_graph, edge_weight, graph_distance
 from qbg.suites import _FIGURE_D132_EDGES, base_poset_hasse
 from qbg.tiltedorder import (
+    admissible_nodes,
     cover_edges,
     hasse_export,
     interval,
@@ -152,8 +155,6 @@ class TestInterval:
                         assert via_base == reference
 
     def test_base_independence_n4_sampled(self, g4):
-        import random
-
         rng = random.Random(0)
         verts = list(g4.vertices)
         for _ in range(30):
@@ -192,6 +193,57 @@ class TestInterval:
                         assert shifted_gale_leq(
                             prefix_set(x, k), prefix_set(y, k), a[k - 1], 4
                         )
+
+
+def walked_member_set(u, v):
+    """[u, v] by filtering all of S_n through the exists_shift criterion:
+    how interval_member_set found it before it walked chains."""
+    return frozenset(
+        w
+        for w in all_permutations(len(u))
+        if interval_members_criterion(u, v, w, "exists_shift")
+    )
+
+
+class TestChainEnumeration:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_walk_on_all_pairs(self, n):
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms:
+                assert interval_member_set(u, v) == walked_member_set(u, v)
+
+    @pytest.mark.parametrize("n, count", [(5, 40), (6, 6)])
+    def test_matches_the_walk_on_seeded_pairs(self, n, count):
+        rng = random.Random(n)
+        perms = list(all_permutations(n))
+        pairs = [(identity(n), longest_element(n))]
+        pairs += [(rng.choice(perms), rng.choice(perms)) for _ in range(count)]
+        for u, v in pairs:
+            assert interval_member_set(u, v) == walked_member_set(u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_admissible_nodes_pass_every_shift(self, n):
+        # node by node, against the sorting route under every shift valid
+        # for the column (the all_shifts reading of the same test)
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms:
+                nodes = admissible_nodes(u, v)
+                for k in range(n + 1):
+                    u_k, v_k = prefix_set(u, k), prefix_set(v, k)
+                    shifts = valid_shifts(u_k, v_k, n)
+                    for S in combinations(range(1, n + 1), k):
+                        expected = all(
+                            shifted_gale_leq(u_k, S, r, n) and shifted_gale_leq(S, v_k, r, n)
+                            for r in shifts
+                        )
+                        assert bool(nodes >> value_mask(S) & 1) == expected
+
+    def test_admissible_nodes_reject_bad_pairs(self):
+        for u, v in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 1))]:
+            with pytest.raises(PreconditionError):
+                admissible_nodes(u, v)
 
 
 def old_hasse_edges(ti):
