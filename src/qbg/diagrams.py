@@ -12,6 +12,14 @@ suites check against the graph oracle.
 All Plucker indices are normalized to sorted-subset form immediately; the
 sign swallowed by the normalization is recorded on the equation so the
 quadratic relations keep their meaning.
+
+The public functions check their permutations and shift sequence once.
+One unchecked kernel, `_column_cells`, holds the cell rule; both
+`tilted_rothe` and the ledger builder `_ledger` read it.  `_ledger`
+emits the equations column by column, in (column, cell, origin) order,
+so it sorts nothing; `suite_flat_count` counts it directly once
+`is_flat` has checked (u, v, a).  `is_flat` (the sorting route) and
+`find_flat` (the path route) stay separate, so each checks the other.
 """
 from __future__ import annotations
 
@@ -19,13 +27,13 @@ import json
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .latticepath import check_shift_sequence, prefix_paths, shift_leq, shifted_gale_leq
+from .latticepath import _gale_leq, check_shift_sequence, prefix_paths, shift_leq
 from .permcore import (
     Perm,
     cyclic_contains,
     format_permutation,
-    inverse,
     prefix_set,
+    validate_permutation,
 )
 from .qbgraph import graph_distance
 from .tiltedorder import interval_members_criterion
@@ -35,13 +43,10 @@ Cell = tuple[int, int]  # (i, k): row value i, column k
 
 def is_flat(u: Perm, v: Perm, a: tuple[int, ...]) -> bool:
     """u <=_a v plus the prefix condition u[k-1] <=_{a_k} v[k-1], k = 2..n-1."""
-    n = len(u)
     if not shift_leq(u, v, a):
         return False
-    return all(
-        shifted_gale_leq(prefix_set(u, k - 1), prefix_set(v, k - 1), a[k - 1], n)
-        for k in range(2, n)
-    )
+    n = len(u)
+    return all(_gale_leq(u[:k - 1], v[:k - 1], a[k - 1], n) for k in range(2, n))
 
 
 def find_flat(u: Perm, v: Perm) -> tuple[int, ...]:
@@ -72,24 +77,27 @@ def tilted_rothe(w: Perm, a: tuple[int, ...], kind: str) -> frozenset[Cell]:
     >>> sorted(tilted_rothe((4, 3, 2, 1), (4, 4, 2), "down"))
     [(1, 2), (2, 2)]
     """
-    n = len(w)
+    n = len(validate_permutation(w))
     check_shift_sequence(a, n)
     if kind not in ("down", "up"):
         raise PreconditionError(f"kind must be 'down' or 'up', got {kind!r}")
-    w_inv = inverse(w)
     down = kind == "down"
-    cells = set()
-    for k in range(1, n):
-        r = a[k - 1]
-        # ranks in the shifted order with minimum a_k, as permcore.shifted_key
-        wk_rank = (w[k - 1] - r) % n
-        for i in range(1, n + 1):
-            if w_inv[i - 1] <= k:
-                continue
-            i_rank = (i - r) % n
-            if i_rank < wk_rank if down else i_rank > wk_rank:
-                cells.add((i, k))
-    return frozenset(cells)
+    return frozenset(
+        (i, k) for k in range(1, n) for i in _column_cells(w, k, a[k - 1], n, down)
+    )
+
+
+def _column_cells(w: Perm, k: int, r: int, n: int, down: bool) -> set[int]:
+    """
+    The rows i of the cells in column k: the values after position k (so
+    w^{-1}(i) > k) that rank below w_k (down) or above it (up) in the
+    shifted order with minimum r, as permcore.shifted_key.  Unchecked: w a
+    permutation, 1 <= k < n, 1 <= r <= n.
+    """
+    wk_rank = (w[k - 1] - r) % n
+    if down:
+        return {i for i in w[k:] if (i - r) % n < wk_rank}
+    return {i for i in w[k:] if (i - r) % n > wk_rank}
 
 
 def signed_sorted_insert(prefix: frozenset[int], extra: int) -> tuple[frozenset[int], int]:
@@ -142,13 +150,29 @@ def equations(u: Perm, v: Perm, a: tuple[int, ...]) -> EquationSet:
     """
     if not shift_leq(u, v, a):
         raise PreconditionError("u is not below v under the supplied shift sequence")
+    return EquationSet(u, v, tuple(a), None, _ledger(u, v, a))
+
+
+def _ledger(u: Perm, v: Perm, a: tuple[int, ...]) -> tuple[PluckerEquation, ...]:
+    """
+    The equations of `equations(u, v, a)` in (column, cell, origin) order:
+    per column, the rows in increasing order, and on a row that is a down
+    cell of u and an up cell of v, down first.  Unchecked: (u, v, a) must
+    pass shift_leq.
+    """
+    n = len(u)
     eqs = []
-    for i, k in sorted(tilted_rothe(u, a, "down"), key=lambda c: (c[1], c[0])):
-        eqs.append(_vanish(prefix_set(u, k - 1), i, (i, k), "down"))
-    for i, k in sorted(tilted_rothe(v, a, "up"), key=lambda c: (c[1], c[0])):
-        eqs.append(_vanish(prefix_set(v, k - 1), i, (i, k), "up"))
-    eqs.sort(key=lambda e: (e.column, e.cell, e.origin))
-    return EquationSet(u, v, tuple(a), None, tuple(eqs))
+    for k in range(1, n):
+        r = a[k - 1]
+        down = _column_cells(u, k, r, n, True)
+        up = _column_cells(v, k, r, n, False)
+        u_prefix, v_prefix = frozenset(u[:k - 1]), frozenset(v[:k - 1])
+        for i in range(1, n + 1):
+            if i in down:
+                eqs.append(_vanish(u_prefix, i, (i, k), "down"))
+            if i in up:
+                eqs.append(_vanish(v_prefix, i, (i, k), "up"))
+    return tuple(eqs)
 
 
 def coatom_positions(v: Perm, x: Perm) -> tuple[int, int]:

@@ -16,8 +16,15 @@ in a list and takes value pairs (a, b) one at a time: adding a to A and b
 to B raises the heights after steps a..b-1 by one when a < b, lowers those
 after steps b..a-1 by one when a > b, and moves nothing else.  Fed the
 pairs (u_k, v_k) it gives the path of every pair of k-prefixes in turn,
-so `prefix_paths` builds no prefix sets; fed the sorted elements of A and
-B it gives the path of (A, B).
+so `prefix_paths` builds no prefix sets; fed the elements of A and B in
+any pairing it gives the path of (A, B).
+
+Public functions validate their input once.  The `_`-prefixed kernels
+(`_walk`, `_prefix_paths`, `_gale_leq`) check nothing; they are called,
+here and from the other layers, only on input that a public function has
+already checked.  `_gale_leq` takes any iterables of distinct in-range
+values of equal count, so it reads prefix slices `u[:k]` and no prefix
+sets are built.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from operator import le
 from typing import Iterable
 
 from .errors import PreconditionError
-from .permcore import Perm, prefix_set, validate_permutation
+from .permcore import Perm, validate_permutation
 
 ValueSet = frozenset[int]
 #: (depth, valid shifts) of one comparison path.
@@ -47,6 +54,16 @@ def _check_pair(a_set: Iterable[int], b_set: Iterable[int], n: int) -> tuple[Val
 def _check_shift(r: int, n: int) -> None:
     if not 1 <= r <= n:
         raise PreconditionError(f"shift {r} out of range 1..{n}")
+
+
+def _check_perms(*perms: Perm) -> tuple[Perm, ...]:
+    """The permutations as tuples, once each is checked and all share one size."""
+    checked = tuple(map(validate_permutation, perms))
+    n = len(checked[0])
+    for w in checked:
+        if len(w) != n:
+            raise PreconditionError("permutations must have the same size")
+    return checked
 
 
 def _walk(heights: list[int], pairs: Iterable[tuple[int, int]]) -> list[Reading]:
@@ -106,11 +123,12 @@ def prefix_paths(u: Perm, v: Perm) -> list[Reading]:
     >>> prefix_paths((4, 3, 2, 1), (3, 1, 4, 2))
     [(1, frozenset({4})), (1, frozenset({2, 3, 4})), (1, frozenset({2}))]
     """
-    u, v = validate_permutation(u), validate_permutation(v)
-    n = len(u)
-    if len(v) != n:
-        raise PreconditionError("permutations must have the same size")
-    return _walk([0] * (n + 1), zip(u[:-1], v[:-1]))
+    return _prefix_paths(*_check_perms(u, v))
+
+
+def _prefix_paths(u: Perm, v: Perm) -> list[Reading]:
+    """`prefix_paths` of two permutations of one size, unchecked."""
+    return _walk([0] * (len(u) + 1), zip(u[:-1], v[:-1]))
 
 
 def shifted_gale_leq(a_set: Iterable[int], b_set: Iterable[int], r: int, n: int) -> bool:
@@ -122,6 +140,11 @@ def shifted_gale_leq(a_set: Iterable[int], b_set: Iterable[int], r: int, n: int)
     """
     A, B = _check_pair(a_set, b_set, n)
     _check_shift(r, n)
+    return _gale_leq(A, B, r, n)
+
+
+def _gale_leq(A: Iterable[int], B: Iterable[int], r: int, n: int) -> bool:
+    """`shifted_gale_leq` on distinct values in 1..n, equal counts, r in 1..n; unchecked."""
     a_ranks = sorted([(x - r) % n for x in A])
     b_ranks = sorted([(y - r) % n for y in B])
     return all(map(le, a_ranks, b_ranks))
@@ -148,7 +171,7 @@ def _shifted_interval_cached(A: ValueSet, B: ValueSet, r: int, n: int) -> frozen
     return frozenset(
         frozenset(K)
         for K in combinations(range(1, n + 1), k)
-        if shifted_gale_leq(A, K, r, n) and shifted_gale_leq(K, B, r, n)
+        if _gale_leq(A, K, r, n) and _gale_leq(K, B, r, n)
     )
 
 
@@ -162,12 +185,10 @@ def check_shift_sequence(a: tuple[int, ...], n: int) -> None:
 
 def shift_leq(u: Perm, v: Perm, a: tuple[int, ...]) -> bool:
     """u <=_a v: every prefix pair compares under its per-column shift."""
+    u, v = _check_perms(u, v)
     n = len(u)
     check_shift_sequence(a, n)
-    return all(
-        shifted_gale_leq(prefix_set(u, k), prefix_set(v, k), a[k - 1], n)
-        for k in range(1, n)
-    )
+    return all(_gale_leq(u[:k], v[:k], a[k - 1], n) for k in range(1, n))
 
 
 def find_shift_sequence(u: Perm, v: Perm) -> tuple[int, ...]:

@@ -260,7 +260,8 @@ def suite_flat_count(n: int, seed: int, samples: int) -> SuiteResult:
             if not diagrams.is_flat(u, v, a):
                 bad.append(f"find_flat not flat for ({_fmt(u)}, {_fmt(v)})")
                 continue
-            count = len(diagrams.equations(u, v, a))
+            # is_flat has checked (u, v, a), so the unchecked ledger is counted
+            count = len(diagrams._ledger(u, v, a))
             if count != total - dist[j]:
                 bad.append(
                     f"ledger size {count} != {total - dist[j]} for ({_fmt(u)}, {_fmt(v)})"

@@ -19,17 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import PreconditionError, ResourceLimitError
-from .latticepath import prefix_paths, shifted_gale_leq, valid_shifts
-from .permcore import (
-    Perm,
-    format_permutation,
-    prefix_set,
-    validate_permutation,
-    value_mask,
-)
+from .latticepath import _check_perms, _gale_leq, _prefix_paths, _walk
+from .permcore import Perm, format_permutation
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
 
 
@@ -51,24 +44,21 @@ def interval_members_criterion(u: Perm, v: Perm, w: Perm, mode: str) -> bool:
     between those of u and v, for every k.  mode="all_shifts": every shift
     valid for (u, v) in column k does.
     """
-    n = len(u)
+    if mode not in ("exists_shift", "all_shifts"):
+        raise PreconditionError(f"unknown mode {mode!r} (expected exists_shift or all_shifts)")
+    u, v, w = _check_perms(u, v, w)
     if mode == "exists_shift":
         return all(
             below & above
-            for (_, below), (_, above) in zip(prefix_paths(u, w), prefix_paths(w, v))
+            for (_, below), (_, above) in zip(_prefix_paths(u, w), _prefix_paths(w, v))
         )
-    if mode == "all_shifts":
-        if len(validate_permutation(w)) != n:
-            raise PreconditionError("permutations must have the same size")
-        for k, (_, shifts) in enumerate(prefix_paths(u, v), start=1):
-            uk, vk, wk = prefix_set(u, k), prefix_set(v, k), prefix_set(w, k)
-            for r in shifts:
-                if not (
-                    shifted_gale_leq(uk, wk, r, n) and shifted_gale_leq(wk, vk, r, n)
-                ):
-                    return False
-        return True
-    raise PreconditionError(f"unknown mode {mode!r} (expected exists_shift or all_shifts)")
+    n = len(u)
+    for k, (_, shifts) in enumerate(_prefix_paths(u, v), start=1):
+        uk, vk, wk = u[:k], v[:k], w[:k]
+        for r in shifts:
+            if not (_gale_leq(uk, wk, r, n) and _gale_leq(wk, vk, r, n)):
+                return False
+    return True
 
 
 # one entry per (u, v) pair; at n = 7 an entry is a 128-bit int
@@ -80,20 +70,33 @@ def admissible_nodes(u: Perm, v: Perm) -> int:
     u[k], v[k] the k-prefix sets.  Returned as a set of nodes, bit
     value_mask(S) set for each such S; the empty set and [n] always pass.
     Since the test reads only the prefix sets, [u, v] is exactly the set of
-    w whose chain of prefix sets runs through these nodes.  Two path walks
-    per subset of [n]; the callers bound n.
+    w whose chain of prefix sets runs through these nodes.
+
+    The subsets are visited depth first, each grown from its largest
+    element, and both paths follow along incrementally: adding x to S as
+    its (k+1)-th element moves the path of (u[k], S) by the pair (u_{k+1}, x)
+    and that of (S, v[k]) by (x, v_{k+1}), one `_walk` step each.  So every
+    subset costs two one-step walks; the callers bound n.
     """
-    u, v = validate_permutation(u), validate_permutation(v)
+    u, v = _check_perms(u, v)
     n = len(u)
-    if len(v) != n:
-        raise PreconditionError("permutations must have the same size")
-    nodes = 1 | 1 << ((1 << n) - 1)
-    for k in range(1, n):
-        u_k, v_k = prefix_set(u, k), prefix_set(v, k)
-        for S in combinations(range(1, n + 1), k):
-            if valid_shifts(u_k, S, n) & valid_shifts(S, v_k, n):
-                nodes |= 1 << value_mask(S)
-    return nodes
+
+    def extend(S: int, k: int, below: list[int], above: list[int]) -> int:
+        """The admissible nodes among the supersets of the k-set S grown
+        by larger elements, up to size n - 1."""
+        nodes = 0
+        for x in range(S.bit_length() + 1, n + 1):
+            T = S | 1 << (x - 1)
+            next_below, next_above = below[:], above[:]
+            ((_, shifts_below),) = _walk(next_below, [(u[k], x)])
+            ((_, shifts_above),) = _walk(next_above, [(x, v[k])])
+            if shifts_below & shifts_above:
+                nodes |= 1 << T
+            if k + 2 < n:
+                nodes |= extend(T, k + 1, next_below, next_above)
+        return nodes
+
+    return 1 | 1 << ((1 << n) - 1) | extend(0, 0, [0] * (n + 1), [0] * (n + 1))
 
 
 @lru_cache(maxsize=4096)

@@ -6,6 +6,8 @@ from math import comb
 import pytest
 
 from qbg.diagrams import (
+    EquationSet,
+    PluckerEquation,
     coatom_positions,
     equation_str,
     equations,
@@ -14,19 +16,63 @@ from qbg.diagrams import (
     find_flat,
     is_flat,
     render_diagram,
+    signed_sorted_insert,
     tilted_rothe,
 )
 from qbg.errors import PreconditionError
+from qbg.latticepath import prefix_paths
 from qbg.permcore import (
     all_permutations,
     identity,
     inverse,
     longest_element,
     parse_permutation,
+    prefix_set,
     shifted_less,
 )
 from qbg.qbgraph import build_graph, graph_distance
 from qbg.tiltedorder import interval
+
+BAD_PAIRS = [
+    ((2, 2, 2), (2, 2, 2), "not a permutation"),
+    ((1, 2, 3), (1, 2, 4), "not a permutation"),
+    ((1, 2, 3), (1, 2, 3, 4), "same size"),
+]
+
+
+def rothe_cells_by_definition(w, a, down):
+    """Cells (i, k) with w^{-1}(i) > k and i below (down) or above (up) w_k
+    in the shifted order with minimum a_k, found by scanning every row."""
+    n = len(w)
+    w_inv = inverse(w)
+    cells = set()
+    for k in range(1, n):
+        r = a[k - 1]
+        wk_rank = (w[k - 1] - r) % n
+        for i in range(1, n + 1):
+            if w_inv[i - 1] <= k:
+                continue
+            i_rank = (i - r) % n
+            if i_rank < wk_rank if down else i_rank > wk_rank:
+                cells.add((i, k))
+    return cells
+
+
+def sorted_ledger(u, v, a):
+    """Reference ledger: one equation per cell with a freshly built prefix
+    set, down cells then up cells, sorted into (column, cell, origin) order
+    at the end."""
+    eqs = []
+    for w, down, origin in ((u, True, "down"), (v, False, "up")):
+        for i, k in sorted(rothe_cells_by_definition(w, a, down), key=lambda c: (c[1], c[0])):
+            subset, sign = signed_sorted_insert(prefix_set(w, k - 1), i)
+            eqs.append(PluckerEquation("vanish", k, (i, k), origin, (subset,), (sign,)))
+    eqs.sort(key=lambda e: (e.column, e.cell, e.origin))
+    return EquationSet(u, v, tuple(a), None, tuple(eqs))
+
+
+def valid_shift_sequences(u, v):
+    return list(product(*(sorted(shifts) for _, shifts in prefix_paths(u, v))))
 
 
 class TestFlat:
@@ -43,6 +89,11 @@ class TestFlat:
         # (4,2,2) compares all prefixes of the pair but fails the k = 2
         # one-shorter condition: {4} is not below {3} once 2 is smallest
         assert not is_flat((4, 3, 2, 1), (3, 1, 4, 2), (4, 2, 2))
+
+    @pytest.mark.parametrize("u, v, message", BAD_PAIRS)
+    def test_rejects_non_permutations(self, u, v, message):
+        with pytest.raises(PreconditionError, match=message):
+            is_flat(u, v, (1, 1))
 
     def test_find_flat_equal(self):
         assert find_flat((3, 1, 2), (3, 1, 2)) == (1, 1)
@@ -103,6 +154,12 @@ class TestDiagrams:
         with pytest.raises(PreconditionError):
             tilted_rothe((2, 1), (1,), "left")
 
+    @pytest.mark.parametrize("w", [(2, 2, 2), (1, 2, 4), (0, 1, 2)])
+    @pytest.mark.parametrize("kind", ["down", "up"])
+    def test_rejects_non_permutations(self, w, kind):
+        with pytest.raises(PreconditionError, match="not a permutation"):
+            tilted_rothe(w, (1, 1), kind)
+
     @pytest.mark.parametrize("a", [(8, 6, 6), (4, 2, 0), (5, 1, 1)])
     @pytest.mark.parametrize("kind", ["down", "up"])
     def test_rejects_shifts_out_of_range(self, a, kind):
@@ -149,6 +206,29 @@ class TestEquations:
     def test_rejects_incomparable(self):
         with pytest.raises(PreconditionError):
             equations((4, 3, 2, 1), (3, 1, 4, 2), (1, 1, 1))
+
+    @pytest.mark.parametrize("u, v, message", BAD_PAIRS)
+    def test_rejects_non_permutations(self, u, v, message):
+        # (2,2,2) against itself once gave an empty ledger
+        with pytest.raises(PreconditionError, match=message):
+            equations(u, v, (1, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_sorted_ledger_for_every_shift_sequence(self, n):
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                for a in valid_shift_sequences(u, v):
+                    got = equations_to_json(equations(u, v, a))
+                    assert got == equations_to_json(sorted_ledger(u, v, a))
+
+    def test_matches_sorted_ledger_on_seeded_pairs_n5(self):
+        rng = random.Random(5)
+        perms = list(all_permutations(5))
+        for _ in range(60):
+            u, v = rng.choice(perms), rng.choice(perms)
+            for a in valid_shift_sequences(u, v):
+                got = equations_to_json(equations(u, v, a))
+                assert got == equations_to_json(sorted_ledger(u, v, a))
 
     def test_json_roundtrip(self):
         es = equations((4, 3, 2, 1), (3, 1, 4, 2), (4, 4, 2))

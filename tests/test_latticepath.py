@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qbg.diagrams import find_flat
 from qbg.errors import PreconditionError
 from qbg.latticepath import (
+    _gale_leq,
     depth,
     find_shift_sequence,
     path_heights,
@@ -128,6 +129,27 @@ class TestGaleOrder:
         with pytest.raises(PreconditionError, match="out of range 1..4"):
             shifted_gale_leq({1, 2}, {3, 4}, r, 4)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_unchecked_kernel_on_prefix_slices(self, n):
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms[:: max(1, len(perms) // 12)]:
+                for k in range(n + 1):
+                    for r in range(1, n + 1):
+                        expected = shifted_gale_leq(set(u[:k]), set(v[:k]), r, n)
+                        assert _gale_leq(u[:k], v[:k], r, n) == expected
+
+    @given(st.data())
+    def test_unchecked_kernel_matches_checked_compare(self, data):
+        n = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(0, n))
+        r = data.draw(st.integers(1, n))
+        u = tuple(data.draw(st.permutations(range(1, n + 1))))
+        v = tuple(data.draw(st.permutations(range(1, n + 1))))
+        assert _gale_leq(u[:k], v[:k], r, n) == shifted_gale_leq(
+            frozenset(u[:k]), frozenset(v[:k]), r, n
+        )
+
     @given(st.data())
     def test_depth_zero_is_plain_gale(self, data):
         n = data.draw(st.integers(1, 7))
@@ -210,6 +232,19 @@ class TestShiftSequences:
     def test_shift_leq_rejects_shifts_out_of_range(self, a):
         with pytest.raises(PreconditionError):
             shift_leq((4, 3, 2, 1), (3, 1, 4, 2), a)
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            ((2, 2, 2), (2, 2, 2), "not a permutation"),
+            ((1, 2, 3), (3, 2, 2), "not a permutation"),
+            ((1, 2, 3), (1, 2, 3, 4), "same size"),
+        ],
+    )
+    def test_shift_leq_rejects_non_permutations(self, u, v, message):
+        # the first and last pairs once compared as True
+        with pytest.raises(PreconditionError, match=message):
+            shift_leq(u, v, (1, 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_prefix_paths_match_sorting_route(self, n):

@@ -1,4 +1,5 @@
 import json
+import random
 from math import comb
 
 import pytest
@@ -13,8 +14,10 @@ from qbg.permcore import (
     cyclic_contains,
     parse_permutation,
     reflection_ordering,
+    shifted_less,
 )
 from qbg.qbgraph import (
+    QbgEdge,
     bfp_greedy_path,
     build_graph,
     edge_weight,
@@ -29,6 +32,28 @@ from qbg.qbgraph import (
     shortest_path_weight_sets,
     zero_exponent,
 )
+
+def checked_greedy_path(u, v):
+    """Reference greedy path through the checked public calls: shifted_less
+    picks each position and edge_weight weighs each step."""
+    n = len(u)
+    w = u
+    edges = []
+    for k in range(1, n + 1):
+        target = v[k - 1]
+        base = target % n + 1
+        prev = k
+        while w[k - 1] != target:
+            p = next(
+                p for p in range(prev + 1, n + 1) if shifted_less(base, w[k - 1], w[p - 1], n)
+            )
+            exps = edge_weight(w, (k, p))
+            assert exps is not None
+            nxt = apply_transposition(w, (k, p))
+            edges.append(QbgEdge(w, nxt, (k, p), exps))
+            w, prev = nxt, p
+    return edges
+
 
 FIG1_WEIGHTED = {
     ((1, 3, 2), (1, 2, 3)): (0, 1),
@@ -66,6 +91,12 @@ class TestEdgeWeight:
                 else:
                     expected = None
                 assert edge_weight(w, (i, j)) == expected
+
+    @pytest.mark.parametrize("w", [(1, 1, 2), (0, 1, 2), (1, 2, 4)])
+    def test_rejects_non_permutations(self, w):
+        # (1, 1, 2) once read as an up edge of weight (0, 0)
+        with pytest.raises(PreconditionError, match="not a permutation"):
+            edge_weight(w, (1, 3))
 
     @pytest.mark.parametrize("t", [(0, 2), (2, 2), (2, 1), (1, 4)])
     def test_root_out_of_range(self, t):
@@ -235,6 +266,20 @@ class TestGreedyPath:
                 path = bfp_greedy_path(u, v)
                 assert len(path) == dist[g.index[v]]
                 assert path_weight(path, n) == formula_weight(u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_checked_greedy_on_all_pairs(self, n):
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms:
+                assert bfp_greedy_path(u, v) == checked_greedy_path(u, v)
+
+    def test_matches_checked_greedy_on_seeded_pairs_n6(self):
+        rng = random.Random(6)
+        perms = list(all_permutations(6))
+        for _ in range(3000):
+            u, v = rng.choice(perms), rng.choice(perms)
+            assert bfp_greedy_path(u, v) == checked_greedy_path(u, v)
 
     @pytest.mark.parametrize("bad", [(1, 1, 2), (1, 2, 4), (0, 1, 2)])
     def test_rejects_non_permutations(self, bad):
