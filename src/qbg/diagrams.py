@@ -18,13 +18,15 @@ One unchecked kernel, `_column_cells`, holds the cell rule; both
 `tilted_rothe` and the ledger builder `_ledger` read it.  `_ledger`
 emits the equations column by column, in (column, cell, origin) order,
 so it sorts nothing; `suite_flat_count` counts it directly once
-`is_flat` has checked (u, v, a).  `is_flat` (the sorting route) and
-`find_flat` (the path route) stay separate, so each checks the other.
+`is_flat` has checked (u, v, a), and `equations_with_x` rewrites only its
+up equations.  `is_flat` (the sorting route) and `find_flat` (the path
+route) stay separate, so each checks the other.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError
 from .latticepath import _gale_leq, check_shift_sequence, prefix_paths, shift_leq
@@ -32,7 +34,6 @@ from .permcore import (
     Perm,
     cyclic_contains,
     format_permutation,
-    prefix_set,
     validate_permutation,
 )
 from .qbgraph import graph_distance
@@ -111,8 +112,7 @@ def signed_sorted_insert(prefix: frozenset[int], extra: int) -> tuple[frozenset[
     return prefix | {extra}, sign
 
 
-@dataclass(frozen=True)
-class PluckerEquation:
+class PluckerEquation(NamedTuple):
     """
     kind="vanish": signs[0] * P_{subsets[0]} = 0 (one cell, one coordinate).
     kind="quadratic": s0 s1 P_{S0} P_{S1} - s2 s3 P_{S2} P_{S3} = 0.
@@ -198,42 +198,32 @@ def equations_with_x(u: Perm, v: Perm, a: tuple[int, ...], x: Perm) -> EquationS
         raise PreconditionError("shift sequence is not flat for (u, v)")
     if not interval_members_criterion(u, v, x, "exists_shift"):
         raise PreconditionError("x is not a member of the interval [u, v]")
-    ell_uv = graph_distance(u, v)
-    if graph_distance(u, x) != ell_uv - 1:
+    if graph_distance(u, x) != graph_distance(u, v) - 1:
         raise PreconditionError("x is not one step below v in the interval")
     p, q = coatom_positions(v, x)
     xp, xq = x[p - 1], x[q - 1]
+    up_x = [_column_cells(x, k, a[k - 1], n, False) for k in range(1, n)]
 
+    # each rewrite keeps its cell and every up origin sorts after "down",
+    # so the ledger's (column, cell, origin) order holds without a sort
     eqs = []
-    for i, k in sorted(tilted_rothe(u, a, "down"), key=lambda c: (c[1], c[0])):
-        eqs.append(_vanish(prefix_set(u, k - 1), i, (i, k), "down"))
-    up_v = tilted_rothe(v, a, "up")
-    up_x = tilted_rothe(x, a, "up")
-    for i, k in sorted(up_v, key=lambda c: (c[1], c[0])):
-        if (i, k) in up_x:
-            eqs.append(_vanish(prefix_set(x, k - 1), i, (i, k), "up"))
+    for eq in _ledger(u, v, a):
+        i, k = eq.cell
+        if eq.origin == "down":
+            eqs.append(eq)
+        elif i in up_x[k - 1]:
+            eqs.append(_vanish(frozenset(x[:k - 1]), i, eq.cell, "up"))
         elif i == xp and p < k < q:
-            eqs.append(_vanish(prefix_set(x, k - 1), xq, (i, k), "up-shifted"))
+            eqs.append(_vanish(frozenset(x[:k - 1]), xq, eq.cell, "up-shifted"))
         elif k == q and cyclic_contains(xp, xq, i, n, include_a=False, include_b=False):
-            s0 = signed_sorted_insert(prefix_set(x, q - 1), i)
-            s1 = signed_sorted_insert(prefix_set(x, p - 1), xq)
-            s2 = signed_sorted_insert(prefix_set(x, p - 1), i)
-            s3 = signed_sorted_insert(prefix_set(x, q - 1), xq)
-            eqs.append(
-                PluckerEquation(
-                    "quadratic",
-                    k,
-                    (i, k),
-                    "up-minor",
-                    (s0[0], s1[0], s2[0], s3[0]),
-                    (s0[1], s1[1], s2[1], s3[1]),
-                )
-            )
+            x_p, x_q = frozenset(x[:p - 1]), frozenset(x[:q - 1])
+            pairs = ((x_q, i), (x_p, xq), (x_p, i), (x_q, xq))
+            subsets, signs = zip(*(signed_sorted_insert(S, j) for S, j in pairs))
+            eqs.append(PluckerEquation("quadratic", k, eq.cell, "up-minor", subsets, signs))
         else:
             raise InternalInvariantError(
-                f"up cell {(i, k)} fits no rewrite case for x = {format_permutation(x)}"
+                f"up cell {eq.cell} fits no rewrite case for x = {format_permutation(x)}"
             )
-    eqs.sort(key=lambda e: (e.column, e.cell, e.origin))
     return EquationSet(u, v, tuple(a), x, tuple(eqs))
 
 

@@ -475,6 +475,8 @@ def rank_region(F: Flag, region: Iterable[int], k: int) -> int:
     rows_idx = sorted(frozenset(region))
     if not 0 <= k <= F.n:
         raise PreconditionError(f"column count {k} out of range 0..{F.n}")
+    if rows_idx and not 1 <= rows_idx[0] <= rows_idx[-1] <= F.n:
+        raise PreconditionError(f"row set {rows_idx} out of range 1..{F.n}")
     if not rows_idx or k == 0:
         return 0
     return _rank(F._rows[r - 1][:k] for r in rows_idx)
@@ -486,13 +488,16 @@ def rank_region(F: Flag, region: Iterable[int], k: int) -> int:
 # What a route reads of (u, v, a) does not depend on the flag, so it is
 # worked out once per (u, v, a, n) and kept in a bounded cache.  A failed
 # precondition raises inside the cached function and is never stored, so a
-# bad shift sequence raises on every call.
+# bad shift sequence, or a pair of another size than the flag, raises on
+# every call.
 
 #: (u, v, a, n) plans kept per route: every shift sequence of a pair fits at n <= 4.
 PLAN_CACHE_SIZE = 64
 
 
-def _check_shift(u: Perm, v: Perm, a: tuple[int, ...]) -> None:
+def _check_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> None:
+    if len(u) != n or len(v) != n:
+        raise PreconditionError("permutations must match the flag's size")
     if not shift_leq(u, v, a):
         raise PreconditionError("u is not below v under the supplied shift sequence")
 
@@ -507,7 +512,7 @@ def _rank_plan(
     from the cut a_i through j may have rank at most |u[i] & window|, and
     the rows from j up to the cut at most |v[i] & window|.
     """
-    _check_shift(u, v, a)
+    _check_plan(u, v, a, n)
     slots: list[int] = []
     bounds: list[int] = []
     for i in range(1, n):
@@ -530,7 +535,7 @@ def _grassmann_plan(
     """For every column k, the masks of the k-subsets outside the shifted
     Gale window of (u[k], v[k], a_k); and the masks of the endpoint sets
     u[k], v[k] of every column."""
-    _check_shift(u, v, a)
+    _check_plan(u, v, a, n)
     off: list[int] = []
     ends: list[int] = []
     for k in range(1, n):

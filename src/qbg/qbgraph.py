@@ -8,7 +8,9 @@ tuple of its exponents, products are componentwise sums and divisibility
 is componentwise <=.  Two independent routes to the minimal weight between
 a pair of permutations are provided: breadth-first search on the built
 graph (the oracle) and the closed-form prefix-depth formula, which needs
-no graph at all.
+no graph at all.  The built graph stores each edge once, and every question
+about shortest u -> v walks (the oracle, intervals, weight sets) reads one
+BFS from u.
 """
 from __future__ import annotations
 
@@ -120,10 +122,10 @@ def _edge_exps(w: Perm, t: Root, n: int) -> QExponent | None:
 class QuantumBruhatGraph:
     """
     Immutable after construction.  Vertices are all of S_n in lexicographic
-    order and `index` maps each to its position.  Adjacency is two index
-    arrays: out_adj[i] holds (j, root, exps) for every edge i -> j, and
-    in_adj[j] holds (i, root, exps) for the same edge, each row sorted by
-    neighbour index.  QbgEdge values are made only on demand (all_edges).
+    order and `index` maps each to its position.  Adjacency is one index
+    array: out_adj[i] holds (j, root, exps) for every edge i -> j, sorted
+    by neighbour index; `_geodesic_marks` finds shortest walks on it.
+    QbgEdge values are made only on demand (all_edges).
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[Perm, Perm, Root, QExponent]]):
@@ -131,14 +133,9 @@ class QuantumBruhatGraph:
         self.vertices: tuple[Perm, ...] = tuple(all_permutations(n))
         self.index: dict[Perm, int] = {w: i for i, w in enumerate(self.vertices)}
         out: list[list] = [[] for _ in self.vertices]
-        inc: list[list] = [[] for _ in self.vertices]
         for source, target, root, exps in edges:
-            i, j = self.index[source], self.index[target]
-            out[i].append((j, root, exps))
-            inc[j].append((i, root, exps))
-        by_neighbour = itemgetter(0)
-        self.out_adj: Adjacency = tuple(tuple(sorted(r, key=by_neighbour)) for r in out)
-        self.in_adj: Adjacency = tuple(tuple(sorted(r, key=by_neighbour)) for r in inc)
+            out[self.index[source]].append((self.index[target], root, exps))
+        self.out_adj: Adjacency = tuple(tuple(sorted(r, key=itemgetter(0))) for r in out)
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.out_adj)
@@ -152,19 +149,13 @@ class QuantumBruhatGraph:
 
     def distance_vector_from(self, u: Perm) -> list[int]:
         """BFS distances from u, indexed by vertex index."""
-        return self._bfs(self.index[u], self.out_adj)
-
-    def distance_vector_to(self, v: Perm) -> list[int]:
-        """BFS distances to v, indexed by vertex index."""
-        return self._bfs(self.index[v], self.in_adj)
-
-    def _bfs(self, start: int, adjacency: Adjacency) -> list[int]:
+        start = self.index[u]
         dist = [-1] * len(self.vertices)
         dist[start] = 0
         queue = deque([start])
         while queue:
             x = queue.popleft()
-            for y, _, _ in adjacency[x]:
+            for y, _, _ in self.out_adj[x]:
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -199,34 +190,43 @@ def _check_vertices(g: QuantumBruhatGraph, *perms: Perm) -> None:
             raise PreconditionError(f"{w} is not a vertex of the graph on S_{g.n}")
 
 
-def _geodesic(
-    g: QuantumBruhatGraph, start: int, dist_to_v: list[int]
-) -> tuple[int, QExponent]:
+def _geodesic_marks(g: QuantumBruhatGraph, dist: list[int], end: int) -> list[bool]:
     """
-    Length and weight of the lexicographically least (by successor one-line
-    notation) shortest walk from vertex index `start` to the vertex whose
-    BFS distance-to vector is dist_to_v.
+    Which vertices lie on a shortest walk from the source to vertex index
+    `end`, given the source's BFS distances `dist`.  Worked back from the
+    far end over out-edges: x is marked when an out-neighbour one step
+    further from the source is marked.
     """
-    length = dist_to_v[start]
-    if length < 0:
+    total = dist[end]
+    if total < 0:
         raise InternalInvariantError("graph is not strongly connected")
-    exps = zero_exponent(g.n)
-    w = start
-    for remaining in range(length - 1, -1, -1):
-        w, _, step = next(e for e in g.out_adj[w] if dist_to_v[e[0]] == remaining)
-        exps = exponent_add(exps, step)
-    return length, exps
+    marks = [False] * len(dist)
+    marks[end] = True
+    nearer = sorted((x for x, d in enumerate(dist) if 0 <= d < total), key=dist.__getitem__)
+    for x in reversed(nearer):
+        marks[x] = any(marks[y] and dist[y] == dist[x] + 1 for y, _, _ in g.out_adj[x])
+    return marks
 
 
 def oracle_distance(g: QuantumBruhatGraph, u: Perm, v: Perm) -> tuple[int, QExponent]:
     """
     Shortest-path length from u to v and the weight of one shortest path,
     found by BFS.  The representative path is the lexicographically least
-    one (by successor one-line notation); all shortest paths share the same
-    weight, which is tested separately rather than assumed here.
+    one (by successor one-line notation): each step takes the first
+    out-neighbour one step further from u that is on a shortest walk to v.
+    All shortest paths share one weight, tested separately, not assumed.
     """
     _check_vertices(g, u, v)
-    return _geodesic(g, g.index[u], g.distance_vector_to(v))
+    end = g.index[v]
+    dist = g.distance_vector_from(u)
+    marks = _geodesic_marks(g, dist, end)
+    length = dist[end]
+    exps = zero_exponent(g.n)
+    x = g.index[u]
+    for step in range(1, length + 1):
+        x, _, e = next(e for e in g.out_adj[x] if marks[e[0]] and dist[e[0]] == step)
+        exps = exponent_add(exps, e)
+    return length, exps
 
 
 def formula_weight(u: Perm, v: Perm) -> QExponent:
@@ -254,24 +254,19 @@ def shortest_path_weight_sets(
 ) -> dict[Perm, frozenset[QExponent]]:
     """
     For every target v, the set of weights over ALL shortest u -> v paths,
-    via dynamic programming over the BFS layers (a prefix of a shortest
-    path is shortest, so the recursion is exact).
+    pushed forward over the BFS layers along out-edges that step one layer
+    further (a prefix of a shortest path is shortest, so this is exact).
     """
     _check_vertices(g, u)
-    start = g.index[u]
     dist = g.distance_vector_from(u)
     order = sorted(range(len(g.vertices)), key=lambda w: (dist[w], w))
-    weights: list[frozenset[QExponent]] = [frozenset()] * len(g.vertices)
-    weights[start] = frozenset([zero_exponent(g.n)])
-    for w in order:
-        if w == start:
-            continue
-        acc: set[QExponent] = set()
-        for x, _, exps in g.in_adj[w]:
-            if dist[x] == dist[w] - 1:
-                acc.update(exponent_add(prev, exps) for prev in weights[x])
-        weights[w] = frozenset(acc)
-    return {g.vertices[w]: weights[w] for w in order}
+    weights: list[set[QExponent]] = [set() for _ in g.vertices]
+    weights[g.index[u]].add(zero_exponent(g.n))
+    for x in order:
+        for y, _, exps in g.out_adj[x]:
+            if dist[y] == dist[x] + 1:
+                weights[y].update(exponent_add(prev, exps) for prev in weights[x])
+    return {g.vertices[w]: frozenset(weights[w]) for w in order}
 
 
 def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import diagrams, exactgeom, qbgraph, tiltedorder
-from .errors import PreconditionError, SamplingError
+from .errors import PreconditionError, ResourceLimitError, SamplingError
 from .latticepath import prefix_paths
 from .permcore import (
     Perm,
@@ -54,6 +54,10 @@ class SuiteResult:
         return "\n".join(lines)
 
 
+#: Largest n for `increasing`: it lists all reduced words of w0 first (292,864 at n=6).
+MAX_INCREASING_N = 5
+
+
 def _fmt(w: Perm) -> str:
     return format_permutation(w)
 
@@ -62,19 +66,20 @@ def _fmt(w: Perm) -> str:
 
 
 def suite_distance(n: int, seed: int, samples: int) -> SuiteResult:
-    """Closed-form weight and length agree with the BFS oracle on all pairs."""
+    """Closed-form weight and length agree with the BFS oracle on all pairs:
+    with the BFS distance and with the weight of every shortest path."""
     g = build_graph(n)
     lengths = [coxeter_length(w) for w in g.vertices]
     pairs = 0
     mismatches = []
-    for j, v in enumerate(g.vertices):
-        to_v = g.distance_vector_to(v)
-        for i, u in enumerate(g.vertices):
+    for i, u in enumerate(g.vertices):
+        dist = g.distance_vector_from(u)
+        weight_sets = shortest_path_weight_sets(g, u)
+        for j, v in enumerate(g.vertices):
             pairs += 1
-            length, exps = qbgraph._geodesic(g, i, to_v)
             weight = formula_weight(u, v)
             # graph_distance's closed form, on the weight already in hand
-            if exps != weight or length != lengths[j] - lengths[i] + 2 * sum(weight):
+            if weight_sets[v] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
                 mismatches.append(f"mismatch at ({_fmt(u)}, {_fmt(v)})")
     return SuiteResult(
         "distance",
@@ -152,6 +157,8 @@ def suite_bfp(n: int, seed: int, samples: int) -> SuiteResult:
 
 def suite_increasing(n: int, seed: int, samples: int) -> SuiteResult:
     """Every reflection ordering admits exactly one increasing path per pair."""
+    if n > MAX_INCREASING_N:
+        raise ResourceLimitError(f"suite increasing is bounded at n <= {MAX_INCREASING_N}")
     g = build_graph(n)
     words = reduced_words_of_longest(n)
     expected_words = {3: 2, 4: 16}
@@ -184,6 +191,8 @@ def suite_rotation(n: int, seed: int, samples: int) -> SuiteResult:
     """Rotating all values by the long cycle preserves the unweighted edges."""
     if n < 2:
         raise PreconditionError(f"suite rotation needs n >= 2 (S_1 has no roots), got {n}")
+    if n > qbgraph.MAX_GRAPH_N:
+        raise ResourceLimitError(f"suite rotation is bounded at n <= {qbgraph.MAX_GRAPH_N}")
     bad = 0
     checked = 0
     roots = qbgraph.all_roots(n)
@@ -342,6 +351,8 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
     and closed) on sampled, generic, and coordinate flags, for every shift
     sequence valid for the pair.
     """
+    if n > exactgeom.MAX_TABLE_N:
+        raise ResourceLimitError(f"suite equivalence is bounded at n <= {exactgeom.MAX_TABLE_N}")
     fixed = [((4, 3, 2, 1), (3, 1, 4, 2))] if n == 4 else []
     fixed += [(identity(n), longest_element(n)), (identity(n), identity(n))]
     pairs = _draw_pairs(n, seed, fixed, max(50, samples))
@@ -450,6 +461,8 @@ def _disjointness(
 
 def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
     """Sampler round trips, the chart law, and stratum disjointness."""
+    if n > exactgeom.MAX_TABLE_N:
+        raise ResourceLimitError(f"suite stratify is bounded at n <= {exactgeom.MAX_TABLE_N}")
     bad: list[str] = []
     notes: list[str] = []
     if n <= 3:

@@ -24,12 +24,12 @@ from .errors import PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, _gale_leq, _prefix_paths, _walk
 from .permcore import Perm, format_permutation
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
+from .qbgraph import _check_vertices, _geodesic_marks
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
     """w <=_base v via the length identity (criterion on the graph)."""
-    if not len(base) == len(w) == len(v) == g.n:
-        raise PreconditionError("permutations must all live in the graph's S_n")
+    _check_vertices(g, base, w, v)
     dist_from_base = g.distance_vector_from(base)
     dist_from_w = g.distance_vector_from(w)
     i_w, i_v = g.index[w], g.index[v]
@@ -141,17 +141,13 @@ class TiltedInterval:
 
 
 def interval(u: Perm, v: Perm, g: QuantumBruhatGraph) -> TiltedInterval:
-    """[u, v] computed from the graph, with rank(w) = l(u, w)."""
+    """[u, v] computed from the graph, with rank(w) = l(u, w): the vertices
+    on a shortest u -> v walk, read off one BFS from u."""
+    _check_vertices(g, u, v)
     dist_from_u = g.distance_vector_from(u)
-    dist_to_v = g.distance_vector_to(v)
-    total = dist_from_u[g.index[v]]
-    members = frozenset(
-        w
-        for w, d_u, d_v in zip(g.vertices, dist_from_u, dist_to_v)
-        if d_u + d_v == total
-    )
-    rank = {w: dist_from_u[g.index[w]] for w in members}
-    return TiltedInterval(u, v, members, rank)
+    on_walk = _geodesic_marks(g, dist_from_u, g.index[v])
+    rank = {w: d for w, d, on in zip(g.vertices, dist_from_u, on_walk) if on}
+    return TiltedInterval(u, v, frozenset(rank), rank)
 
 
 def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:

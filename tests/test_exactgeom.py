@@ -178,6 +178,12 @@ class TestRankRegion:
         F = random_flag(3, 2)
         assert rank_region(F, [], 2) == 0
 
+    @pytest.mark.parametrize("region", [[0], [4], [1, 4], [-1, 2], [0, 1, 2, 3]])
+    def test_rows_out_of_range(self, region):
+        F = random_flag(3, 2)
+        with pytest.raises(PreconditionError, match="out of range 1..3"):
+            rank_region(F, region, 1)
+
     def test_permutation_counts(self):
         for w in all_permutations(4):
             F = permutation_flag(w)
@@ -236,6 +242,20 @@ class TestMembership:
         F = random_flag(4, 7)
         assert not member_T_plucker(u, v, F)
         assert not member_T_grassmann(u, v, (4, 4, 2), F)
+
+    # (u, v, a) of one size against a flag of another, in both directions
+    @pytest.mark.parametrize(
+        "u, v, a, n",
+        [
+            ((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 1), 3),
+            ((1, 2, 3), (3, 2, 1), (1, 1), 4),
+        ],
+    )
+    @pytest.mark.parametrize("route", [member_T_rank, member_T_grassmann])
+    def test_routes_refuse_a_flag_of_another_size(self, route, u, v, a, n):
+        for F in (permutation_flag(identity(n)), random_flag(n, 3)):
+            with pytest.raises(PreconditionError, match="match the flag's size"):
+                route(u, v, a, F)
 
     def test_rank_requires_comparable_shift(self):
         with pytest.raises(PreconditionError):

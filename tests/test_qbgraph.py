@@ -1,11 +1,12 @@
 import json
 import random
+from collections import deque
 from math import comb
 
 import pytest
 
 from qbg import qbgraph
-from qbg.errors import PreconditionError, ResourceLimitError
+from qbg.errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from qbg.permcore import (
     all_permutations,
     all_roots,
@@ -32,6 +33,7 @@ from qbg.qbgraph import (
     shortest_path_weight_sets,
     zero_exponent,
 )
+from qbg.tiltedorder import interval
 
 def checked_greedy_path(u, v):
     """Reference greedy path through the checked public calls: shifted_less
@@ -53,6 +55,64 @@ def checked_greedy_path(u, v):
             edges.append(QbgEdge(w, nxt, (k, p), exps))
             w, prev = nxt, p
     return edges
+
+
+class BackwardRule:
+    """
+    The shortest-walk rule that reads BFS distances *to* the end vertex,
+    over in-edges collected from all_edges(): w is on a shortest u -> v walk
+    when d(u, w) + d(w, v) = d(u, v), and the lexicographically least walk
+    steps, at each vertex, to the first out-neighbour whose distance to v is
+    one less.  The reference for the library's single forward BFS.
+    """
+
+    def __init__(self, g):
+        self.out = {w: [] for w in g.vertices}
+        self.into = {w: [] for w in g.vertices}
+        for e in g.all_edges():
+            self.out[e.source].append(e)
+            self.into[e.target].append(e.source)
+        self.n = g.n
+
+    @staticmethod
+    def _bfs(start, step):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in step(x):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist
+
+    def to(self, v):
+        return self._bfs(v, self.into.__getitem__)
+
+    def walk(self, u, v):
+        to_v = self.to(v)
+        length = to_v[u]
+        exps, w = zero_exponent(self.n), u
+        for remaining in range(length - 1, -1, -1):
+            e = next(e for e in self.out[w] if to_v[e.target] == remaining)
+            exps, w = qbgraph.exponent_add(exps, e.exps), e.target
+        return length, exps
+
+    def ranks(self, u, v):
+        from_u = self._bfs(u, lambda x: [e.target for e in self.out[x]])
+        to_v = self.to(v)
+        return {w: d for w, d in from_u.items() if w in to_v and d + to_v[w] == from_u[v]}
+
+
+# every pair for n <= 4, seeded pairs at n = 5
+PAIR_SIZES = [(1, None), (2, None), (3, None), (4, None), (5, 400)]
+
+
+def _pairs(g, count):
+    if count is None:
+        return [(u, v) for u in g.vertices for v in g.vertices]
+    rng = random.Random(g.n)
+    return [(rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(count)]
 
 
 FIG1_WEIGHTED = {
@@ -165,17 +225,9 @@ class TestBuildGraph:
 
 class TestRepresentation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_in_and_out_arrays_hold_the_same_edges(self, n):
-        g = build_graph(n)
-        out = {(i, j, t, e) for i, row in enumerate(g.out_adj) for j, t, e in row}
-        inc = {(i, j, t, e) for j, row in enumerate(g.in_adj) for i, t, e in row}
-        assert out == inc
-        assert len(out) == g.edge_count() == sum(len(row) for row in g.in_adj)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rows_sorted_by_neighbour_index(self, n):
         g = build_graph(n)
-        for row in g.out_adj + g.in_adj:
+        for row in g.out_adj:
             neighbours = [j for j, _, _ in row]
             assert neighbours == sorted(neighbours)
 
@@ -192,14 +244,44 @@ class TestRepresentation:
         distinct = {id(e) for row in g.out_adj for _, _, e in row}
         assert len(distinct) <= comb(n, 2) + 1
 
-    def test_oracle_matches_distance_suite_walk(self):
-        g = build_graph(4)
-        for v in g.vertices:
-            to_v = g.distance_vector_to(v)
-            for i, u in enumerate(g.vertices):
-                walk = qbgraph._geodesic(g, i, to_v)
-                assert oracle_distance(g, u, v) == walk
-                assert walk == (graph_distance(u, v), formula_weight(u, v))
+    @pytest.mark.parametrize("n, count", PAIR_SIZES)
+    def test_oracle_matches_the_backward_rule(self, n, count):
+        g = build_graph(n)
+        reference = BackwardRule(g)
+        for u, v in _pairs(g, count):
+            walk = reference.walk(u, v)
+            assert oracle_distance(g, u, v) == walk
+            assert walk == (graph_distance(u, v), formula_weight(u, v))
+
+    @pytest.mark.parametrize("n, count", PAIR_SIZES)
+    def test_interval_matches_the_backward_rule(self, n, count):
+        g = build_graph(n)
+        reference = BackwardRule(g)
+        for u, v in _pairs(g, count):
+            ti = interval(u, v, g)
+            assert ti.rank == reference.ranks(u, v)
+            assert ti.members == frozenset(ti.rank)
+
+    # Every edge of the quantum Bruhat graph changes the length by an odd
+    # amount, so none joins two vertices of one BFS layer; a graph read from
+    # JSON may have such an edge, between 132 and 312 here, in either
+    # direction, so the test does not depend on the order a layer is visited.
+    @pytest.mark.parametrize("inside", [((3, 1, 2), (1, 3, 2)), ((1, 3, 2), (3, 1, 2))])
+    def test_interval_skips_an_edge_inside_a_bfs_layer(self, inside):
+        a, d = (1, 2, 3), (2, 3, 1)
+        x, y = inside
+        g = qbgraph.QuantumBruhatGraph(
+            3, [(s, t, (1, 2), (0, 0)) for s, t in [(a, x), (a, y), (x, y), (y, d)]]
+        )
+        ti = interval(a, d, g)
+        assert ti.rank == BackwardRule(g).ranks(a, d) == {a: 0, y: 1, d: 2}
+        assert oracle_distance(g, a, d) == BackwardRule(g).walk(a, d) == (2, (0, 0))
+
+    def test_unreachable_end_is_refused(self):
+        g = qbgraph.QuantumBruhatGraph(3, [((1, 2, 3), (1, 3, 2), (2, 3), (0, 0))])
+        for route in (oracle_distance, lambda g, u, v: interval(u, v, g)):
+            with pytest.raises(InternalInvariantError, match="not strongly connected"):
+                route(g, (1, 3, 2), (1, 2, 3))
 
 
 class TestDistances:

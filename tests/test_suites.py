@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from qbg import exactgeom, suites, tiltedorder
+from qbg import exactgeom, qbgraph, suites, tiltedorder
 from qbg.cli import main
 from qbg.errors import PreconditionError, ResourceLimitError, SamplingError
 
@@ -90,6 +90,30 @@ def test_suites_refuse_sizes_below_one(capsys, n, name):
     assert main(["verify", "--suite", name, "--n", str(n)]) == 2
     least = LEAST_N[name] if n >= 1 else 1
     assert f"n >= {least}" in capsys.readouterr().err
+
+
+# Sizes at which a suite could not end: equivalence and stratify list all
+# of S_n, rotation walks every vertex and root, increasing lists every
+# reduced word of w0.  Each is refused before that work starts.
+TOO_LARGE = [
+    (n, name, bound)
+    for name, bound in [
+        ("equivalence", exactgeom.MAX_TABLE_N),
+        ("stratify", exactgeom.MAX_TABLE_N),
+        ("rotation", qbgraph.MAX_GRAPH_N),
+        ("increasing", suites.MAX_INCREASING_N),
+    ]
+    for n in (bound + 1, 12)
+]
+
+
+@pytest.mark.parametrize("n, name, bound", TOO_LARGE)
+def test_suites_refuse_sizes_that_cannot_end(capsys, n, name, bound):
+    with time_limit(10):
+        with pytest.raises(ResourceLimitError):
+            suites.run_suite(name, n)
+        assert main(["verify", "--suite", name, "--n", str(n)]) == 2
+    assert f"bounded at n <= {bound}" in capsys.readouterr().err
 
 
 def test_interval_member_set_refuses_n_beyond_the_graph_bound():

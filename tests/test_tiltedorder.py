@@ -64,6 +64,13 @@ class TestTiltedLeq:
             for v in g.vertices:
                 assert tilted_leq(e, w, v, g) == bruhat_leq(w, v)
 
+    @pytest.mark.parametrize("bad", [(1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)])
+    def test_refuses_a_non_vertex(self, g3, bad):
+        e, w0 = (1, 2, 3), (3, 2, 1)
+        for args in [(bad, e, w0), (e, bad, w0), (e, w0, bad)]:
+            with pytest.raises(PreconditionError, match="not a vertex"):
+                tilted_leq(*args, g3)
+
 
 class TestCriteria:
     def test_example_membership(self):
@@ -107,6 +114,12 @@ class TestCriteria:
 
 
 class TestInterval:
+    @pytest.mark.parametrize("bad", [(1, 1, 2), (1, 2), (1, 2, 3, 4)])
+    def test_refuses_a_non_vertex(self, g3, bad):
+        for u, v in [(bad, (2, 1, 3)), ((2, 1, 3), bad)]:
+            with pytest.raises(PreconditionError, match="not a vertex"):
+                interval(u, v, g3)
+
     def test_point(self, g3):
         ti = interval((2, 1, 3), (2, 1, 3), g3)
         assert ti.members == {(2, 1, 3)}
