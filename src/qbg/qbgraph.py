@@ -11,32 +11,24 @@ graph (the oracle) and the closed-form prefix-depth formula, which needs
 no graph at all.  The built graph stores each edge once, and every question
 about shortest u -> v walks (the oracle, intervals, weight sets) reads one
 BFS from u.
+
+The edge set is derived twice, by code that shares nothing: `_edge_exps`
+applies the length rule to one root, and `build_graph` runs `_out_edges`,
+one scan per position; the tests pin the two against each other.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    InternalInvariantError,
-    ParseError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import InternalInvariantError, ParseError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, prefix_paths
 from .permcore import (
-    Perm,
-    Root,
-    all_permutations,
-    all_roots,
-    apply_transposition,
-    coxeter_length,
-    format_permutation,
-    is_reflection_ordering,
-    parse_permutation,
-    validate_permutation,
+    Perm, Root, all_permutations, all_roots, apply_transposition, coxeter_length,
+    format_permutation, is_reflection_ordering, parse_permutation, validate_permutation,
 )
 
 QExponent = tuple[int, ...]
@@ -68,13 +60,8 @@ def monomial_str(exps: QExponent) -> str:
     >>> monomial_str((1, 1, 2, 2, 1, 1))
     'q1*q2*q3^2*q4^2*q5*q6'
     """
-    parts = []
-    for i, e in enumerate(exps, start=1):
-        if e == 1:
-            parts.append(f"q{i}")
-        elif e >= 2:
-            parts.append(f"q{i}^{e}")
-    return "*".join(parts) if parts else "1"
+    parts = [f"q{i}" if e == 1 else f"q{i}^{e}" for i, e in enumerate(exps, start=1) if e > 0]
+    return "*".join(parts) or "1"
 
 
 class QbgEdge(NamedTuple):
@@ -112,11 +99,47 @@ def _edge_exps(w: Perm, t: Root, n: int) -> QExponent | None:
     a, b = w[i - 1], w[j - 1]
     lo, hi = min(a, b), max(a, b)
     m = sum(1 for x in w[i:j - 1] if lo < x < hi)
+    zero, roots = _root_exps(n)
     if a < b:
-        return zero_exponent(n) if m == 0 else None
+        return zero if m == 0 else None
     if m == j - i - 1:
-        return tuple(1 if i <= p <= j - 1 else 0 for p in range(1, n))
+        return roots[i - 1][j - 1][1]
     return None
+
+
+# one entry per n, of C(n, 2) tuples of n - 1 ints
+@lru_cache(maxsize=8)
+def _root_exps(n: int) -> tuple[QExponent, tuple[tuple, ...]]:
+    """The exponent tuples of S_n's edges, one object each: the zero tuple of
+    up edges, and at [i - 1][j - 1] the root (i, j) with the indicator of
+    positions i..j-1 that its down edges carry."""
+    rows: list[list] = [[None] * n for _ in range(n)]
+    for i, j in all_roots(n):
+        rows[i - 1][j - 1] = ((i, j), tuple(1 if i <= p < j else 0 for p in range(1, n)))
+    return zero_exponent(n), tuple(map(tuple, rows))
+
+
+def _out_edges(w: Perm, n: int) -> Iterator[tuple[Perm, Root, QExponent]]:
+    """Every edge w -> w t as (w t, t, exps), with no length count: for each
+    position i, one walk over j = i+1..n keeps the least value above w_i so
+    far (n + 1 before any) and the least value so far (w_i before any).
+    (i, j) is an up edge when w_i < w_j < that least value above, and a down
+    edge when no value above w_i came before and w_j < the least value."""
+    zero, roots = _root_exps(n)
+    word = list(w)
+    for i, a in enumerate(w):
+        above, least, row = n + 1, a, roots[i]
+        for j in range(i + 1, n):
+            b = w[j]
+            if a < b < above:
+                above, exps = b, zero
+            elif above > n and b < least:
+                least, exps = b, row[j][1]
+            else:
+                continue
+            word[i], word[j] = b, a
+            yield tuple(word), row[j][0], exps
+            word[i], word[j] = a, b
 
 
 class QuantumBruhatGraph:
@@ -164,8 +187,9 @@ class QuantumBruhatGraph:
 
 def build_graph(n: int) -> QuantumBruhatGraph:
     """
-    The full quantum Bruhat graph on S_n.  Edges share one object per
-    distinct exponent tuple (at most C(n,2) + 1 of them).
+    The full quantum Bruhat graph on S_n, from one `_out_edges` scan per
+    vertex.  Edges share one object per root and per distinct exponent
+    tuple (at most C(n,2) + 1 of them), those of `_root_exps(n)`.
 
     >>> g = build_graph(3)
     >>> g.edge_count()
@@ -173,15 +197,7 @@ def build_graph(n: int) -> QuantumBruhatGraph:
     """
     if not 1 <= n <= MAX_GRAPH_N:
         raise ResourceLimitError(f"graph construction is bounded at n <= {MAX_GRAPH_N}")
-    roots = all_roots(n)
-    interned: dict[QExponent, QExponent] = {}
-    edges = (
-        (w, apply_transposition(w, t), t, interned.setdefault(exps, exps))
-        for w in all_permutations(n)
-        for t in roots
-        if (exps := _edge_exps(w, t, n)) is not None
-    )
-    return QuantumBruhatGraph(n, edges)
+    return QuantumBruhatGraph(n, ((w, *e) for w in all_permutations(n) for e in _out_edges(w, n)))
 
 
 def _check_vertices(g: QuantumBruhatGraph, *perms: Perm) -> None:
@@ -249,9 +265,7 @@ def graph_distance(u: Perm, v: Perm) -> int:
     return coxeter_length(v) - coxeter_length(u) + 2 * sum(formula_weight(u, v))
 
 
-def shortest_path_weight_sets(
-    g: QuantumBruhatGraph, u: Perm
-) -> dict[Perm, frozenset[QExponent]]:
+def shortest_path_weight_sets(g: QuantumBruhatGraph, u: Perm) -> dict[Perm, frozenset[QExponent]]:
     """
     For every target v, the set of weights over ALL shortest u -> v paths,
     pushed forward over the BFS layers along out-edges that step one layer
@@ -302,10 +316,7 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
         while w[k - 1] != target:
             # ranks in the shifted order with minimum base, as permcore.shifted_key
             rank = (w[k - 1] - base) % n
-            p = next(
-                (p for p in range(prev + 1, n + 1) if (w[p - 1] - base) % n > rank),
-                None,
-            )
+            p = next((p for p in range(prev + 1, n + 1) if (w[p - 1] - base) % n > rank), None)
             if p is None:
                 raise InternalInvariantError("greedy stage ran out of positions")
             t = (k, p)
@@ -314,10 +325,8 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
                 raise InternalInvariantError(
                     f"greedy step {format_permutation(w)} x t_{{{k},{p}}} is not an edge"
                 )
-            nxt = apply_transposition(w, t)
-            edges.append(QbgEdge(w, nxt, t, exps))
-            w = nxt
-            prev = p
+            edges.append(QbgEdge(w, apply_transposition(w, t), t, exps))
+            w, prev = edges[-1].target, p
     return edges
 
 
@@ -325,9 +334,8 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
 # Label-increasing paths
 
 
-def increasing_paths_from(
-    g: QuantumBruhatGraph, u: Perm, ordering: Sequence[Root]
-) -> dict[Perm, list[tuple[QbgEdge, ...]]]:
+def increasing_paths_from(g: QuantumBruhatGraph, u: Perm,
+                          ordering: Sequence[Root]) -> dict[Perm, list[tuple[QbgEdge, ...]]]:
     """
     Every directed path out of u whose label sequence strictly increases
     in the given reflection ordering, grouped by endpoint.  Exactly one
@@ -359,23 +367,14 @@ def increasing_paths_from(
 # Export formats
 
 
-def edge_dot(e: QbgEdge) -> str:
-    """One DOT edge line: one-line labels and the weight monomial."""
-    return (
-        f'  "{format_permutation(e.source)}" -> '
-        f'"{format_permutation(e.target)}" '
-        f'[weight="{monomial_str(e.exps)}"];'
-    )
+def edge_dot(source: str, target: str, weight: str) -> str:
+    """One DOT edge line from formatted labels and weight monomial text."""
+    return f'  "{source}" -> "{target}" [weight="{weight}"];'
 
 
-def edge_record(e: QbgEdge) -> dict:
+def edge_record(source: str, target: str, root: Root, exps: QExponent) -> dict:
     """One JSON edge record: {"source", "target", "root", "exps"}."""
-    return {
-        "source": format_permutation(e.source),
-        "target": format_permutation(e.target),
-        "root": list(e.root),
-        "exps": list(e.exps),
-    }
+    return {"source": source, "target": target, "root": list(root), "exps": list(exps)}
 
 
 def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
@@ -383,19 +382,24 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
     DOT: one node per permutation (one-line label) and a "weight" edge
     attribute holding the monomial text.  JSON: schema documented in the
     README ({"n", "vertices", "edges": [{"source","target","root","exps"}]}).
+    Each vertex label and each distinct monomial is formatted once.
     """
+    labels = [format_permutation(w) for w in g.vertices]
     if fmt == "dot":
-        lines = ["digraph qbg {"]
-        for w in g.vertices:
-            lines.append(f'  "{format_permutation(w)}";')
-        lines.extend(map(edge_dot, g.all_edges()))
+        weights: dict[QExponent, str] = {}
+        lines = ["digraph qbg {", *(f'  "{label}";' for label in labels)]
+        for source, row in zip(labels, g.out_adj):
+            for j, _, exps in row:
+                weight = weights.get(exps) or weights.setdefault(exps, monomial_str(exps))
+                lines.append(edge_dot(source, labels[j], weight))
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
             "n": g.n,
-            "vertices": [format_permutation(w) for w in g.vertices],
-            "edges": [edge_record(e) for e in g.all_edges()],
+            "vertices": labels,
+            "edges": [edge_record(source, labels[j], root, exps)
+                      for source, row in zip(labels, g.out_adj) for j, root, exps in row],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")
@@ -407,12 +411,8 @@ def graph_from_json(text: str) -> QuantumBruhatGraph:
         payload = json.loads(text)
         n = payload["n"]
         edges = [
-            QbgEdge(
-                parse_permutation(item["source"]),
-                parse_permutation(item["target"]),
-                tuple(item["root"]),
-                tuple(item["exps"]),
-            )
+            (parse_permutation(item["source"]), parse_permutation(item["target"]),
+             tuple(item["root"]), tuple(item["exps"]))
             for item in payload["edges"]
         ]
     except (KeyError, TypeError, json.JSONDecodeError) as exc:

@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, _gale_leq, _prefix_paths, _walk
 from .permcore import Perm, format_permutation
-from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
+from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record, monomial_str
 from .qbgraph import _check_vertices, _geodesic_marks
 
 
@@ -33,6 +33,8 @@ def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
     dist_from_base = g.distance_vector_from(base)
     dist_from_w = g.distance_vector_from(w)
     i_w, i_v = g.index[w], g.index[v]
+    if min(dist_from_base[i_w], dist_from_w[i_v], dist_from_base[i_v]) < 0:
+        raise InternalInvariantError("graph is not strongly connected")
     return dist_from_base[i_w] + dist_from_w[i_v] == dist_from_base[i_v]
 
 
@@ -170,25 +172,27 @@ def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
 def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
     """DOT (rank-grouped) or JSON rendering of the interval's diagram in g."""
     edges = cover_edges(g, ti.rank)
+    members = sorted(ti.members)
+    labels = {w: format_permutation(w) for w in members}
     if fmt == "dot":
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for r in range(ti.length + 1):
-            row = sorted(w for w in ti.members if ti.rank[w] == r)
-            names = " ".join(f'"{format_permutation(w)}";' for w in row)
+            names = " ".join(f'"{labels[w]}";' for w in members if ti.rank[w] == r)
             lines.append(f"  {{ rank=same; {names} }}")
-        lines.extend(map(edge_dot, edges))
+        lines.extend(
+            edge_dot(labels[e.source], labels[e.target], monomial_str(e.exps)) for e in edges
+        )
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
-            "bottom": format_permutation(ti.bottom),
-            "top": format_permutation(ti.top),
+            "bottom": labels[ti.bottom],
+            "top": labels[ti.top],
             "length": ti.length,
-            "members": [
-                {"perm": format_permutation(w), "rank": ti.rank[w]}
-                for w in sorted(ti.members)
+            "members": [{"perm": labels[w], "rank": ti.rank[w]} for w in members],
+            "edges": [
+                edge_record(labels[e.source], labels[e.target], e.root, e.exps) for e in edges
             ],
-            "edges": [edge_record(e) for e in edges],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")

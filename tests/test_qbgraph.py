@@ -4,6 +4,7 @@ from collections import deque
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qbg import qbgraph
 from qbg.errors import InternalInvariantError, PreconditionError, ResourceLimitError
@@ -13,6 +14,7 @@ from qbg.permcore import (
     apply_transposition,
     coxeter_length,
     cyclic_contains,
+    format_permutation,
     parse_permutation,
     reflection_ordering,
     shifted_less,
@@ -33,7 +35,7 @@ from qbg.qbgraph import (
     shortest_path_weight_sets,
     zero_exponent,
 )
-from qbg.tiltedorder import interval
+from qbg.tiltedorder import cover_edges, hasse_export, interval
 
 def checked_greedy_path(u, v):
     """Reference greedy path through the checked public calls: shifted_less
@@ -223,6 +225,50 @@ class TestBuildGraph:
             build_graph(8)
 
 
+def length_rule_edges(n):
+    """Every edge by the single-root length rule: (w, w t, t, edge_weight(w, t))."""
+    return {
+        (w, apply_transposition(w, t), t, exps)
+        for w in all_permutations(n)
+        for t in all_roots(n)
+        if (exps := edge_weight(w, t)) is not None
+    }
+
+
+class TestScan:
+    """The per-position scan that builds the graph against the length rule."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_edge_set_matches_the_length_rule(self, n):
+        edges = {(e.source, e.target, e.root, e.exps) for e in build_graph(n).all_edges()}
+        assert edges == length_rule_edges(n)
+
+    def test_n7_edge_count(self):
+        assert build_graph(7).edge_count() == 56196
+
+    @given(st.integers(8, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_scan_matches_the_length_rule_beyond_the_graph(self, word):
+        # no graph is built at these sizes: the scan is checked vertex by vertex
+        w, n = tuple(word), len(word)
+        scanned = {t: (target, exps) for target, t, exps in qbgraph._out_edges(w, n)}
+        counted = {
+            t: (apply_transposition(w, t), exps)
+            for t in all_roots(n)
+            if (exps := edge_weight(w, t)) is not None
+        }
+        assert scanned == counted
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_single_edge_queries_return_the_graph_tuples(self, n):
+        g = build_graph(n)
+        for e in g.all_edges():
+            assert edge_weight(e.source, e.root) is e.exps
+        held = {(e.source, e.target): e.exps for e in g.all_edges()}
+        for u, v in _pairs(g, 20):
+            for e in bfp_greedy_path(u, v):
+                assert e.exps is held[(e.source, e.target)]
+
+
 class TestRepresentation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rows_sorted_by_neighbour_index(self, n):
@@ -391,7 +437,77 @@ class TestIncreasingPaths:
             increasing_paths_from(g, (1, 2, 3), ((1, 3), (1, 2), (2, 3)))
 
 
+def old_edge_dot(e):
+    return (
+        f'  "{format_permutation(e.source)}" -> '
+        f'"{format_permutation(e.target)}" '
+        f'[weight="{monomial_str(e.exps)}"];'
+    )
+
+
+def old_edge_record(e):
+    return {
+        "source": format_permutation(e.source),
+        "target": format_permutation(e.target),
+        "root": list(e.root),
+        "exps": list(e.exps),
+    }
+
+
+def old_export_graph(g, fmt):
+    """The exporter that formatted both labels of every edge anew."""
+    if fmt == "dot":
+        lines = ["digraph qbg {"]
+        for w in g.vertices:
+            lines.append(f'  "{format_permutation(w)}";')
+        lines.extend(map(old_edge_dot, g.all_edges()))
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    payload = {
+        "n": g.n,
+        "vertices": [format_permutation(w) for w in g.vertices],
+        "edges": [old_edge_record(e) for e in g.all_edges()],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def old_hasse_export(ti, g, fmt):
+    edges = cover_edges(g, ti.rank)
+    if fmt == "dot":
+        lines = ["digraph hasse {", "  rankdir=BT;"]
+        for r in range(ti.length + 1):
+            row = sorted(w for w in ti.members if ti.rank[w] == r)
+            names = " ".join(f'"{format_permutation(w)}";' for w in row)
+            lines.append(f"  {{ rank=same; {names} }}")
+        lines.extend(map(old_edge_dot, edges))
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    payload = {
+        "bottom": format_permutation(ti.bottom),
+        "top": format_permutation(ti.top),
+        "length": ti.length,
+        "members": [
+            {"perm": format_permutation(w), "rank": ti.rank[w]} for w in sorted(ti.members)
+        ],
+        "edges": [old_edge_record(e) for e in edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestExport:
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bytes_match_the_per_edge_writer(self, n, fmt):
+        g = build_graph(n)
+        assert export_graph(g, fmt) == old_export_graph(g, fmt)
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_hasse_bytes_match_the_per_edge_writer(self, fmt):
+        g = build_graph(4)
+        for u, v in _pairs(g, 40):
+            ti = interval(u, v, g)
+            assert hasse_export(ti, g, fmt) == old_hasse_export(ti, g, fmt)
+
     def test_dot_counts(self):
         text = export_graph(build_graph(3), "dot")
         edge_lines = [ln for ln in text.splitlines() if "->" in ln]

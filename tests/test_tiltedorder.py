@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from qbg.errors import PreconditionError
+from qbg.errors import InternalInvariantError, PreconditionError
 from qbg.latticepath import shifted_gale_leq, valid_shifts
 from qbg.permcore import (
     all_permutations,
@@ -14,7 +14,7 @@ from qbg.permcore import (
     prefix_set,
     value_mask,
 )
-from qbg.qbgraph import build_graph, edge_weight, graph_distance
+from qbg.qbgraph import QuantumBruhatGraph, build_graph, edge_weight, graph_distance
 from qbg.suites import _FIGURE_D132_EDGES, base_poset_hasse
 from qbg.tiltedorder import (
     admissible_nodes,
@@ -70,6 +70,13 @@ class TestTiltedLeq:
         for args in [(bad, e, w0), (e, bad, w0), (e, w0, bad)]:
             with pytest.raises(PreconditionError, match="not a vertex"):
                 tilted_leq(*args, g3)
+
+    def test_unreachable_vertex_is_refused(self):
+        # 123 -> 132 is the only edge, so 123 cannot be reached from 132;
+        # the distances then read -1 + 0 == -1
+        g = QuantumBruhatGraph(3, [((1, 2, 3), (1, 3, 2), (2, 3), (0, 0))])
+        with pytest.raises(InternalInvariantError, match="not strongly connected"):
+            tilted_leq((1, 3, 2), (1, 2, 3), (1, 2, 3), g)
 
 
 class TestCriteria:
