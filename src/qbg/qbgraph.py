@@ -372,9 +372,28 @@ def edge_dot(source: str, target: str, weight: str) -> str:
     return f'  "{source}" -> "{target}" [weight="{weight}"];'
 
 
-def edge_record(source: str, target: str, root: Root, exps: QExponent) -> dict:
-    """One JSON edge record: {"source", "target", "root", "exps"}."""
-    return {"source": source, "target": target, "root": list(root), "exps": list(exps)}
+# The JSON exports are written as text, byte for byte what
+# json.dumps(payload, indent=2, sort_keys=True) writes, whose encoder runs
+# in pure Python when indenting.  Labels arrive as JSON string literals.
+
+
+@lru_cache(maxsize=256)
+def _json_ints(values: tuple[int, ...]) -> str:
+    """A list of ints as the value of a field of an edge record."""
+    return "[\n" + ",\n".join(f"        {json.dumps(x)}" for x in values) + "\n      ]" if values else "[]"
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level field's list of items already written at depth 2."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def edge_record(source: str, target: str, root: Root, exps: QExponent) -> str:
+    """One JSON edge record {"exps", "root", "source", "target"}, written as
+    an item of a top-level "edges" list; `source` and `target` are JSON
+    string literals."""
+    return (f'    {{\n      "exps": {_json_ints(exps)},\n      "root": {_json_ints(root)},\n'
+            f'      "source": {source},\n      "target": {target}\n    }}')
 
 
 def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
@@ -395,13 +414,11 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "n": g.n,
-            "vertices": labels,
-            "edges": [edge_record(source, labels[j], root, exps)
-                      for source, row in zip(labels, g.out_adj) for j, root, exps in row],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        quoted = list(map(json.dumps, labels))
+        edges = [edge_record(source, quoted[j], root, exps)
+                 for source, row in zip(quoted, g.out_adj) for j, root, exps in row]
+        return (f'{{\n  "edges": {_json_list(edges)},\n  "n": {json.dumps(g.n)},\n'
+                f'  "vertices": {_json_list([f"    {q}" for q in quoted])}\n}}\n')
     raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")
 
 

@@ -4,16 +4,23 @@ family of invariants exhaustively at desk scale and reports instance
 counts; the acceptance tests run them at their contractual sizes.
 
 All comparisons are exact; a suite passes only with zero violations.
+Where a check depends on less than the instance, it runs once per distinct
+state and counts every instance it covers: `tilted` decides each prefix
+criterion per column state (u_k, v_k, S) from tables per pair of prefix
+sets, and `samepath` counts walks per (vertex, length, weight).  Every
+instance is still decided by every route.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations, product
 from math import comb
+from operator import or_
 
 from . import diagrams, exactgeom, qbgraph, tiltedorder
 from .errors import PreconditionError, ResourceLimitError, SamplingError
-from .latticepath import prefix_paths
+from .latticepath import _gale_leq, _walk, prefix_paths
 from .permcore import (
     Perm,
     all_permutations,
@@ -24,18 +31,17 @@ from .permcore import (
     longest_element,
     reduced_words_of_longest,
     reflection_ordering,
+    value_mask,
 )
 from .qbgraph import (
     QuantumBruhatGraph,
     build_graph,
     edge_weight,
-    exponent_add,
     exponent_divides,
     formula_weight,
     graph_distance,
     increasing_paths_from,
     shortest_path_weight_sets,
-    zero_exponent,
 )
 
 
@@ -56,6 +62,10 @@ class SuiteResult:
 
 #: Largest n for `increasing`: it lists all reduced words of w0 first (292,864 at n=6).
 MAX_INCREASING_N = 5
+#: Largest n for `samepath`: each n up multiplies its work some fifty-fold (28 s at n=6, 2 CPUs).
+MAX_SAMEPATH_N = 6
+#: Largest n for `tilted`: it decides (n!)^3 triples, 1.3 x 10^11 at n=7.
+MAX_TILTED_N = 6
 
 
 def _fmt(w: Perm) -> str:
@@ -95,39 +105,58 @@ def suite_samepath(n: int, seed: int, samples: int) -> SuiteResult:
     All shortest paths between a pair carry one common weight; every walk
     within two steps of geodesic length carries a weight divisible by it,
     with equality only at geodesic length.
+
+    The walks from u are counted, not listed: layer L maps each vertex to
+    the weights of the bounded walks of length L that end there, with the
+    number of walks of each.  Both checks run once per (vertex, L, weight),
+    and each counts its walks, into the violations too when it fails.
     """
+    if n > MAX_SAMEPATH_N:
+        raise ResourceLimitError(f"suite samepath is bounded at n <= {MAX_SAMEPATH_N}")
     g = build_graph(n)
     bad: list[str] = []
-    pairs = 0
-    walks = 0
+    pairs = walks = violations = 0
+
+    def fail(count: int, message: str) -> None:
+        nonlocal violations
+        violations += count
+        if len(bad) < 10:
+            bad.append(message)
+
+    # weights packed 16 bits per coordinate: a bounded walk is shorter than
+    # |S_n| + 2 steps and raises each coordinate by at most 1 per step
+    steps = [[(t, sum(e << 16 * p for p, e in enumerate(exps))) for t, _, exps in row]
+             for row in g.out_adj]
     for u in g.vertices:
-        u_idx = g.index[u]
         weight_sets = shortest_path_weight_sets(g, u)
         for v in g.vertices:
             pairs += 1
             if len(weight_sets[v]) != 1:
-                bad.append(f"several shortest-path weights for ({_fmt(u)}, {_fmt(v)})")
+                fail(1, f"several shortest-path weights for ({_fmt(u)}, {_fmt(v)})")
         minimal = [next(iter(weight_sets[w])) for w in g.vertices]
         dist = g.distance_vector_from(u)
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(u_idx, 0, zero_exponent(n))]
-        while stack:
-            w_idx, length, exps = stack.pop()
-            walks += 1
-            ref = minimal[w_idx]
-            if not exponent_divides(ref, exps):
-                bad.append(f"walk weight below minimum at {_fmt(g.vertices[w_idx])}")
-            elif exps == ref and length != dist[w_idx]:
-                bad.append(f"minimal weight on a non-shortest walk from {_fmt(u)}")
-            for t_idx, _, e_exps in g.out_adj[w_idx]:
-                if length + 1 <= dist[t_idx] + 2:
-                    stack.append((t_idx, length + 1, exponent_add(exps, e_exps)))
-    return SuiteResult(
-        "samepath",
-        n,
-        not bad,
-        f"{pairs} pairs, {walks} bounded walks, {len(bad)} violations",
-        bad[:10],
-    )
+        layer: dict[int, dict[int, int]] = {g.index[u]: {0: 1}}
+        length = 0
+        while layer:
+            following: dict[int, dict[int, int]] = {}
+            for w_idx, weights in layer.items():
+                ref = minimal[w_idx]
+                for packed, count in weights.items():
+                    walks += count
+                    exps = tuple(packed >> 16 * p & 0xFFFF for p in range(n - 1))
+                    if not exponent_divides(ref, exps):
+                        fail(count, f"walk weight below minimum at {_fmt(g.vertices[w_idx])}")
+                    elif exps == ref and length != dist[w_idx]:
+                        fail(count, f"minimal weight on a non-shortest walk from {_fmt(u)}")
+                for t_idx, step in steps[w_idx]:
+                    if length + 1 <= dist[t_idx] + 2:
+                        reached = following.setdefault(t_idx, {})
+                        for packed, count in weights.items():
+                            reached[packed + step] = reached.get(packed + step, 0) + count
+            layer = following
+            length += 1
+    body = f"{pairs} pairs, {walks} bounded walks, {violations} violations"
+    return SuiteResult("samepath", n, not violations, body, bad)
 
 
 def suite_bfp(n: int, seed: int, samples: int) -> SuiteResult:
@@ -225,32 +254,92 @@ def base_poset_hasse(g: QuantumBruhatGraph, base: Perm) -> set[tuple[Perm, Perm]
     return {(e.source, e.target) for e in tiltedorder.cover_edges(g, rank)}
 
 
+def _shift_tables(n: int) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
+    """
+    The valid shifts of every pair (A, B) of k-subsets of [n], 1 <= k < n,
+    keyed by the bitmask pair A << n | B, by two routes that share nothing:
+    the path route reads them off the comparison path (`_walk`), the sorting
+    route keeps each r with A <=_r B (`_gale_leq`).  Each distinct shift set
+    is one frozenset object.
+    """
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    paths: dict[int, frozenset[int]] = {}
+    sorting: dict[int, frozenset[int]] = {}
+    shifts = range(1, n + 1)
+    for k in range(1, n):
+        subsets = [(value_mask(A), A) for A in combinations(shifts, k)]
+        for (a, A), (b, B) in product(subsets, repeat=2):
+            by_path = _walk([0] * (n + 1), zip(A, B))[-1][1]
+            by_sorting = frozenset(r for r in shifts if _gale_leq(A, B, r, n))
+            paths[a << n | b] = shared.setdefault(by_path, by_path)
+            sorting[a << n | b] = shared.setdefault(by_sorting, by_sorting)
+    return paths, sorting
+
+
 def suite_tilted(n: int, seed: int, samples: int) -> SuiteResult:
-    """The three membership criteria agree on every (u, v, w) triple."""
+    """
+    The three membership criteria agree on every (u, v, w) triple: the BFS
+    length identity, exists_shift on the path route (the valid shifts of
+    (u_k, w_k) and (w_k, v_k) meet in every column k) and all_shifts on the
+    sorting route (every valid shift of (u_k, v_k) puts w_k between them).
+    The prefix criteria read only prefix sets, so each is decided once per
+    column state (u_k, v_k, S) from `_shift_tables`, as the set of vertices
+    with k-prefix set S that fail it there.  Per pair (u, v) each route
+    gives a bitmask over all w, and the three are compared bit by bit.
+    """
+    if n > MAX_TILTED_N:
+        raise ResourceLimitError(f"suite tilted is bounded at n <= {MAX_TILTED_N}")
     g = build_graph(n)
-    dist = [g.distance_vector_from(u) for u in g.vertices]
+    vertices = g.vertices
+    everyone = (1 << len(vertices)) - 1
+    prefixes: list[list[int]] = []  # the k-prefix sets of each vertex
+    holders: dict[int, int] = {}  # the vertices with each prefix set
+    for k, w in enumerate(vertices):
+        prefixes.append(list(accumulate((1 << (x - 1) for x in w[:-1]), or_)))
+        for S in prefixes[-1]:
+            holders[S] = holders.get(S, 0) | 1 << k
+    paths, sorting = _shift_tables(n)
+    failing: dict[int, tuple[int, int]] = {}  # (exists_shift, all_shifts) per (A, B)
+    for key, need in paths.items():
+        A, B = key >> n, key & ((1 << n) - 1)
+        exists_out = all_out = 0
+        for S, held in holders.items():
+            if S.bit_count() == A.bit_count():
+                if not paths[A << n | S] & paths[S << n | B]:
+                    exists_out |= held
+                if not need <= sorting[A << n | S] & sorting[S << n | B]:
+                    all_out |= held
+        failing[key] = exists_out, all_out
+    dist = [g.distance_vector_from(u) for u in vertices]
+    from_u: list[dict[int, int]] = [{} for _ in vertices]  # d -> the w with d(u, w) = d
+    to_v: list[dict[int, int]] = [{} for _ in vertices]  # d -> the w with d(w, v) = d
+    for i, row in enumerate(dist):
+        for k, d in enumerate(row):
+            from_u[i][d] = from_u[i].get(d, 0) | 1 << k
+            to_v[k][d] = to_v[k].get(d, 0) | 1 << i
     bad: list[str] = []
-    triples = 0
-    for i, u in enumerate(g.vertices):
-        du = dist[i]
-        for j, v in enumerate(g.vertices):
-            total = du[j]
-            for k, w in enumerate(g.vertices):
-                triples += 1
-                by_length = du[k] + dist[k][j] == total
-                by_all = tiltedorder.interval_members_criterion(u, v, w, "all_shifts")
-                by_exists = tiltedorder.interval_members_criterion(
-                    u, v, w, "exists_shift"
-                )
-                if not by_length == by_all == by_exists:
-                    bad.append(f"criteria split on ({_fmt(u)}, {_fmt(v)}, {_fmt(w)})")
+    for i, u in enumerate(vertices):
+        for j, v in enumerate(vertices):
+            by_length = 0
+            for d, near in from_u[i].items():
+                by_length |= near & to_v[j].get(dist[i][j] - d, 0)
+            by_exists = by_all = everyone
+            for A, B in zip(prefixes[i], prefixes[j]):
+                exists_out, all_out = failing[A << n | B]
+                by_exists &= ~exists_out
+                by_all &= ~all_out
+            split = (by_length ^ by_exists) | (by_length ^ by_all)
+            while split and len(bad) < 10:
+                w = vertices[(split & -split).bit_length() - 1]
+                bad.append(f"criteria split on ({_fmt(u)}, {_fmt(v)}, {_fmt(w)})")
+                split &= split - 1
     if n == 3:
         base = (1, 3, 2)
         if sorted(g.distance_vector_from(base)) != [0, 1, 1, 1, 2, 2]:
             bad.append("rank profile of the base-132 order is wrong")
         if base_poset_hasse(g, base) != _FIGURE_D132_EDGES:
             bad.append("cover relations of the base-132 order are wrong")
-    body = f"{triples} triples, " + ("equivalences hold" if not bad else "violations")
+    body = f"{len(vertices) ** 3} triples, " + ("equivalences hold" if not bad else "violations")
     return SuiteResult("tilted", n, not bad, body, bad[:10])
 
 
@@ -339,8 +428,6 @@ def _draw_pairs(
 
 
 def _all_shift_sequences(u: Perm, v: Perm) -> list[tuple[int, ...]]:
-    from itertools import product
-
     per_column = [sorted(shifts) for _, shifts in prefix_paths(u, v)]
     return [tuple(a) for a in product(*per_column)]
 

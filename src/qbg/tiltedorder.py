@@ -24,7 +24,7 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .latticepath import _check_perms, _gale_leq, _prefix_paths, _walk
 from .permcore import Perm, format_permutation
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record, monomial_str
-from .qbgraph import _check_vertices, _geodesic_marks
+from .qbgraph import _check_vertices, _geodesic_marks, _json_list
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -185,14 +185,11 @@ def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "bottom": labels[ti.bottom],
-            "top": labels[ti.top],
-            "length": ti.length,
-            "members": [{"perm": labels[w], "rank": ti.rank[w]} for w in members],
-            "edges": [
-                edge_record(labels[e.source], labels[e.target], e.root, e.exps) for e in edges
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        quoted = {w: json.dumps(labels[w]) for w in members}
+        ranks = [f'    {{\n      "perm": {quoted[w]},\n      "rank": {ti.rank[w]}\n    }}'
+                 for w in members]
+        records = [edge_record(quoted[e.source], quoted[e.target], e.root, e.exps) for e in edges]
+        return (f'{{\n  "bottom": {quoted[ti.bottom]},\n  "edges": {_json_list(records)},\n'
+                f'  "length": {ti.length},\n  "members": {_json_list(ranks)},\n'
+                f'  "top": {quoted[ti.top]}\n}}\n')
     raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")

@@ -496,7 +496,7 @@ def old_hasse_export(ti, g, fmt):
 
 class TestExport:
     @pytest.mark.parametrize("fmt", ["dot", "json"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_bytes_match_the_per_edge_writer(self, n, fmt):
         g = build_graph(n)
         assert export_graph(g, fmt) == old_export_graph(g, fmt)
@@ -507,6 +507,13 @@ class TestExport:
         for u, v in _pairs(g, 40):
             ti = interval(u, v, g)
             assert hasse_export(ti, g, fmt) == old_hasse_export(ti, g, fmt)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    def test_hasse_json_matches_the_encoder(self, n):
+        g = build_graph(n)
+        for u, v in _pairs(g, 40):
+            ti = interval(u, v, g)
+            assert hasse_export(ti, g, "json") == old_hasse_export(ti, g, "json")
 
     def test_dot_counts(self):
         text = export_graph(build_graph(3), "dot")
@@ -527,6 +534,11 @@ class TestExport:
         original = {(e.source, e.target, e.root, e.exps) for e in g.all_edges()}
         recovered = {(e.source, e.target, e.root, e.exps) for e in g2.all_edges()}
         assert original == recovered
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_json_roundtrip_at_the_size_ends(self, n):
+        g = build_graph(n)
+        assert graph_from_json(export_graph(g, "json")).out_adj == g.out_adj
 
     def test_unknown_format(self):
         with pytest.raises(PreconditionError):

@@ -11,6 +11,14 @@ import pytest
 from qbg import exactgeom, qbgraph, suites, tiltedorder
 from qbg.cli import main
 from qbg.errors import PreconditionError, ResourceLimitError, SamplingError
+from qbg.permcore import format_permutation
+from qbg.qbgraph import (
+    QuantumBruhatGraph,
+    exponent_add,
+    exponent_divides,
+    shortest_path_weight_sets,
+    zero_exponent,
+)
 
 
 @contextmanager
@@ -94,7 +102,8 @@ def test_suites_refuse_sizes_below_one(capsys, n, name):
 
 # Sizes at which a suite could not end: equivalence and stratify list all
 # of S_n, rotation walks every vertex and root, increasing lists every
-# reduced word of w0.  Each is refused before that work starts.
+# reduced word of w0, samepath counts about 10^13 walks at n = 6 and tilted
+# decides (n!)^3 triples.  Each is refused before that work starts.
 TOO_LARGE = [
     (n, name, bound)
     for name, bound in [
@@ -102,6 +111,8 @@ TOO_LARGE = [
         ("stratify", exactgeom.MAX_TABLE_N),
         ("rotation", qbgraph.MAX_GRAPH_N),
         ("increasing", suites.MAX_INCREASING_N),
+        ("samepath", suites.MAX_SAMEPATH_N),
+        ("tilted", suites.MAX_TILTED_N),
     ]
     for n in (bound + 1, 12)
 ]
@@ -133,3 +144,123 @@ def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
         code = main(["stratify", "--matrix", str(path), "--u", "id", "--v", "w0", "--n", "10"])
     assert code == 2
     assert "bounded at n <= 7" in capsys.readouterr().err
+
+
+# The tilted and samepath suites as they were written first: every triple
+# through both library criteria, every bounded walk popped from a stack.
+# They read suites.build_graph, so a patched graph reaches them too.
+
+
+def stack_samepath(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    bad, pairs, walks = [], 0, 0
+    for u in g.vertices:
+        weight_sets = shortest_path_weight_sets(g, u)
+        for v in g.vertices:
+            pairs += 1
+            if len(weight_sets[v]) != 1:
+                bad.append(f"several shortest-path weights for ({fmt(u)}, {fmt(v)})")
+        minimal = [next(iter(weight_sets[w])) for w in g.vertices]
+        dist = g.distance_vector_from(u)
+        stack = [(g.index[u], 0, zero_exponent(n))]
+        while stack:
+            w_idx, length, exps = stack.pop()
+            walks += 1
+            ref = minimal[w_idx]
+            if not exponent_divides(ref, exps):
+                bad.append(f"walk weight below minimum at {fmt(g.vertices[w_idx])}")
+            elif exps == ref and length != dist[w_idx]:
+                bad.append(f"minimal weight on a non-shortest walk from {fmt(u)}")
+            for t_idx, _, e_exps in g.out_adj[w_idx]:
+                if length + 1 <= dist[t_idx] + 2:
+                    stack.append((t_idx, length + 1, exponent_add(exps, e_exps)))
+    body = f"{pairs} pairs, {walks} bounded walks, {len(bad)} violations"
+    return suites.SuiteResult("samepath", n, not bad, body, bad[:10])
+
+
+def criterion_tilted(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    dist = [g.distance_vector_from(u) for u in g.vertices]
+    bad, triples = [], 0
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            for k, w in enumerate(g.vertices):
+                triples += 1
+                by_length = dist[i][k] + dist[k][j] == dist[i][j]
+                by_all = tiltedorder.interval_members_criterion(u, v, w, "all_shifts")
+                by_exists = tiltedorder.interval_members_criterion(u, v, w, "exists_shift")
+                if not by_length == by_all == by_exists:
+                    bad.append(f"criteria split on ({fmt(u)}, {fmt(v)}, {fmt(w)})")
+    if n == 3:
+        base = (1, 3, 2)
+        if sorted(g.distance_vector_from(base)) != [0, 1, 1, 1, 2, 2]:
+            bad.append("rank profile of the base-132 order is wrong")
+        if suites.base_poset_hasse(g, base) != suites._FIGURE_D132_EDGES:
+            bad.append("cover relations of the base-132 order are wrong")
+    body = f"{triples} triples, " + ("equivalences hold" if not bad else "violations")
+    return suites.SuiteResult("tilted", n, not bad, body, bad[:10])
+
+
+REFERENCES = {"samepath": stack_samepath, "tilted": criterion_tilted}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_report_matches_the_per_triple_and_per_walk_suite(name, n):
+    with time_limit(60):
+        assert suites.run_suite(name, n).report() == REFERENCES[name](n).report()
+
+
+def broken_graph(n, change):
+    """The graph on S_n with its edge list passed through `change`."""
+    g = qbgraph.build_graph(n)
+    edges = [(e.source, e.target, e.root, e.exps) for e in g.all_edges()]
+    return QuantumBruhatGraph(n, change(edges))
+
+
+def bump_a_down_edge(edges):
+    index = next(i for i, e in enumerate(edges) if any(e[3]))
+    source, target, root, exps = edges[index]
+    edges[index] = (source, target, root, (exps[0] + 1, *exps[1:]))
+    return edges
+
+
+def drop_an_edge(edges):
+    return edges[1:]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name, change", [("samepath", bump_a_down_edge), ("tilted", drop_an_edge)])
+def test_a_broken_graph_fails_as_in_the_per_triple_and_per_walk_suite(monkeypatch, name, change, n):
+    g = broken_graph(n, change)
+    monkeypatch.setattr(suites, "build_graph", lambda size: g)
+    with time_limit(60):
+        result, reference = suites.run_suite(name, n), REFERENCES[name](n)
+    assert not result.ok and not reference.ok
+    assert result.body == reference.body
+    if name == "tilted":  # splits are listed in (u, v, w) order by both
+        assert result.details == reference.details
+        assert result.details[0].startswith("criteria split on ")
+    else:  # one line per failing walk there, per failing (vertex, length, weight) here
+        assert not result.body.endswith(" 0 violations")
+        assert 0 < len(result.details) <= 10
+
+
+@pytest.mark.parametrize("kernel", ["_walk", "_gale_leq"])
+def test_each_prefix_route_reads_its_own_kernel(monkeypatch, kernel):
+    """With one kernel made to call every shift valid, the route that reads
+    it puts every w in [u, u] (for exists_shift, every shift of (u_k, w_k)
+    is valid, and for all_shifts, every shift puts w_k between u_k and u_k),
+    so the first split is the first non-member of [123, 123]."""
+    if kernel == "_walk":
+        def every_shift(heights, pairs):
+            return [(0, frozenset(range(1, len(heights)))) for _ in pairs]
+    else:
+        def every_shift(A, B, r, n):
+            return True
+    monkeypatch.setattr(suites, kernel, every_shift)
+    result = suites.run_suite("tilted", 3)
+    assert not result.ok
+    assert result.details[0] == "criteria split on (123, 123, 132)"

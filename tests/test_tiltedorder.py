@@ -15,7 +15,7 @@ from qbg.permcore import (
     value_mask,
 )
 from qbg.qbgraph import QuantumBruhatGraph, build_graph, edge_weight, graph_distance
-from qbg.suites import _FIGURE_D132_EDGES, base_poset_hasse
+from qbg.suites import _FIGURE_D132_EDGES, _shift_tables, base_poset_hasse
 from qbg.tiltedorder import (
     admissible_nodes,
     cover_edges,
@@ -118,6 +118,35 @@ class TestCriteria:
                     )
                     assert by_len == interval_members_criterion(u, v, w, "all_shifts")
                     assert by_len == interval_members_criterion(u, v, w, "exists_shift")
+
+    def test_seeded_equivalence_n4(self, g4):
+        rng = random.Random(4)
+        dist = {u: g4.distance_vector_from(u) for u in g4.vertices}
+        for _ in range(2000):
+            u, v, w = (rng.choice(g4.vertices) for _ in range(3))
+            by_len = dist[u][g4.index[w]] + dist[w][g4.index[v]] == dist[u][g4.index[v]]
+            assert by_len == tilted_leq(u, w, v, g4)
+            assert by_len == interval_members_criterion(u, v, w, "all_shifts")
+            assert by_len == interval_members_criterion(u, v, w, "exists_shift")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_suite_shift_tables_match_both_routes(n):
+    """The tilted suite's per-prefix-set tables: the path table is
+    valid_shifts, the sorting table is the shifts passing the Gale test."""
+    paths, sorting = _shift_tables(n)
+    universe = range(1, n + 1)
+    keys = set()
+    for k in range(1, n):
+        for A, B in product(combinations(universe, k), repeat=2):
+            key = value_mask(A) << n | value_mask(B)
+            keys.add(key)
+            assert paths[key] == valid_shifts(A, B, n)
+            assert sorting[key] == {r for r in universe if shifted_gale_leq(A, B, r, n)}
+    assert set(paths) == set(sorting) == keys
+    # one object per distinct shift set
+    tables = [*paths.values(), *sorting.values()]
+    assert len(set(map(id, tables))) == len(set(tables))
 
 
 class TestInterval:
