@@ -10,7 +10,7 @@ a pair of permutations are provided: breadth-first search on the built
 graph (the oracle) and the closed-form prefix-depth formula, which needs
 no graph at all.  The built graph stores each edge once, and every question
 about shortest u -> v walks (the oracle, intervals, weight sets) reads one
-BFS from u.
+BFS from u; the weight sets take it from their caller.
 
 The edge set is derived twice, by code that shares nothing: `_edge_exps`
 applies the length rule to one root, and `build_graph` runs `_out_edges`,
@@ -171,7 +171,8 @@ class QuantumBruhatGraph:
                 yield QbgEdge(source, vertices[j], root, exps)
 
     def distance_vector_from(self, u: Perm) -> list[int]:
-        """BFS distances from u, indexed by vertex index."""
+        """BFS distances from u, indexed by vertex index (-1: unreachable)."""
+        _check_vertices(self, u)
         start = self.index[u]
         dist = [-1] * len(self.vertices)
         dist[start] = 0
@@ -202,8 +203,10 @@ def build_graph(n: int) -> QuantumBruhatGraph:
 
 def _check_vertices(g: QuantumBruhatGraph, *perms: Perm) -> None:
     for w in perms:
-        if w not in g.index:
-            raise PreconditionError(f"{w} is not a vertex of the graph on S_{g.n}")
+        try:
+            g.index[w]
+        except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list
+            raise PreconditionError(f"{w} is not a vertex of the graph on S_{g.n}") from None
 
 
 def _geodesic_marks(g: QuantumBruhatGraph, dist: list[int], end: int) -> list[bool]:
@@ -232,9 +235,9 @@ def oracle_distance(g: QuantumBruhatGraph, u: Perm, v: Perm) -> tuple[int, QExpo
     out-neighbour one step further from u that is on a shortest walk to v.
     All shortest paths share one weight, tested separately, not assumed.
     """
-    _check_vertices(g, u, v)
-    end = g.index[v]
     dist = g.distance_vector_from(u)
+    _check_vertices(g, v)
+    end = g.index[v]
     marks = _geodesic_marks(g, dist, end)
     length = dist[end]
     exps = zero_exponent(g.n)
@@ -265,22 +268,23 @@ def graph_distance(u: Perm, v: Perm) -> int:
     return coxeter_length(v) - coxeter_length(u) + 2 * sum(formula_weight(u, v))
 
 
-def shortest_path_weight_sets(g: QuantumBruhatGraph, u: Perm) -> dict[Perm, frozenset[QExponent]]:
+def shortest_path_weight_sets(g: QuantumBruhatGraph, dist: list[int]) -> list[frozenset[QExponent]]:
     """
-    For every target v, the set of weights over ALL shortest u -> v paths,
-    pushed forward over the BFS layers along out-edges that step one layer
-    further (a prefix of a shortest path is shortest, so this is exact).
+    Per vertex index, the weights of ALL shortest walks from the source with
+    BFS distances `dist` (empty if unreachable), pushed along out-edges that
+    step one layer further (exact: prefixes of shortest walks are shortest).
+
+    >>> g = build_graph(3)
+    >>> shortest_path_weight_sets(g, g.distance_vector_from((3, 2, 1)))[g.index[(2, 1, 3)]]
+    frozenset({(1, 1)})
     """
-    _check_vertices(g, u)
-    dist = g.distance_vector_from(u)
-    order = sorted(range(len(g.vertices)), key=lambda w: (dist[w], w))
-    weights: list[set[QExponent]] = [set() for _ in g.vertices]
-    weights[g.index[u]].add(zero_exponent(g.n))
-    for x in order:
+    weights: list[set[QExponent]] = [set() for _ in dist]
+    weights[dist.index(0)].add(zero_exponent(g.n))
+    for x in sorted(range(len(dist)), key=dist.__getitem__):  # stable: ties by index
         for y, _, exps in g.out_adj[x]:
             if dist[y] == dist[x] + 1:
                 weights[y].update(exponent_add(prev, exps) for prev in weights[x])
-    return {g.vertices[w]: frozenset(weights[w]) for w in order}
+    return list(map(frozenset, weights))
 
 
 def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:

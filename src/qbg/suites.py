@@ -3,12 +3,13 @@ Named verification suites behind `qbg verify`.  Each suite checks one
 family of invariants exhaustively at desk scale and reports instance
 counts; the acceptance tests run them at their contractual sizes.
 
-All comparisons are exact; a suite passes only with zero violations.
-Where a check depends on less than the instance, it runs once per distinct
-state and counts every instance it covers: `tilted` decides each prefix
-criterion per column state (u_k, v_k, S) from tables per pair of prefix
-sets, and `samepath` counts walks per (vertex, length, weight).  Every
-instance is still decided by every route.
+All comparisons are exact; a suite passes only with zero violations.  A
+suite reuses what it holds: one BFS per source, subintervals read off
+[u, v], coordinate flags built once.  Where a check depends on less than
+the instance, it runs once per distinct state and counts every instance
+it covers: `tilted` decides each prefix criterion per column state
+(u_k, v_k, S) from tables per pair of prefix sets, and `samepath` counts
+walks per (vertex, length, weight).  Every route still decides every instance.
 """
 from __future__ import annotations
 
@@ -35,11 +36,11 @@ from .permcore import (
 )
 from .qbgraph import (
     QuantumBruhatGraph,
+    _geodesic_marks,
     build_graph,
     edge_weight,
     exponent_divides,
     formula_weight,
-    graph_distance,
     increasing_paths_from,
     shortest_path_weight_sets,
 )
@@ -84,12 +85,12 @@ def suite_distance(n: int, seed: int, samples: int) -> SuiteResult:
     mismatches = []
     for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
-        weight_sets = shortest_path_weight_sets(g, u)
+        weight_sets = shortest_path_weight_sets(g, dist)
         for j, v in enumerate(g.vertices):
             pairs += 1
             weight = formula_weight(u, v)
             # graph_distance's closed form, on the weight already in hand
-            if weight_sets[v] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
+            if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
                 mismatches.append(f"mismatch at ({_fmt(u)}, {_fmt(v)})")
     return SuiteResult(
         "distance",
@@ -128,13 +129,13 @@ def suite_samepath(n: int, seed: int, samples: int) -> SuiteResult:
     steps = [[(t, sum(e << 16 * p for p, e in enumerate(exps))) for t, _, exps in row]
              for row in g.out_adj]
     for u in g.vertices:
-        weight_sets = shortest_path_weight_sets(g, u)
-        for v in g.vertices:
-            pairs += 1
-            if len(weight_sets[v]) != 1:
-                fail(1, f"several shortest-path weights for ({_fmt(u)}, {_fmt(v)})")
-        minimal = [next(iter(weight_sets[w])) for w in g.vertices]
         dist = g.distance_vector_from(u)
+        weight_sets = shortest_path_weight_sets(g, dist)
+        for v, weights in zip(g.vertices, weight_sets):
+            pairs += 1
+            if len(weights) != 1:
+                fail(1, f"several shortest-path weights for ({_fmt(u)}, {_fmt(v)})")
+        minimal = [next(iter(weights)) for weights in weight_sets]
         layer: dict[int, dict[int, int]] = {g.index[u]: {0: 1}}
         length = 0
         while layer:
@@ -247,10 +248,10 @@ _FIGURE_D132_EDGES = {
 }
 
 
-def base_poset_hasse(g: QuantumBruhatGraph, base: Perm) -> set[tuple[Perm, Perm]]:
-    """Cover relations of the order with the given base point: graph edges
-    that step one rank further from the base."""
-    rank = dict(zip(g.vertices, g.distance_vector_from(base)))
+def base_poset_hasse(g: QuantumBruhatGraph, dist: list[int]) -> set[tuple[Perm, Perm]]:
+    """Cover relations of the order whose base point has BFS distances
+    `dist`: graph edges that step one rank further from the base."""
+    rank = dict(zip(g.vertices, dist))
     return {(e.source, e.target) for e in tiltedorder.cover_edges(g, rank)}
 
 
@@ -334,10 +335,10 @@ def suite_tilted(n: int, seed: int, samples: int) -> SuiteResult:
                 bad.append(f"criteria split on ({_fmt(u)}, {_fmt(v)}, {_fmt(w)})")
                 split &= split - 1
     if n == 3:
-        base = (1, 3, 2)
-        if sorted(g.distance_vector_from(base)) != [0, 1, 1, 1, 2, 2]:
+        base_row = dist[g.index[(1, 3, 2)]]
+        if sorted(base_row) != [0, 1, 1, 1, 2, 2]:
             bad.append("rank profile of the base-132 order is wrong")
-        if base_poset_hasse(g, base) != _FIGURE_D132_EDGES:
+        if base_poset_hasse(g, base_row) != _FIGURE_D132_EDGES:
             bad.append("cover relations of the base-132 order are wrong")
     body = f"{len(vertices) ** 3} triples, " + ("equivalences hold" if not bad else "violations")
     return SuiteResult("tilted", n, not bad, body, bad[:10])
@@ -365,9 +366,8 @@ def suite_flat_count(n: int, seed: int, samples: int) -> SuiteResult:
                     f"ledger size {count} != {total - dist[j]} for ({_fmt(u)}, {_fmt(v)})"
                 )
             if n <= 4 and dist[j] >= 1:
-                members = tiltedorder.interval(u, v, g).members
-                for x in sorted(members):
-                    if dist[g.index[x]] != dist[j] - 1:
+                for x, on, d in zip(g.vertices, _geodesic_marks(g, dist, j), dist):
+                    if not on or d != dist[j] - 1:
                         continue
                     try:
                         count_x = len(diagrams.equations_with_x(u, v, a, x))
@@ -447,6 +447,7 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
     bad: list[str] = []
     flags_used = 0
     checks = 0
+    coordinate = [exactgeom.permutation_flag(w) for w in all_permutations(n)]
     for idx, (u, v) in enumerate(pairs):
         shift_seqs = _all_shift_sequences(u, v)
         flags: list[exactgeom.Flag] = []
@@ -456,7 +457,7 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
             except SamplingError as exc:
                 bad.append(f"sampler failed for ({_fmt(u)}, {_fmt(v)}): {exc}")
         flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
-        flags.extend(exactgeom.permutation_flag(w) for w in all_permutations(n))
+        flags.extend(coordinate)
         flags_used += len(flags)
         references = [
             (F, open_cell, exactgeom.member_T_plucker(u, v, F, open_cell))
@@ -491,18 +492,13 @@ def _subinterval_classes(u: Perm, v: Perm) -> Classes:
     Subintervals of [u, v] grouped by their member sets, ordered by their
     first (x, y) pair.  A subinterval is a geodesically nested pair: x and y
     on a common shortest u -> v path in that order (member-set containment
-    alone is weaker and would break the disjointness being tested).
+    alone is weaker and would break the disjointness being tested).  For x
+    in [u, v] those y are exactly [x, v], by the triangle inequality.
     """
-    members = tiltedorder.interval_member_set(u, v)
-    total = graph_distance(u, v)
     classes: dict[frozenset[Perm], list[tuple[Perm, Perm]]] = {}
-    for x in sorted(members):
-        head = graph_distance(u, x)
-        for y in sorted(members):
-            if head + graph_distance(x, y) + graph_distance(y, v) != total:
-                continue
-            sub = tiltedorder.interval_member_set(x, y)
-            classes.setdefault(sub, []).append((x, y))
+    for x in sorted(tiltedorder.interval_member_set(u, v)):
+        for y in sorted(tiltedorder.interval_member_set(x, v)):
+            classes.setdefault(tiltedorder.interval_member_set(x, y), []).append((x, y))
     return sorted(classes.items(), key=lambda kv: kv[1][0])
 
 

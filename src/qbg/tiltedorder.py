@@ -29,9 +29,9 @@ from .qbgraph import _check_vertices, _geodesic_marks, _json_list
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
     """w <=_base v via the length identity (criterion on the graph)."""
-    _check_vertices(g, base, w, v)
     dist_from_base = g.distance_vector_from(base)
     dist_from_w = g.distance_vector_from(w)
+    _check_vertices(g, v)
     i_w, i_v = g.index[w], g.index[v]
     if min(dist_from_base[i_w], dist_from_w[i_v], dist_from_base[i_v]) < 0:
         raise InternalInvariantError("graph is not strongly connected")
@@ -145,8 +145,8 @@ class TiltedInterval:
 def interval(u: Perm, v: Perm, g: QuantumBruhatGraph) -> TiltedInterval:
     """[u, v] computed from the graph, with rank(w) = l(u, w): the vertices
     on a shortest u -> v walk, read off one BFS from u."""
-    _check_vertices(g, u, v)
     dist_from_u = g.distance_vector_from(u)
+    _check_vertices(g, v)
     on_walk = _geodesic_marks(g, dist_from_u, g.index[v])
     rank = {w: d for w, d, on in zip(g.vertices, dist_from_u, on_walk) if on}
     return TiltedInterval(u, v, frozenset(rank), rank)

@@ -339,6 +339,28 @@ class TestDistances:
         g = build_graph(3)
         assert oracle_distance(g, (1, 3, 2), (1, 3, 2)) == (0, (0, 0))
 
+    @pytest.mark.parametrize("bad", [(1, 2), (1, 1, 2), [1, 2, 3], "123", ([1], 2, 3)])
+    def test_bfs_refuses_a_non_vertex_source(self, bad):
+        g = build_graph(3)
+        with pytest.raises(PreconditionError, match="not a vertex"):
+            g.distance_vector_from(bad)
+        for u, v in [(bad, (2, 1, 3)), ((2, 1, 3), bad)]:
+            with pytest.raises(PreconditionError, match="not a vertex"):
+                oracle_distance(g, u, v)
+
+    def test_weight_sets_find_the_source_by_its_distance(self):
+        """Unreachable vertices carry distance -1 and sort before the source,
+        so the source is the vertex at distance 0, not the first in order."""
+        edges = [((1, 3, 2), (3, 1, 2), (1, 2), (0, 0)), ((3, 1, 2), (3, 2, 1), (2, 3), (0, 1)),
+                 ((1, 2, 3), (1, 3, 2), (2, 3), (0, 0))]
+        g = qbgraph.QuantumBruhatGraph(3, edges)
+        dist = g.distance_vector_from((1, 3, 2))
+        assert dist[0] == -1
+        expected = {(1, 3, 2): {(0, 0)}, (3, 1, 2): {(0, 0)}, (3, 2, 1): {(0, 1)}}
+        assert shortest_path_weight_sets(g, dist) == [
+            frozenset(expected.get(w, ())) for w in g.vertices
+        ]
+
     def test_formula_examples(self):
         assert formula_weight((3, 2, 1), (2, 1, 3)) == (1, 1)
         assert formula_weight((2, 1, 3), (2, 1, 3)) == (0, 0)
@@ -350,7 +372,7 @@ class TestDistances:
     def test_weight_sets_are_singletons(self):
         g = build_graph(3)
         for u in g.vertices:
-            for weights in shortest_path_weight_sets(g, u).values():
+            for weights in shortest_path_weight_sets(g, g.distance_vector_from(u)):
                 assert len(weights) == 1
 
     def test_closed_form_distance(self):

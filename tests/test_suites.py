@@ -3,19 +3,22 @@ The `verify` suites and the size guards: every size ends in bounded time or
 is refused up front, and the pair requests of the sampled suites never
 exceed what S_n x S_n holds.
 """
+import random
 import signal
 from contextlib import contextmanager
+from functools import lru_cache
 
 import pytest
 
 from qbg import exactgeom, qbgraph, suites, tiltedorder
 from qbg.cli import main
 from qbg.errors import PreconditionError, ResourceLimitError, SamplingError
-from qbg.permcore import format_permutation
+from qbg.permcore import all_permutations, format_permutation
 from qbg.qbgraph import (
     QuantumBruhatGraph,
     exponent_add,
     exponent_divides,
+    graph_distance,
     shortest_path_weight_sets,
     zero_exponent,
 )
@@ -156,13 +159,13 @@ def stack_samepath(n):
     fmt = format_permutation
     bad, pairs, walks = [], 0, 0
     for u in g.vertices:
-        weight_sets = shortest_path_weight_sets(g, u)
+        dist = g.distance_vector_from(u)
+        weight_sets = shortest_path_weight_sets(g, dist)
         for v in g.vertices:
             pairs += 1
-            if len(weight_sets[v]) != 1:
+            if len(weight_sets[g.index[v]]) != 1:
                 bad.append(f"several shortest-path weights for ({fmt(u)}, {fmt(v)})")
-        minimal = [next(iter(weight_sets[w])) for w in g.vertices]
-        dist = g.distance_vector_from(u)
+        minimal = [next(iter(weight_sets[g.index[w]])) for w in g.vertices]
         stack = [(g.index[u], 0, zero_exponent(n))]
         while stack:
             w_idx, length, exps = stack.pop()
@@ -197,7 +200,7 @@ def criterion_tilted(n):
         base = (1, 3, 2)
         if sorted(g.distance_vector_from(base)) != [0, 1, 1, 1, 2, 2]:
             bad.append("rank profile of the base-132 order is wrong")
-        if suites.base_poset_hasse(g, base) != suites._FIGURE_D132_EDGES:
+        if suites.base_poset_hasse(g, g.distance_vector_from(base)) != suites._FIGURE_D132_EDGES:
             bad.append("cover relations of the base-132 order are wrong")
     body = f"{triples} triples, " + ("equivalences hold" if not bad else "violations")
     return suites.SuiteResult("tilted", n, not bad, body, bad[:10])
@@ -264,3 +267,74 @@ def test_each_prefix_route_reads_its_own_kernel(monkeypatch, kernel):
     result = suites.run_suite("tilted", 3)
     assert not result.ok
     assert result.details[0] == "criteria split on (123, 123, 132)"
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to record each call's arguments, and return the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, n, runs", [
+    ("distance", 4, 24), ("samepath", 4, 24), ("flat-count", 4, 24), ("tilted", 3, 6),
+])
+def test_one_bfs_per_source(monkeypatch, name, n, runs):
+    calls = count_calls(monkeypatch, QuantumBruhatGraph, "distance_vector_from")
+    with time_limit(60):
+        assert suites.run_suite(name, n).ok
+    assert len(calls) == runs
+    assert sorted(u for _, u in calls) == sorted(set(u for _, u in calls))
+
+
+def test_equivalence_builds_each_coordinate_flag_once(monkeypatch):
+    calls = count_calls(monkeypatch, exactgeom, "permutation_flag")
+    with time_limit(60):
+        assert suites.run_suite("equivalence", 3).ok
+    assert sorted(calls) == [(w,) for w in all_permutations(3)]
+
+
+def pairwise_subinterval_classes(u, v):
+    """The subinterval classes by the length identity on every pair of
+    members: (x, y) with d(u, x) + d(x, y) + d(y, v) = d(u, v)."""
+    members = sorted(tiltedorder.interval_member_set(u, v))
+    d = lru_cache(maxsize=None)(graph_distance)
+    classes = {}
+    for x in members:
+        for y in members:
+            if d(u, x) + d(x, y) + d(y, v) == d(u, v):
+                classes.setdefault(tiltedorder.interval_member_set(x, y), []).append((x, y))
+    return sorted(classes.items(), key=lambda kv: kv[1][0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subinterval_classes_match_the_pairwise_length_identity(n):
+    perms = list(all_permutations(n))
+    with time_limit(60):
+        for u in perms:
+            for v in perms:
+                assert suites._subinterval_classes(u, v) == pairwise_subinterval_classes(u, v)
+
+
+def test_subinterval_classes_match_the_pairwise_length_identity_on_seeded_pairs_n5():
+    rng = random.Random(5)
+    perms = list(all_permutations(5))
+    with time_limit(120):
+        for _ in range(100):
+            u, v = rng.choice(perms), rng.choice(perms)
+            assert suites._subinterval_classes(u, v) == pairwise_subinterval_classes(u, v)
+
+
+def test_subinterval_classes_use_no_graph_distance(monkeypatch):
+    def refuse(u, v):
+        raise AssertionError("graph_distance called")
+
+    monkeypatch.setattr(qbgraph, "prefix_paths", refuse)
+    classes = suites._subinterval_classes((1, 2, 3, 4), (4, 3, 2, 1))
+    assert sum(len(reps) for _, reps in classes) > 24
