@@ -288,6 +288,13 @@ def _chain(w: Perm) -> int:
     return nodes
 
 
+def _check_table_n(n: int) -> None:
+    if n > MAX_TABLE_N:
+        raise ResourceLimitError(
+            f"a flag holds all 2^n of its minors; flags are bounded at n <= {MAX_TABLE_N}"
+        )
+
+
 class Flag:
     """
     An invertible exact-rational matrix of size n <= MAX_TABLE_N.
@@ -305,10 +312,7 @@ class Flag:
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise PreconditionError("flag matrices must be square and nonempty")
-        if n > MAX_TABLE_N:
-            raise ResourceLimitError(
-                f"a flag holds all 2^n of its minors; flags are bounded at n <= {MAX_TABLE_N}"
-            )
+        _check_table_n(n)
         self.matrix: Matrix = matrix_from_rows(matrix)
         self.n = n
         scales = [lcm(*(x.denominator for x in col)) for col in zip(*self.matrix)]
@@ -376,6 +380,7 @@ def permutation_flag(w: Perm) -> Flag:
     """The coordinate flag of w: matrix with a 1 at (w(i), i)."""
     validate_permutation(w)
     n = len(w)
+    _check_table_n(n)
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
         rows[w[i - 1] - 1][i - 1] = 1
@@ -384,6 +389,7 @@ def permutation_flag(w: Perm) -> Flag:
 
 def random_flag(n: int, seed: int | random.Random) -> Flag:
     """A generic flag: integer entries uniform on [-SAMPLE_BOUND, SAMPLE_BOUND]."""
+    _check_table_n(n)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     while True:
         rows = [[rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(n)] for _ in range(n)]

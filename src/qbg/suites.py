@@ -10,6 +10,10 @@ the instance, it runs once per distinct state and counts every instance
 it covers: `tilted` decides each prefix criterion per column state
 (u_k, v_k, S) from tables per pair of prefix sets, and `samepath` counts
 walks per (vertex, length, weight).  Every route still decides every instance.
+
+Each suite returns (ok, body, details); `run_suite` checks n and the
+sample count against `LIMITS` and `MAX_SAMPLES` before it calls the suite,
+and frames what it returns as a SuiteResult.
 """
 from __future__ import annotations
 
@@ -61,12 +65,7 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-#: Largest n for `increasing`: it lists all reduced words of w0 first (292,864 at n=6).
-MAX_INCREASING_N = 5
-#: Largest n for `samepath`: each n up multiplies its work some fifty-fold (28 s at n=6, 2 CPUs).
-MAX_SAMEPATH_N = 6
-#: Largest n for `tilted`: it decides (n!)^3 triples, 1.3 x 10^11 at n=7.
-MAX_TILTED_N = 6
+Outcome = tuple[bool, str, list[str]]
 
 
 def _fmt(w: Perm) -> str:
@@ -76,7 +75,7 @@ def _fmt(w: Perm) -> str:
 # ---------------------------------------------------------------------------
 
 
-def suite_distance(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_distance(n: int, seed: int, samples: int) -> Outcome:
     """Closed-form weight and length agree with the BFS oracle on all pairs:
     with the BFS distance and with the weight of every shortest path."""
     g = build_graph(n)
@@ -92,16 +91,10 @@ def suite_distance(n: int, seed: int, samples: int) -> SuiteResult:
             # graph_distance's closed form, on the weight already in hand
             if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
                 mismatches.append(f"mismatch at ({_fmt(u)}, {_fmt(v)})")
-    return SuiteResult(
-        "distance",
-        n,
-        not mismatches,
-        f"{pairs} pairs, {len(mismatches)} mismatches",
-        mismatches[:10],
-    )
+    return not mismatches, f"{pairs} pairs, {len(mismatches)} mismatches", mismatches[:10]
 
 
-def suite_samepath(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
     """
     All shortest paths between a pair carry one common weight; every walk
     within two steps of geodesic length carries a weight divisible by it,
@@ -112,8 +105,6 @@ def suite_samepath(n: int, seed: int, samples: int) -> SuiteResult:
     number of walks of each.  Both checks run once per (vertex, L, weight),
     and each counts its walks, into the violations too when it fails.
     """
-    if n > MAX_SAMEPATH_N:
-        raise ResourceLimitError(f"suite samepath is bounded at n <= {MAX_SAMEPATH_N}")
     g = build_graph(n)
     bad: list[str] = []
     pairs = walks = violations = 0
@@ -157,10 +148,10 @@ def suite_samepath(n: int, seed: int, samples: int) -> SuiteResult:
             layer = following
             length += 1
     body = f"{pairs} pairs, {walks} bounded walks, {violations} violations"
-    return SuiteResult("samepath", n, not violations, body, bad)
+    return not violations, body, bad
 
 
-def suite_bfp(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
     """The greedy label-increasing path has oracle length and formula weight."""
     g = build_graph(n)
     bad: list[str] = []
@@ -180,15 +171,11 @@ def suite_bfp(n: int, seed: int, samples: int) -> SuiteResult:
                 or not increasing
             ):
                 bad.append(f"greedy path wrong for ({_fmt(u)}, {_fmt(v)})")
-    return SuiteResult(
-        "bfp", n, not bad, f"{pairs} pairs, {len(bad)} violations", bad[:10]
-    )
+    return not bad, f"{pairs} pairs, {len(bad)} violations", bad[:10]
 
 
-def suite_increasing(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_increasing(n: int, seed: int, samples: int) -> Outcome:
     """Every reflection ordering admits exactly one increasing path per pair."""
-    if n > MAX_INCREASING_N:
-        raise ResourceLimitError(f"suite increasing is bounded at n <= {MAX_INCREASING_N}")
     g = build_graph(n)
     words = reduced_words_of_longest(n)
     expected_words = {3: 2, 4: 16}
@@ -208,21 +195,11 @@ def suite_increasing(n: int, seed: int, samples: int) -> SuiteResult:
                     bad.append(
                         f"word {word}: {len(paths)} paths for ({_fmt(u)}, {_fmt(v)})"
                     )
-    return SuiteResult(
-        "increasing",
-        n,
-        not bad,
-        f"{len(words)} orderings, {checked} pairs, {len(bad)} violations",
-        bad[:10],
-    )
+    return not bad, f"{len(words)} orderings, {checked} pairs, {len(bad)} violations", bad[:10]
 
 
-def suite_rotation(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_rotation(n: int, seed: int, samples: int) -> Outcome:
     """Rotating all values by the long cycle preserves the unweighted edges."""
-    if n < 2:
-        raise PreconditionError(f"suite rotation needs n >= 2 (S_1 has no roots), got {n}")
-    if n > qbgraph.MAX_GRAPH_N:
-        raise ResourceLimitError(f"suite rotation is bounded at n <= {qbgraph.MAX_GRAPH_N}")
     bad = 0
     checked = 0
     roots = qbgraph.all_roots(n)
@@ -232,9 +209,7 @@ def suite_rotation(n: int, seed: int, samples: int) -> SuiteResult:
             checked += 1
             if (edge_weight(w, t) is None) != (edge_weight(rotated, t) is None):
                 bad += 1
-    return SuiteResult(
-        "rotation", n, bad == 0, f"{checked} vertex-root pairs, {bad} violations"
-    )
+    return bad == 0, f"{checked} vertex-root pairs, {bad} violations", []
 
 
 _FIGURE_D132_EDGES = {
@@ -277,7 +252,7 @@ def _shift_tables(n: int) -> tuple[dict[int, frozenset[int]], dict[int, frozense
     return paths, sorting
 
 
-def suite_tilted(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
     """
     The three membership criteria agree on every (u, v, w) triple: the BFS
     length identity, exists_shift on the path route (the valid shifts of
@@ -288,8 +263,6 @@ def suite_tilted(n: int, seed: int, samples: int) -> SuiteResult:
     with k-prefix set S that fail it there.  Per pair (u, v) each route
     gives a bitmask over all w, and the three are compared bit by bit.
     """
-    if n > MAX_TILTED_N:
-        raise ResourceLimitError(f"suite tilted is bounded at n <= {MAX_TILTED_N}")
     g = build_graph(n)
     vertices = g.vertices
     everyone = (1 << len(vertices)) - 1
@@ -341,10 +314,10 @@ def suite_tilted(n: int, seed: int, samples: int) -> SuiteResult:
         if base_poset_hasse(g, base_row) != _FIGURE_D132_EDGES:
             bad.append("cover relations of the base-132 order are wrong")
     body = f"{len(vertices) ** 3} triples, " + ("equivalences hold" if not bad else "violations")
-    return SuiteResult("tilted", n, not bad, body, bad[:10])
+    return not bad, body, bad[:10]
 
 
-def suite_flat_count(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
     """find_flat yields flat sequences and the ledgers have the right size."""
     g = build_graph(n)
     bad: list[str] = []
@@ -382,10 +355,10 @@ def suite_flat_count(n: int, seed: int, samples: int) -> SuiteResult:
                         )
     body = f"{pairs} pairs, " + ("count law holds" if not bad else "violations")
     details = [f"{x_checked} coatom ledgers checked"] if x_checked else []
-    return SuiteResult("flat-count", n, not bad, body, details + bad[:10])
+    return not bad, body, details + bad[:10]
 
 
-def suite_fixedpoints(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_fixedpoints(n: int, seed: int, samples: int) -> Outcome:
     """Coordinate flags sit in exactly the varieties of intervals containing them."""
     g = build_graph(n)
     dist = [g.distance_vector_from(u) for u in g.vertices]
@@ -402,9 +375,7 @@ def suite_fixedpoints(n: int, seed: int, samples: int) -> SuiteResult:
                 member = exactgeom.member_T_plucker(u, v, flags[k])
                 if member != in_interval:
                     bad.append(f"fixed point split on ({_fmt(u)}, {_fmt(v)}, {_fmt(w)})")
-    return SuiteResult(
-        "fixedpoints", n, not bad, f"{checked} triples, {len(bad)} violations", bad[:10]
-    )
+    return not bad, f"{checked} triples, {len(bad)} violations", bad[:10]
 
 
 def _draw_pairs(
@@ -432,14 +403,12 @@ def _all_shift_sequences(u: Perm, v: Perm) -> list[tuple[int, ...]]:
     return [tuple(a) for a in product(*per_column)]
 
 
-def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
     """
     The rank, per-column, and multi-Plucker membership routes agree (open
     and closed) on sampled, generic, and coordinate flags, for every shift
     sequence valid for the pair.
     """
-    if n > exactgeom.MAX_TABLE_N:
-        raise ResourceLimitError(f"suite equivalence is bounded at n <= {exactgeom.MAX_TABLE_N}")
     fixed = [((4, 3, 2, 1), (3, 1, 4, 2))] if n == 4 else []
     fixed += [(identity(n), longest_element(n)), (identity(n), identity(n))]
     pairs = _draw_pairs(n, seed, fixed, max(50, samples))
@@ -475,13 +444,8 @@ def suite_equivalence(n: int, seed: int, samples: int) -> SuiteResult:
                         f"memberships split on ({_fmt(u)}, {_fmt(v)}), "
                         f"a={a}, open={open_cell}"
                     )
-    return SuiteResult(
-        "equivalence",
-        n,
-        not bad,
-        f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, {len(bad)} disagreements",
-        bad[:10],
-    )
+    body = f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, {len(bad)} disagreements"
+    return not bad, body, bad[:10]
 
 
 Classes = list[tuple[frozenset[Perm], list[tuple[Perm, Perm]]]]
@@ -542,10 +506,8 @@ def _disjointness(
         )
 
 
-def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
     """Sampler round trips, the chart law, and stratum disjointness."""
-    if n > exactgeom.MAX_TABLE_N:
-        raise ResourceLimitError(f"suite stratify is bounded at n <= {exactgeom.MAX_TABLE_N}")
     bad: list[str] = []
     notes: list[str] = []
     if n <= 3:
@@ -586,19 +548,11 @@ def suite_stratify(n: int, seed: int, samples: int) -> SuiteResult:
                     f"boundary flag of ({_fmt(u)}, {_fmt(v)}) located in the wrong stratum"
                 )
             _disjointness(x, y, _subinterval_classes(x, y), G, bad, notes)
-    return SuiteResult(
-        "stratify",
-        n,
-        not bad,
-        f"{stratified} sampled flags, {len(bad)} violations",
-        notes[:5] + bad[:10],
-    )
+    return not bad, f"{stratified} sampled flags, {len(bad)} violations", notes[:5] + bad[:10]
 
 
-def suite_plucker(n: int, seed: int, samples: int) -> SuiteResult:
+def suite_plucker(n: int, seed: int, samples: int) -> Outcome:
     """Incidence relations hold exactly on random coordinates of real flags."""
-    if n < 3:
-        raise PreconditionError(f"suite plucker needs n >= 3 (no relation below), got {n}")
     rng = random.Random(seed)
     flags = [exactgeom.random_flag(n, rng) for _ in range(max(2, samples // 2))]
     flags.append(exactgeom.permutation_flag(longest_element(n)))
@@ -625,9 +579,7 @@ def suite_plucker(n: int, seed: int, samples: int) -> SuiteResult:
                     bad += 1
                 if not exactgeom.incidence_exchange_rule_holds(F, I, J, j):
                     bad += 1
-    return SuiteResult(
-        "plucker", n, bad == 0, f"{len(flags)} flags, {checked} relations, {bad} violations"
-    )
+    return bad == 0, f"{len(flags)} flags, {checked} relations, {bad} violations", []
 
 
 SUITES = {
@@ -645,6 +597,26 @@ SUITES = {
 }
 
 
+#: The sizes each suite runs at, (least, most).  `run_suite` refuses any
+#: other n before work starts; the reason for each bound is beside it.
+LIMITS = {
+    "distance": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
+    "samepath": (1, 6),  # 28 s at n = 6; each n up multiplies the work some fifty-fold
+    "bfp": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
+    "increasing": (1, 5),  # lists every reduced word of w0 first: 292,864 at n = 6
+    "rotation": (2, qbgraph.MAX_GRAPH_N),  # S_1 has no roots; n = 8 took 11 s
+    "tilted": (1, 6),  # (n!)^3 triples, 1.3 x 10^11 at n = 7
+    "flat-count": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
+    "fixedpoints": (1, qbgraph.MAX_GRAPH_N),  # builds the graph and a flag per vertex
+    "equivalence": (1, exactgeom.MAX_TABLE_N),  # a flag per permutation of S_n
+    "stratify": (1, exactgeom.MAX_TABLE_N),  # samples flags
+    "plucker": (3, exactgeom.MAX_TABLE_N),  # no incidence relation below 3; flags above 7
+}
+
+#: Largest --samples: the sampled suites draw about that many pairs or flags.
+MAX_SAMPLES = 1000
+
+
 def run_suite(name: str, n: int | None = None, seed: int = 0, samples: int = 5) -> SuiteResult:
     if name not in SUITES:
         raise PreconditionError(
@@ -653,6 +625,11 @@ def run_suite(name: str, n: int | None = None, seed: int = 0, samples: int = 5) 
     fn, default_n = SUITES[name]
     if n is None:
         n = default_n
-    if n < 1:
-        raise PreconditionError(f"suites need n >= 1, got {n}")
-    return fn(n, seed, samples)
+    least, most = LIMITS[name]
+    if n < least:
+        raise PreconditionError(f"suite {name} needs n >= {least}, got {n}")
+    if n > most:
+        raise ResourceLimitError(f"suite {name} is bounded at n <= {most}")
+    if samples > MAX_SAMPLES:
+        raise ResourceLimitError(f"suites are bounded at samples <= {MAX_SAMPLES}, got {samples}")
+    return SuiteResult(name, n, *fn(n, seed, samples))

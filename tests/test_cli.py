@@ -4,6 +4,7 @@ import time
 import pytest
 
 from qbg.cli import main
+from qbg.errors import ResourceLimitError
 from qbg.exactgeom import (
     Flag,
     format_matrix,
@@ -205,6 +206,12 @@ class TestSample:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert "n <= 7" in err
+        for n in (8, 600):
+            for build in (lambda: random_flag(n, 0), lambda: permutation_flag(identity(n))):
+                start = time.perf_counter()
+                with pytest.raises(ResourceLimitError, match="n <= 7"):
+                    build()
+                assert time.perf_counter() - start < 2
 
     def test_symbolic_needs_size(self, capsys):
         code, _, err = run(capsys, "sample", "--u", "id", "--v", "w0")

@@ -7,6 +7,7 @@ import random
 import signal
 from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -84,40 +85,25 @@ def test_stratify_samples_only_pairs_of_its_own_size(monkeypatch):
     assert lengths and set(lengths) == {5}
 
 
-# Sizes at which a suite would check nothing: every suite below n = 1,
-# rotation at n = 1 (no roots) and plucker below n = 3 (no relations).
-LEAST_N = {"rotation": 2, "plucker": 3}
+# Every suite is refused, before any work, at each n below its least size
+# (where it would check nothing) and above its largest (where it could not
+# end, or a flag refuses), as `suites.LIMITS` states them.
 TOO_SMALL = [
-    (n, name)
-    for n in (0, -1)
-    for name in ("distance", "rotation", "plucker", "stratify", "equivalence")
-] + [(1, "rotation"), (1, "plucker"), (2, "plucker")]
+    (n, name) for name, (least, _) in suites.LIMITS.items() for n in range(-1, least)
+]
 
 
 @pytest.mark.parametrize("n, name", TOO_SMALL)
 def test_suites_refuse_sizes_below_one(capsys, n, name):
-    with pytest.raises(PreconditionError):
-        suites.run_suite(name, n)
-    assert main(["verify", "--suite", name, "--n", str(n)]) == 2
-    least = LEAST_N[name] if n >= 1 else 1
-    assert f"n >= {least}" in capsys.readouterr().err
+    with time_limit(10):
+        with pytest.raises(PreconditionError):
+            suites.run_suite(name, n)
+        assert main(["verify", "--suite", name, "--n", str(n)]) == 2
+    assert f"n >= {suites.LIMITS[name][0]}" in capsys.readouterr().err
 
 
-# Sizes at which a suite could not end: equivalence and stratify list all
-# of S_n, rotation walks every vertex and root, increasing lists every
-# reduced word of w0, samepath counts about 10^13 walks at n = 6 and tilted
-# decides (n!)^3 triples.  Each is refused before that work starts.
 TOO_LARGE = [
-    (n, name, bound)
-    for name, bound in [
-        ("equivalence", exactgeom.MAX_TABLE_N),
-        ("stratify", exactgeom.MAX_TABLE_N),
-        ("rotation", qbgraph.MAX_GRAPH_N),
-        ("increasing", suites.MAX_INCREASING_N),
-        ("samepath", suites.MAX_SAMEPATH_N),
-        ("tilted", suites.MAX_TILTED_N),
-    ]
-    for n in (bound + 1, 12)
+    (n, name, bound) for name, (_, bound) in suites.LIMITS.items() for n in (bound + 1, 12, 600)
 ]
 
 
@@ -128,6 +114,40 @@ def test_suites_refuse_sizes_that_cannot_end(capsys, n, name, bound):
             suites.run_suite(name, n)
         assert main(["verify", "--suite", name, "--n", str(n)]) == 2
     assert f"bounded at n <= {bound}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_suites_refuse_more_samples_than_the_bound(capsys, name):
+    samples = suites.MAX_SAMPLES + 1
+    with time_limit(10):
+        with pytest.raises(ResourceLimitError):
+            suites.run_suite(name, None, 0, samples)
+        assert main(["verify", "--suite", name, "--samples", str(samples)]) == 2
+    assert f"samples <= {suites.MAX_SAMPLES}" in capsys.readouterr().err
+
+
+def test_every_default_size_lies_in_its_range():
+    assert suites.LIMITS.keys() == suites.SUITES.keys()
+    for name, (_, default_n) in suites.SUITES.items():
+        least, most = suites.LIMITS[name]
+        assert least <= default_n <= most, name
+
+
+def test_the_readme_suite_table_states_the_limits():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| suite "):]
+    header, _, *rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table[: table.index("\n\n")].splitlines()
+    ]
+    at_range, at_default = header.index("n range"), header.index("default n")
+    stated = {}
+    for row in rows:
+        least, most = row[at_range].split("–")
+        stated[row[0].strip("`")] = (int(least), int(most)), int(row[at_default])
+    assert stated == {
+        name: (suites.LIMITS[name], default_n) for name, (_, default_n) in suites.SUITES.items()
+    }
 
 
 def test_interval_member_set_refuses_n_beyond_the_graph_bound():
