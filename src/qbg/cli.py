@@ -142,9 +142,9 @@ def cmd_stratify(args: argparse.Namespace) -> int:
             f"({format_permutation(u)}, {format_permutation(v)})"
         )
         return 1
-    label = exactgeom.stratum(u, v, F)
+    label = exactgeom._locate_stratum(u, v, F)
     print(f"x={format_permutation(label.x)} y={format_permutation(label.y)}")
-    print("open-membership=yes")  # stratum has checked its label's open test on F
+    print("open-membership=yes")  # the locator has checked its label's open test on F
     return 0
 
 

@@ -15,12 +15,14 @@ quadratic relations keep their meaning.
 
 The public functions check their permutations and shift sequence once.
 One unchecked kernel, `_column_cells`, holds the cell rule; both
-`tilted_rothe` and the ledger builder `_ledger` read it.  `_ledger`
-emits the equations column by column, in (column, cell, origin) order,
-so it sorts nothing; `suite_flat_count` counts it directly once
-`is_flat` has checked (u, v, a), and `equations_with_x` rewrites only its
-up equations.  `is_flat` (the sorting route) and `find_flat` (the path
-route) stay separate, so each checks the other.
+`tilted_rothe` and the column builder `_ledger_column` read it.  `_ledger`
+joins the columns in order, so the equations come in (column, cell,
+origin) order and nothing is sorted; `equations_with_x` rewrites only the
+up equations.  A column's equations read only its column state (the
+(k-1)-prefix sets, u_k, v_k and a_k), so `suite_flat_count` sizes
+`_ledger_column` once per state, after its flat test has passed, and adds
+the sizes up per pair.  `is_flat` (the sorting route) and `find_flat`
+(the path route) stay separate, so each checks the other.
 """
 from __future__ import annotations
 
@@ -156,23 +158,30 @@ def equations(u: Perm, v: Perm, a: tuple[int, ...]) -> EquationSet:
 def _ledger(u: Perm, v: Perm, a: tuple[int, ...]) -> tuple[PluckerEquation, ...]:
     """
     The equations of `equations(u, v, a)` in (column, cell, origin) order:
-    per column, the rows in increasing order, and on a row that is a down
-    cell of u and an up cell of v, down first.  Unchecked: (u, v, a) must
-    pass shift_leq.
+    the columns of `_ledger_column` one after another.  Unchecked: (u, v, a)
+    must pass shift_leq.
     """
     n = len(u)
+    return tuple(eq for k in range(1, n) for eq in _ledger_column(u, v, k, a[k - 1], n))
+
+
+def _ledger_column(u: Perm, v: Perm, k: int, r: int, n: int) -> list[PluckerEquation]:
+    """
+    The equations of column k under the shift r: the rows in increasing
+    order, and on a row that is a down cell of u and an up cell of v, down
+    first.  They read only the (k-1)-prefix sets, u_k, v_k and r (the
+    values after position k are the rest).  Unchecked, as `_ledger`.
+    """
+    down = _column_cells(u, k, r, n, True)
+    up = _column_cells(v, k, r, n, False)
+    u_prefix, v_prefix = frozenset(u[:k - 1]), frozenset(v[:k - 1])
     eqs = []
-    for k in range(1, n):
-        r = a[k - 1]
-        down = _column_cells(u, k, r, n, True)
-        up = _column_cells(v, k, r, n, False)
-        u_prefix, v_prefix = frozenset(u[:k - 1]), frozenset(v[:k - 1])
-        for i in range(1, n + 1):
-            if i in down:
-                eqs.append(_vanish(u_prefix, i, (i, k), "down"))
-            if i in up:
-                eqs.append(_vanish(v_prefix, i, (i, k), "up"))
-    return tuple(eqs)
+    for i in range(1, n + 1):
+        if i in down:
+            eqs.append(_vanish(u_prefix, i, (i, k), "down"))
+        if i in up:
+            eqs.append(_vanish(v_prefix, i, (i, k), "up"))
+    return eqs
 
 
 def coatom_positions(v: Perm, x: Perm) -> tuple[int, int]:

@@ -642,9 +642,15 @@ def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
     from the flat cut (forward for the bottom label, backward for the top)
     yields nested rank-jump sets whose layers spell out the pair (x, y).
     """
-    n = F.n
     if not member_T_plucker(u, v, F, open_cell=False):
         raise PreconditionError("flag is not a member of the tilted Richardson variety")
+    return _locate_stratum(u, v, F)
+
+
+def _locate_stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
+    """`stratum` on a flag whose closed membership the caller has decided.
+    Unchecked: F must lie in the tilted Richardson variety of (u, v)."""
+    n = F.n
     a = find_flat(u, v)
     x_word: list[int] = []
     y_word: list[int] = []

@@ -52,6 +52,16 @@ def exponent_divides(a: QExponent, b: QExponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _pack(exps: QExponent) -> int:
+    """The exponents as one int, 16 bits per coordinate, so that adding two
+    packed weights adds their exponents while no coordinate reaches 2^16."""
+    return sum(e << 16 * p for p, e in enumerate(exps))
+
+
+def _unpack(packed: int, n: int) -> QExponent:
+    return tuple(packed >> 16 * p & 0xFFFF for p in range(n - 1))
+
+
 def monomial_str(exps: QExponent) -> str:
     """
     Monomial text: "1" for the zero exponent, else "q{i}" factors joined
@@ -278,13 +288,20 @@ def shortest_path_weight_sets(g: QuantumBruhatGraph, dist: list[int]) -> list[fr
     >>> shortest_path_weight_sets(g, g.distance_vector_from((3, 2, 1)))[g.index[(2, 1, 3)]]
     frozenset({(1, 1)})
     """
-    weights: list[set[QExponent]] = [set() for _ in dist]
-    weights[dist.index(0)].add(zero_exponent(g.n))
+    # weights packed inside the walk: a shortest walk is shorter than |S_n|
+    # steps and raises each coordinate by at most 1 per step
+    steps: dict[QExponent, int] = {}
+    weights: list[set[int]] = [set() for _ in dist]
+    weights[dist.index(0)].add(0)
     for x in sorted(range(len(dist)), key=dist.__getitem__):  # stable: ties by index
         for y, _, exps in g.out_adj[x]:
             if dist[y] == dist[x] + 1:
-                weights[y].update(exponent_add(prev, exps) for prev in weights[x])
-    return list(map(frozenset, weights))
+                if exps not in steps:
+                    steps[exps] = _pack(exps)
+                step = steps[exps]
+                weights[y].update([prev + step for prev in weights[x]])
+    unpacked = {packed: _unpack(packed, g.n) for packed in set().union(*weights)}
+    return [frozenset([unpacked[packed] for packed in row]) for row in weights]
 
 
 def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:

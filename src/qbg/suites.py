@@ -7,9 +7,12 @@ All comparisons are exact; a suite passes only with zero violations.  A
 suite reuses what it holds: one BFS per source, subintervals read off
 [u, v], coordinate flags built once.  Where a check depends on less than
 the instance, it runs once per distinct state and counts every instance
-it covers: `tilted` decides each prefix criterion per column state
-(u_k, v_k, S) from tables per pair of prefix sets, and `samepath` counts
-walks per (vertex, length, weight).  Every route still decides every instance.
+it covers, from tables per pair of prefix sets (`_shift_tables`):
+`distance` and `bfp` read each pair's closed-form weight off the depth
+table; `flat-count` decides find_flat's shift, the flat test and the
+ledger size once per column state; `tilted` decides each prefix criterion
+per column state (u_k, v_k, S); and `samepath` counts walks per (vertex,
+length, weight).  Every route still decides every instance.
 
 Each suite returns (ok, body, details); `run_suite` checks n and the
 sample count against `LIMITS` and `MAX_SAMPLES` before it calls the suite,
@@ -24,7 +27,7 @@ from math import comb
 from operator import or_
 
 from . import diagrams, exactgeom, qbgraph, tiltedorder
-from .errors import PreconditionError, ResourceLimitError, SamplingError
+from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, SamplingError
 from .latticepath import _gale_leq, _walk, prefix_paths
 from .permcore import (
     Perm,
@@ -41,10 +44,11 @@ from .permcore import (
 from .qbgraph import (
     QuantumBruhatGraph,
     _geodesic_marks,
+    _pack,
+    _unpack,
     build_graph,
     edge_weight,
     exponent_divides,
-    formula_weight,
     increasing_paths_from,
     shortest_path_weight_sets,
 )
@@ -77,17 +81,20 @@ def _fmt(w: Perm) -> str:
 
 def suite_distance(n: int, seed: int, samples: int) -> Outcome:
     """Closed-form weight and length agree with the BFS oracle on all pairs:
-    with the BFS distance and with the weight of every shortest path."""
+    with the BFS distance and with the weight of every shortest path.  The
+    weight's k-th coordinate is the depth of the path of the k-prefix sets,
+    read from `_shift_tables`."""
     g = build_graph(n)
     lengths = [coxeter_length(w) for w in g.vertices]
+    _, _, depths = _shift_tables(n)
+    prefixes = _prefix_masks(g.vertices)
     pairs = 0
     mismatches = []
     for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
         weight_sets = shortest_path_weight_sets(g, dist)
-        for j, v in enumerate(g.vertices):
+        for j, (v, weight) in enumerate(zip(g.vertices, _weights_from(i, prefixes, depths, n))):
             pairs += 1
-            weight = formula_weight(u, v)
             # graph_distance's closed form, on the weight already in hand
             if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
                 mismatches.append(f"mismatch at ({_fmt(u)}, {_fmt(v)})")
@@ -115,10 +122,9 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
         if len(bad) < 10:
             bad.append(message)
 
-    # weights packed 16 bits per coordinate: a bounded walk is shorter than
-    # |S_n| + 2 steps and raises each coordinate by at most 1 per step
-    steps = [[(t, sum(e << 16 * p for p, e in enumerate(exps))) for t, _, exps in row]
-             for row in g.out_adj]
+    # weights packed: a bounded walk is shorter than |S_n| + 2 steps and
+    # raises each coordinate by at most 1 per step
+    steps = [[(t, _pack(exps)) for t, _, exps in row] for row in g.out_adj]
     for u in g.vertices:
         dist = g.distance_vector_from(u)
         weight_sets = shortest_path_weight_sets(g, dist)
@@ -135,7 +141,7 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
                 ref = minimal[w_idx]
                 for packed, count in weights.items():
                     walks += count
-                    exps = tuple(packed >> 16 * p & 0xFFFF for p in range(n - 1))
+                    exps = _unpack(packed, n)
                     if not exponent_divides(ref, exps):
                         fail(count, f"walk weight below minimum at {_fmt(g.vertices[w_idx])}")
                     elif exps == ref and length != dist[w_idx]:
@@ -152,14 +158,17 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
 
 
 def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
-    """The greedy label-increasing path has oracle length and formula weight."""
+    """The greedy label-increasing path has oracle length and the closed-form
+    weight, read from `_shift_tables` as in `distance`."""
     g = build_graph(n)
+    _, _, depths = _shift_tables(n)
+    prefixes = _prefix_masks(g.vertices)
     bad: list[str] = []
     pairs = 0
     root_rank = {t: i for i, t in enumerate(qbgraph.all_roots(n))}
-    for u in g.vertices:
+    for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
-        for j, v in enumerate(g.vertices):
+        for j, (v, formula) in enumerate(zip(g.vertices, _weights_from(i, prefixes, depths, n))):
             pairs += 1
             path = qbgraph.bfp_greedy_path(u, v)
             labels = [root_rank[e.root] for e in path]
@@ -167,7 +176,7 @@ def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
             weight = qbgraph.path_weight(path, n)
             if (
                 len(path) != dist[j]
-                or weight != formula_weight(u, v)
+                or weight != formula
                 or not increasing
             ):
                 bad.append(f"greedy path wrong for ({_fmt(u)}, {_fmt(v)})")
@@ -230,26 +239,47 @@ def base_poset_hasse(g: QuantumBruhatGraph, dist: list[int]) -> set[tuple[Perm, 
     return {(e.source, e.target) for e in tiltedorder.cover_edges(g, rank)}
 
 
-def _shift_tables(n: int) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
+def _prefix_masks(vertices: list[Perm]) -> list[list[int]]:
+    """The k-prefix sets of each vertex, k = 1..n-1, as `value_mask` bitmasks."""
+    return [list(accumulate((1 << (x - 1) for x in w[:-1]), or_)) for w in vertices]
+
+
+def _weights_from(
+    i: int, prefixes: list[list[int]], depths: dict[int, int], n: int
+) -> list[tuple[int, ...]]:
+    """The closed-form weight of (u, v) for u the vertex with index i and v
+    every vertex: coordinate k is the depth of the k-prefix sets' path."""
+    high = [A << n for A in prefixes[i]]
+    return [tuple([depths[A | B] for A, B in zip(high, masks)]) for masks in prefixes]
+
+
+Tables = tuple[dict[int, frozenset[int]], dict[int, frozenset[int]], dict[int, int]]
+
+
+def _shift_tables(n: int) -> Tables:
     """
     The valid shifts of every pair (A, B) of k-subsets of [n], 1 <= k < n,
     keyed by the bitmask pair A << n | B, by two routes that share nothing:
     the path route reads them off the comparison path (`_walk`), the sorting
     route keeps each r with A <=_r B (`_gale_leq`).  Each distinct shift set
-    is one frozenset object.
+    is one frozenset object.  The third table holds the depth of the same
+    path, the k-th coordinate of the closed-form weight of every pair of
+    permutations with k-prefix sets A and B.
     """
     shared: dict[frozenset[int], frozenset[int]] = {}
     paths: dict[int, frozenset[int]] = {}
     sorting: dict[int, frozenset[int]] = {}
+    depths: dict[int, int] = {}
     shifts = range(1, n + 1)
     for k in range(1, n):
         subsets = [(value_mask(A), A) for A in combinations(shifts, k)]
         for (a, A), (b, B) in product(subsets, repeat=2):
-            by_path = _walk([0] * (n + 1), zip(A, B))[-1][1]
+            depth, by_path = _walk([0] * (n + 1), zip(A, B))[-1]
             by_sorting = frozenset(r for r in shifts if _gale_leq(A, B, r, n))
             paths[a << n | b] = shared.setdefault(by_path, by_path)
             sorting[a << n | b] = shared.setdefault(by_sorting, by_sorting)
-    return paths, sorting
+            depths[a << n | b] = depth
+    return paths, sorting, depths
 
 
 def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
@@ -266,13 +296,12 @@ def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
     g = build_graph(n)
     vertices = g.vertices
     everyone = (1 << len(vertices)) - 1
-    prefixes: list[list[int]] = []  # the k-prefix sets of each vertex
+    prefixes = _prefix_masks(vertices)
     holders: dict[int, int] = {}  # the vertices with each prefix set
-    for k, w in enumerate(vertices):
-        prefixes.append(list(accumulate((1 << (x - 1) for x in w[:-1]), or_)))
-        for S in prefixes[-1]:
+    for k, masks in enumerate(prefixes):
+        for S in masks:
             holders[S] = holders.get(S, 0) | 1 << k
-    paths, sorting = _shift_tables(n)
+    paths, sorting, _ = _shift_tables(n)
     failing: dict[int, tuple[int, int]] = {}  # (exists_shift, all_shifts) per (A, B)
     for key, need in paths.items():
         A, B = key >> n, key & ((1 << n) - 1)
@@ -318,27 +347,61 @@ def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
 
 
 def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
-    """find_flat yields flat sequences and the ledgers have the right size."""
+    """
+    find_flat yields flat sequences and the ledgers have the right size.
+
+    Column k of a pair reads only its column state: the (k-1)- and k-prefix
+    sets of u and v, keyed as the prefix-set pairs of columns k - 1 and k.
+    The state fixes find_flat's a_k (the least shift valid for both pairs,
+    from the path table), is_flat's test of a_k on both pairs (from the
+    sorting table) and the size of the column's ledger.  Each distinct state
+    is decided once, from the first pair that reaches it, and every pair
+    adds up its columns.
+    """
     g = build_graph(n)
+    paths, sorting, _ = _shift_tables(n)
+    prefixes = _prefix_masks(g.vertices)
+    states: dict[int, tuple[int, bool, int]] = {}  # (a_k, flat, ledger size)
+
+    def decide(u: Perm, v: Perm, k: int, before: int, key: int) -> tuple[int, bool, int]:
+        shifts = paths[key] & paths[before] if k > 1 else paths[key]
+        if not shifts:
+            raise InternalInvariantError(
+                f"no common shift for columns {k - 1} and {k} of ({_fmt(u)}, {_fmt(v)})"
+            )
+        r = min(shifts)
+        if r not in sorting[key] or k > 1 and r not in sorting[before]:
+            return r, False, 0
+        # the column passes shift_leq, so its unchecked ledger is counted
+        return r, True, len(diagrams._ledger_column(u, v, k, r, n))
+
     bad: list[str] = []
     pairs = 0
     x_checked = 0
     total = comb(n, 2)
-    for u in g.vertices:
+    for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
+        high = [A << n for A in prefixes[i]]
         for j, v in enumerate(g.vertices):
             pairs += 1
-            a = diagrams.find_flat(u, v)
-            if not diagrams.is_flat(u, v, a):
+            columns = []
+            before = 0
+            for k, key in enumerate(map(or_, high, prefixes[j]), start=1):
+                state = before << 2 * n | key
+                if state not in states:
+                    states[state] = decide(u, v, k, before, key)
+                columns.append(states[state])
+                before = key
+            if not all(flat for _, flat, _ in columns):
                 bad.append(f"find_flat not flat for ({_fmt(u)}, {_fmt(v)})")
                 continue
-            # is_flat has checked (u, v, a), so the unchecked ledger is counted
-            count = len(diagrams._ledger(u, v, a))
+            count = sum(size for _, _, size in columns)
             if count != total - dist[j]:
                 bad.append(
                     f"ledger size {count} != {total - dist[j]} for ({_fmt(u)}, {_fmt(v)})"
                 )
             if n <= 4 and dist[j] >= 1:
+                a = tuple(r for r, _, _ in columns)
                 for x, on, d in zip(g.vertices, _geodesic_marks(g, dist, j), dist):
                     if not on or d != dist[j] - 1:
                         continue
@@ -542,7 +605,7 @@ def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
                     f"substratum sample of ({_fmt(x)}, {_fmt(y)}) escapes ({_fmt(u)}, {_fmt(v)})"
                 )
                 continue
-            label = exactgeom.stratum(u, v, G)
+            label = exactgeom._locate_stratum(u, v, G)
             if tiltedorder.interval_member_set(label.x, label.y) != tiltedorder.interval_member_set(x, y):
                 bad.append(
                     f"boundary flag of ({_fmt(u)}, {_fmt(v)}) located in the wrong stratum"
@@ -607,8 +670,8 @@ LIMITS = {
     "rotation": (2, qbgraph.MAX_GRAPH_N),  # S_1 has no roots; n = 8 took 11 s
     "tilted": (1, 6),  # (n!)^3 triples, 1.3 x 10^11 at n = 7
     "flat-count": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
-    "fixedpoints": (1, qbgraph.MAX_GRAPH_N),  # builds the graph and a flag per vertex
-    "equivalence": (1, exactgeom.MAX_TABLE_N),  # a flag per permutation of S_n
+    "fixedpoints": (1, 5),  # (n!)^3 member_T_plucker calls, about 17 min at n = 6
+    "equivalence": (1, 6),  # n! coordinate flags per pair and sequence, about 2 h at n = 7
     "stratify": (1, exactgeom.MAX_TABLE_N),  # samples flags
     "plucker": (3, exactgeom.MAX_TABLE_N),  # no incidence relation below 3; flags above 7
 }

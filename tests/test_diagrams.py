@@ -8,6 +8,8 @@ import pytest
 from qbg.diagrams import (
     EquationSet,
     PluckerEquation,
+    _ledger,
+    _ledger_column,
     coatom_positions,
     equation_str,
     equations,
@@ -229,6 +231,16 @@ class TestEquations:
             for a in valid_shift_sequences(u, v):
                 got = equations_to_json(equations(u, v, a))
                 assert got == equations_to_json(sorted_ledger(u, v, a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ledger_is_its_columns_in_order(self, n):
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                for a in valid_shift_sequences(u, v):
+                    columns = [_ledger_column(u, v, k, a[k - 1], n) for k in range(1, n)]
+                    assert _ledger(u, v, a) == tuple(eq for column in columns for eq in column)
+                    for k, column in enumerate(columns, start=1):
+                        assert {eq.column for eq in column} <= {k}
 
     def test_json_roundtrip(self):
         es = equations((4, 3, 2, 1), (3, 1, 4, 2), (4, 4, 2))

@@ -7,18 +7,20 @@ import random
 import signal
 from contextlib import contextmanager
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from qbg import exactgeom, qbgraph, suites, tiltedorder
+from qbg import diagrams, exactgeom, latticepath, qbgraph, suites, tiltedorder
 from qbg.cli import main
 from qbg.errors import PreconditionError, ResourceLimitError, SamplingError
-from qbg.permcore import all_permutations, format_permutation
+from qbg.permcore import all_permutations, coxeter_length, format_permutation
 from qbg.qbgraph import (
     QuantumBruhatGraph,
     exponent_add,
     exponent_divides,
+    formula_weight,
     graph_distance,
     shortest_path_weight_sets,
     zero_exponent,
@@ -169,9 +171,11 @@ def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
     assert "bounded at n <= 7" in capsys.readouterr().err
 
 
-# The tilted and samepath suites as they were written first: every triple
-# through both library criteria, every bounded walk popped from a stack.
-# They read suites.build_graph, so a patched graph reaches them too.
+# The suites as they were written first: every triple through both library
+# criteria, every bounded walk popped from a stack, and every pair through
+# the public formula_weight, bfp_greedy_path, find_flat and is_flat and a
+# whole ledger.  They read suites.build_graph, so a patched graph reaches
+# them too.
 
 
 def stack_samepath(n):
@@ -226,11 +230,91 @@ def criterion_tilted(n):
     return suites.SuiteResult("tilted", n, not bad, body, bad[:10])
 
 
-REFERENCES = {"samepath": stack_samepath, "tilted": criterion_tilted}
+def per_pair_distance(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    lengths = [coxeter_length(w) for w in g.vertices]
+    pairs, mismatches = 0, []
+    for i, u in enumerate(g.vertices):
+        dist = g.distance_vector_from(u)
+        weight_sets = shortest_path_weight_sets(g, dist)
+        for j, v in enumerate(g.vertices):
+            pairs += 1
+            weight = formula_weight(u, v)
+            if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
+                mismatches.append(f"mismatch at ({fmt(u)}, {fmt(v)})")
+    body = f"{pairs} pairs, {len(mismatches)} mismatches"
+    return suites.SuiteResult("distance", n, not mismatches, body, mismatches[:10])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", sorted(REFERENCES))
+def per_pair_bfp(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    root_rank = {t: i for i, t in enumerate(qbgraph.all_roots(n))}
+    pairs, bad = 0, []
+    for u in g.vertices:
+        dist = g.distance_vector_from(u)
+        for j, v in enumerate(g.vertices):
+            pairs += 1
+            path = qbgraph.bfp_greedy_path(u, v)
+            labels = [root_rank[e.root] for e in path]
+            increasing = all(a < b for a, b in zip(labels, labels[1:]))
+            weight = qbgraph.path_weight(path, n)
+            if len(path) != dist[j] or weight != formula_weight(u, v) or not increasing:
+                bad.append(f"greedy path wrong for ({fmt(u)}, {fmt(v)})")
+    body = f"{pairs} pairs, {len(bad)} violations"
+    return suites.SuiteResult("bfp", n, not bad, body, bad[:10])
+
+
+def per_pair_flat_count(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    total = comb(n, 2)
+    pairs, x_checked, bad = 0, 0, []
+    for u in g.vertices:
+        dist = g.distance_vector_from(u)
+        for j, v in enumerate(g.vertices):
+            pairs += 1
+            a = diagrams.find_flat(u, v)
+            if not diagrams.is_flat(u, v, a):
+                bad.append(f"find_flat not flat for ({fmt(u)}, {fmt(v)})")
+                continue
+            count = len(diagrams._ledger(u, v, a))
+            if count != total - dist[j]:
+                bad.append(f"ledger size {count} != {total - dist[j]} for ({fmt(u)}, {fmt(v)})")
+            if n <= 4 and dist[j] >= 1:
+                for x, on, d in zip(g.vertices, qbgraph._geodesic_marks(g, dist, j), dist):
+                    if not on or d != dist[j] - 1:
+                        continue
+                    try:
+                        count_x = len(diagrams.equations_with_x(u, v, a, x))
+                    except PreconditionError as exc:
+                        bad.append(f"x-ledger rejected ({fmt(u)}, {fmt(v)}, {fmt(x)}): {exc}")
+                        continue
+                    x_checked += 1
+                    if count_x != total - dist[j]:
+                        bad.append(
+                            f"x-ledger size {count_x} != {total - dist[j]} for "
+                            f"({fmt(u)}, {fmt(v)}, {fmt(x)})"
+                        )
+    body = f"{pairs} pairs, " + ("count law holds" if not bad else "violations")
+    details = [f"{x_checked} coatom ledgers checked"] if x_checked else []
+    return suites.SuiteResult("flat-count", n, not bad, body, details + bad[:10])
+
+
+REFERENCES = {
+    "samepath": stack_samepath,
+    "tilted": criterion_tilted,
+    "distance": per_pair_distance,
+    "bfp": per_pair_bfp,
+    "flat-count": per_pair_flat_count,
+}
+REFERENCE_SIZES = {"samepath": 4, "tilted": 4, "distance": 5, "bfp": 4, "flat-count": 5}
+
+
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name in sorted(REFERENCES) for n in range(1, REFERENCE_SIZES[name] + 1)
+])
 def test_report_matches_the_per_triple_and_per_walk_suite(name, n):
     with time_limit(60):
         assert suites.run_suite(name, n).report() == REFERENCES[name](n).report()
@@ -287,6 +371,63 @@ def test_each_prefix_route_reads_its_own_kernel(monkeypatch, kernel):
     result = suites.run_suite("tilted", 3)
     assert not result.ok
     assert result.details[0] == "criteria split on (123, 123, 132)"
+
+
+def test_distance_reads_its_weights_from_the_path_table(monkeypatch):
+    """A path walk that reads every depth one too deep breaks the weight of
+    every pair, while the per-pair suite, which walks through prefix_paths,
+    still passes."""
+    walk = suites._walk
+
+    def one_deeper(heights, pairs):
+        return [(d + 1, shifts) for d, shifts in walk(heights, pairs)]
+
+    monkeypatch.setattr(suites, "_walk", one_deeper)
+    result = suites.run_suite("distance", 3)
+    assert result.body == "36 pairs, 36 mismatches"
+    assert result.details[0] == "mismatch at (123, 123)"
+    assert per_pair_distance(3).ok
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_broken_sorting_kernel_fails_flat_count_as_in_the_per_pair_suite(monkeypatch, n):
+    """A Gale test that reads shift r as r + 1 (mod n) is the flat test of
+    both routes: the state table's through suites._gale_leq, is_flat's
+    through the latticepath and diagrams copies."""
+    gale = suites._gale_leq
+
+    def next_shift(A, B, r, n):
+        return gale(A, B, r % n + 1, n)
+
+    for owner in (suites, diagrams, latticepath):
+        monkeypatch.setattr(owner, "_gale_leq", next_shift)
+    with time_limit(60):
+        result, reference = suites.run_suite("flat-count", n), per_pair_flat_count(n)
+    assert not result.ok
+    assert any(line.startswith("find_flat not flat for ") for line in result.details)
+    assert result.report() == reference.report()
+
+
+def test_a_broken_cell_rule_fails_flat_count_as_in_the_per_pair_suite(monkeypatch):
+    """Cells read one shift off: the ledger of each state is built by the
+    same cell rule as a whole ledger, so both suites see the same sizes."""
+    cells = diagrams._column_cells
+
+    def next_shift(w, k, r, n, down):
+        return cells(w, k, r % n + 1, n, down)
+
+    monkeypatch.setattr(diagrams, "_column_cells", next_shift)
+    with time_limit(60):
+        result, reference = suites.run_suite("flat-count", 5), per_pair_flat_count(5)
+    assert not result.ok
+    assert result.details[0].startswith("ledger size ")
+    assert result.report() == reference.report()
+
+
+def test_flat_count_at_n6_decides_column_states_not_pairs():
+    """518,400 pairs: per-pair ledgers took about 49 s (2-CPU host)."""
+    with time_limit(20):
+        assert suites.run_suite("flat-count", 6).ok
 
 
 def count_calls(monkeypatch, owner, name):

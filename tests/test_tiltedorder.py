@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from qbg.errors import InternalInvariantError, PreconditionError
-from qbg.latticepath import shifted_gale_leq, valid_shifts
+from qbg.latticepath import depth, shifted_gale_leq, valid_shifts
 from qbg.permcore import (
     all_permutations,
     identity,
@@ -132,9 +132,10 @@ class TestCriteria:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_suite_shift_tables_match_both_routes(n):
-    """The tilted suite's per-prefix-set tables: the path table is
-    valid_shifts, the sorting table is the shifts passing the Gale test."""
-    paths, sorting = _shift_tables(n)
+    """The suites' per-prefix-set tables: the path table is valid_shifts,
+    the sorting table is the shifts passing the Gale test, and the depth
+    table is the path's depth."""
+    paths, sorting, depths = _shift_tables(n)
     universe = range(1, n + 1)
     keys = set()
     for k in range(1, n):
@@ -143,7 +144,8 @@ def test_suite_shift_tables_match_both_routes(n):
             keys.add(key)
             assert paths[key] == valid_shifts(A, B, n)
             assert sorting[key] == {r for r in universe if shifted_gale_leq(A, B, r, n)}
-    assert set(paths) == set(sorting) == keys
+            assert depths[key] == depth(A, B, n)
+    assert set(paths) == set(sorting) == set(depths) == keys
     # one object per distinct shift set
     tables = [*paths.values(), *sorting.values()]
     assert len(set(map(id, tables))) == len(set(tables))
