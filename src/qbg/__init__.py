@@ -24,7 +24,6 @@ from .permcore import (
     parse_permutation,
     prefix_set,
     reflection_ordering,
-    shifted_less,
 )
 from .latticepath import (
     depth,

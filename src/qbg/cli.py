@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import diagrams, exactgeom, qbgraph, suites, tiltedorder
-from .errors import QbgError, SamplingError
+from .errors import QbgError, ResourceLimitError, SamplingError
 from .permcore import (
     Perm,
     format_permutation,
@@ -15,6 +15,12 @@ from .permcore import (
     longest_element,
     parse_permutation,
 )
+
+#: Permutations on the command line are refused above this size before any
+#: work: the `diagram` ledger is Theta(n^3) text (5 MB and 0.5 s at n = 200,
+#: 83 MB and 11 s at n = 500), and `dist` grows about as n^2 (4 s at
+#: n = 4000; times on a 2-CPU host).  The library functions take any n.
+MAX_CLI_N = 200
 
 
 class UsageError(QbgError):
@@ -37,6 +43,8 @@ def _perm_pair(u_text: str, v_text: str, n_flag: int | None) -> tuple[Perm, Perm
     for text in (u_text, v_text):
         if text.strip().lower() not in ("id", "w0", "w_0"):
             hint = len(parse_permutation(text))
+    if hint is not None and hint > MAX_CLI_N:
+        raise ResourceLimitError(f"permutations are bounded at n <= {MAX_CLI_N}, got n = {hint}")
     u = _resolve_perm(u_text, hint)
     v = _resolve_perm(v_text, hint)
     if len(u) != len(v):

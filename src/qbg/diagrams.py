@@ -27,7 +27,6 @@ the sizes up per pair.  `is_flat` (the sorting route) and `find_flat`
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError
@@ -94,8 +93,8 @@ def _column_cells(w: Perm, k: int, r: int, n: int, down: bool) -> set[int]:
     """
     The rows i of the cells in column k: the values after position k (so
     w^{-1}(i) > k) that rank below w_k (down) or above it (up) in the
-    shifted order with minimum r, as permcore.shifted_key.  Unchecked: w a
-    permutation, 1 <= k < n, 1 <= r <= n.
+    shifted order r < r+1 < ... < n < 1 < ... < r-1, where x has rank
+    (x - r) % n.  Unchecked: w a permutation, 1 <= k < n, 1 <= r <= n.
     """
     wk_rank = (w[k - 1] - r) % n
     if down:
@@ -128,8 +127,7 @@ class PluckerEquation(NamedTuple):
     signs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EquationSet:
+class EquationSet(NamedTuple):
     u: Perm
     v: Perm
     a: tuple[int, ...]

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .diagrams import EquationSet, PluckerEquation, find_flat, signed_sorted_insert
 from .errors import (
@@ -111,13 +110,6 @@ def _add_row(pivots: Pivots, row: Sequence[int]) -> int | None:
             pivots.append((col, vec))
             return col
     return None
-
-
-def _rank(rows: Iterable[Sequence[int]]) -> int:
-    pivots: Pivots = []
-    for row in rows:
-        _add_row(pivots, row)
-    return len(pivots)
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -239,16 +231,6 @@ def format_matrix(m: Matrix) -> str:
     for row in m:
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def chi_rotate(m: Matrix) -> Matrix:
-    """Cyclic row rotation: (row_1, ..., row_n) becomes (row_n, row_1, ...)."""
-    return (m[-1],) + m[:-1]
-
-
-def chi_set(values: Iterable[int], n: int) -> frozenset[int]:
-    """The companion index rotation i -> i + 1 (mod n)."""
-    return frozenset(i % n + 1 for i in values)
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +455,6 @@ def incidence_exchange_rule_holds(
 
 
 # ---------------------------------------------------------------------------
-# Rank windows
-
-
-def rank_region(F: Flag, region: Iterable[int], k: int) -> int:
-    """Rank of the rows in `region` restricted to the first k columns."""
-    rows_idx = sorted(frozenset(region))
-    if not 0 <= k <= F.n:
-        raise PreconditionError(f"column count {k} out of range 0..{F.n}")
-    if rows_idx and not 1 <= rows_idx[0] <= rows_idx[-1] <= F.n:
-        raise PreconditionError(f"row set {rows_idx} out of range 1..{F.n}")
-    if not rows_idx or k == 0:
-        return 0
-    return _rank(F._rows[r - 1][:k] for r in rows_idx)
-
-
-# ---------------------------------------------------------------------------
 # The three membership definitions
 #
 # What a route reads of (u, v, a) does not depend on the flag, so it is
@@ -607,8 +573,7 @@ def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool
 # Stratum location
 
 
-@dataclass(frozen=True)
-class StratumLabel:
+class StratumLabel(NamedTuple):
     x: Perm
     y: Perm
 

@@ -44,7 +44,7 @@ def validate_permutation(w: Sequence[int]) -> Perm:
 def parse_permutation(text: str) -> Perm:
     """
     Parse one-line notation, either a digit string (n <= 9) or a
-    comma-separated list of integers.
+    comma-separated list of integers, written in the ASCII digits 0-9.
 
     >>> parse_permutation("321")
     (3, 2, 1)
@@ -60,7 +60,7 @@ def parse_permutation(text: str) -> Perm:
         tokens = list(text)
     word = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"invalid token {tok!r} in permutation {text!r}")
         word.append(int(tok))
     n = len(word)
@@ -88,13 +88,6 @@ def identity(n: int) -> Perm:
 def longest_element(n: int) -> Perm:
     """w_0 = n n-1 ... 1."""
     return tuple(range(n, 0, -1))
-
-
-def inverse(w: Perm) -> Perm:
-    inv = [0] * len(w)
-    for pos, value in enumerate(w, start=1):
-        inv[value - 1] = pos
-    return tuple(inv)
 
 
 def all_permutations(n: int) -> Iterator[Perm]:
@@ -223,25 +216,6 @@ def cyclic_set(
         for k in range(1, n + 1)
         if cyclic_contains(a, b, k, n, include_a=include_a, include_b=include_b)
     )
-
-
-# ---------------------------------------------------------------------------
-# Shifted linear order
-
-
-def shifted_key(r: int, x: int, n: int) -> int:
-    """Rank of x in the order r < r+1 < ... < n < 1 < ... < r-1."""
-    return (x - r) % n
-
-
-def shifted_less(r: int, a: int, b: int, n: int) -> bool:
-    """
-    Is a strictly before b in the shifted linear order with minimum r?
-
-    >>> shifted_less(4, 5, 2, 5)
-    True
-    """
-    return shifted_key(r, a, n) < shifted_key(r, b, n)
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
         base = target % n + 1  # shifted order with target on top
         prev = k
         while w[k - 1] != target:
-            # ranks in the shifted order with minimum base, as permcore.shifted_key
+            # x has rank (x - base) % n in the shifted order with minimum base
             rank = (w[k - 1] - base) % n
             p = next((p for p in range(prev + 1, n + 1) if (w[p - 1] - base) % n > rank), None)
             if p is None:

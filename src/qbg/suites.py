@@ -21,10 +21,10 @@ and frames what it returns as a SuiteResult.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
 from math import comb
 from operator import or_
+from typing import NamedTuple
 
 from . import diagrams, exactgeom, qbgraph, tiltedorder
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, SamplingError
@@ -54,13 +54,12 @@ from .qbgraph import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     n: int
     ok: bool
     body: str
-    details: list[str] = field(default_factory=list)
+    details: list[str]
 
     def report(self) -> str:
         lines = [f"suite={self.name} n={self.n}", self.body]

@@ -17,8 +17,8 @@ pair it is a set of admissible nodes of the lattice of subsets of [n], and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, _gale_leq, _prefix_paths, _walk
@@ -130,8 +130,7 @@ def interval_member_set(u: Perm, v: Perm) -> frozenset[Perm]:
     return frozenset(members)
 
 
-@dataclass(frozen=True)
-class TiltedInterval:
+class TiltedInterval(NamedTuple):
     bottom: Perm
     top: Perm
     members: frozenset[Perm]

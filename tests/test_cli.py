@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qbg.cli import main
+from qbg.cli import MAX_CLI_N, main
 from qbg.errors import ResourceLimitError
 from qbg.exactgeom import (
     Flag,
@@ -52,6 +52,21 @@ class TestDist:
         code, _, err = run(capsys, "dist", "122", "321")
         assert code == 2
         assert "duplicate" in err
+
+    def test_non_ascii_digit(self, capsys):
+        code, out, err = run(capsys, "dist", "\u00b21", "21")
+        assert (code, out) == (2, "")
+        assert "invalid token" in err
+
+    def test_refused_above_the_cli_bound_before_work(self, capsys):
+        big = ",".join(map(str, range(MAX_CLI_N + 1, 0, -1)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dist", "id", big)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert f"bounded at n <= {MAX_CLI_N}" in err
+        code, out, _ = run(capsys, "dist", "id", big[big.index(",") + 1:])
+        assert code == 0 and out.startswith("ell=")
 
 
 class TestGraph:
@@ -128,6 +143,17 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", "4321", "3142", "--a", "1,1,1")
         assert code == 2
         assert "not below" in err
+
+    @pytest.mark.parametrize("args", [
+        ["id", "w0", "--n", str(MAX_CLI_N + 1)],
+        ["w0", ",".join(map(str, [MAX_CLI_N + 1, *range(1, MAX_CLI_N + 1)]))],
+    ])
+    def test_refused_above_the_cli_bound_before_work(self, capsys, args):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "diagram", *args)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert f"bounded at n <= {MAX_CLI_N}" in err
 
     def test_out_of_range_shift(self, capsys):
         # read mod n, 8,6,6 would act as 4,2,2 under a header naming 8,6,6

@@ -26,14 +26,14 @@ from qbg.latticepath import prefix_paths
 from qbg.permcore import (
     all_permutations,
     identity,
-    inverse,
     longest_element,
     parse_permutation,
     prefix_set,
-    shifted_less,
 )
 from qbg.qbgraph import build_graph, graph_distance
 from qbg.tiltedorder import interval
+
+from oracles import inverse, shifted_less
 
 BAD_PAIRS = [
     ((2, 2, 2), (2, 2, 2), "not a permutation"),

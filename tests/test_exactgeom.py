@@ -15,10 +15,7 @@ from qbg.exactgeom import (
     Flag,
     _det,
     _integer_row,
-    _rank,
     all_equations_vanish,
-    chi_rotate,
-    chi_set,
     complete_to_permutation,
     format_matrix,
     incidence_exchange_rule_holds,
@@ -35,7 +32,6 @@ from qbg.exactgeom import (
     plucker_minus_plus,
     plucker_plus,
     random_flag,
-    rank_region,
     sample_in_open_stratum,
     stratum,
 )
@@ -50,6 +46,8 @@ from qbg.permcore import (
     value_mask,
 )
 from qbg.tiltedorder import interval_member_set, interval_members_criterion
+
+from oracles import _rank, chi_rotate, chi_set, rank_region
 
 
 class TestMatrixFormat:

@@ -23,9 +23,10 @@ from qbg.permcore import (
     identity,
     longest_element,
     parse_permutation,
-    shifted_key,
 )
 from qbg.qbgraph import formula_weight, graph_distance
+
+from oracles import shifted_key
 
 
 def brute_shifts(A, B, n):

@@ -11,7 +11,6 @@ from qbg.permcore import (
     cyclic_set,
     format_permutation,
     identity,
-    inverse,
     is_reflection_ordering,
     long_cycle_rotate,
     longest_element,
@@ -19,8 +18,9 @@ from qbg.permcore import (
     prefix_set,
     reduced_words_of_longest,
     reflection_ordering,
-    shifted_less,
 )
+
+from oracles import inverse, shifted_less
 
 
 class TestParse:
@@ -45,6 +45,12 @@ class TestParse:
     def test_bad_token(self):
         with pytest.raises(ParseError, match="'x'"):
             parse_permutation("1,x,3")
+
+    @pytest.mark.parametrize("text", ["\u00b21", "1,\u00b2", "\u0661\u0662"])
+    def test_non_ascii_digits_refused(self, text):
+        # str.isdigit accepts superscripts and other scripts' digits
+        with pytest.raises(ParseError, match="invalid token"):
+            parse_permutation(text)
 
     def test_format_roundtrip(self):
         for text in ("321", "7,3,6,4,1,5,2", "123456789"):

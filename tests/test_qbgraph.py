@@ -17,7 +17,6 @@ from qbg.permcore import (
     format_permutation,
     parse_permutation,
     reflection_ordering,
-    shifted_less,
 )
 from qbg.qbgraph import (
     QbgEdge,
@@ -37,9 +36,12 @@ from qbg.qbgraph import (
 )
 from qbg.tiltedorder import cover_edges, hasse_export, interval
 
+from oracles import shifted_less
+
+
 def checked_greedy_path(u, v):
-    """Reference greedy path through the checked public calls: shifted_less
-    picks each position and edge_weight weighs each step."""
+    """Reference greedy path through the shifted_less oracle, which picks
+    each position, and the checked edge_weight, which weighs each step."""
     n = len(u)
     w = u
     edges = []
