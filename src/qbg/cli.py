@@ -27,9 +27,12 @@ class UsageError(QbgError):
     pass
 
 
+_ALIASES = ("id", "w0", "w_0")
+
+
 def _resolve_perm(text: str, n_hint: int | None) -> Perm:
     alias = text.strip().lower()
-    if alias in ("id", "w0", "w_0"):
+    if alias in _ALIASES:
         if n_hint is None:
             raise UsageError(
                 f"{text!r} needs the size; give the other permutation explicitly or pass --n"
@@ -39,14 +42,15 @@ def _resolve_perm(text: str, n_hint: int | None) -> Perm:
 
 
 def _perm_pair(u_text: str, v_text: str, n_flag: int | None) -> tuple[Perm, Perm]:
-    hint = n_flag
-    for text in (u_text, v_text):
-        if text.strip().lower() not in ("id", "w0", "w_0"):
-            hint = len(parse_permutation(text))
-    if hint is not None and hint > MAX_CLI_N:
-        raise ResourceLimitError(f"permutations are bounded at n <= {MAX_CLI_N}, got n = {hint}")
-    u = _resolve_perm(u_text, hint)
-    v = _resolve_perm(v_text, hint)
+    texts = (u_text, v_text)
+    # each explicit permutation is parsed once; --n sizes the shorthands only when both are
+    explicit = {t: parse_permutation(t) for t in texts if t.strip().lower() not in _ALIASES}
+    sizes = [len(w) for w in explicit.values()] or [n_flag]
+    if sizes[0] is not None and max(sizes) > MAX_CLI_N:
+        raise ResourceLimitError(
+            f"permutations are bounded at n <= {MAX_CLI_N}, got n = {max(sizes)}"
+        )
+    u, v = (explicit.get(t) or _resolve_perm(t, sizes[0]) for t in texts)
     if len(u) != len(v):
         raise UsageError(f"permutations have different sizes {len(u)} and {len(v)}")
     return u, v
@@ -103,10 +107,12 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     if args.a == "auto":
         a = diagrams.find_flat(u, v)
     else:
-        try:
-            a = tuple(int(tok) for tok in args.a.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad shift sequence {args.a!r}: {exc}") from exc
+        tokens = [tok.strip() for tok in args.a.split(",")]
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise UsageError(
+                f"bad shift sequence {args.a!r}: entries are ASCII digits 0-9 separated by commas"
+            )
+        a = tuple(map(int, tokens))
     lines = [
         f"u={format_permutation(u)} v={format_permutation(v)} a={','.join(map(str, a))}",
         "",
@@ -150,7 +156,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
             f"({format_permutation(u)}, {format_permutation(v)})"
         )
         return 1
-    label = exactgeom._locate_stratum(u, v, F)
+    label = exactgeom.stratum(u, v, F)
     print(f"x={format_permutation(label.x)} y={format_permutation(label.y)}")
     print("open-membership=yes")  # the locator has checked its label's open test on F
     return 0

@@ -9,11 +9,11 @@ first k columns, and P_I is the minor on rows I and the first |I| columns.
 All exact work runs on a column-scaled integer copy of each flag;
 rationals reappear only at the API boundary (`Flag.plucker`,
 `nullspace_basis`, sampled matrices), with the same values exact rational
-elimination gives.  A flag builds the table of all its 2^n minors P_I on
-construction, each by Laplace expansion from the minors one row smaller,
-and with it its live set, the row sets on a chain of nonzero minors from
-the empty set to [n].  On first use, under its lock, it fills the rank of
-every cyclic row window on every column prefix; those and every other
+elimination gives.  A flag is finished when it is made: its constructor
+builds the table of all its 2^n minors P_I, each by Laplace expansion
+from the minors one row smaller; its live set, the row sets on a chain of
+nonzero minors from the empty set to [n]; and the rank of every cyclic
+row window on every column prefix.  Those window ranks and every other
 rank, determinant and nullspace come from one fraction-free integer
 elimination kernel (Bareiss).
 
@@ -33,7 +33,6 @@ once per (u, v, a, n) in a bounded cache.
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -170,25 +169,30 @@ def nullspace_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fractio
     return _nullspace(pivots, ncols)
 
 
+def _slot(k: int, start: int, length: int, n: int) -> int:
+    """Where the window table keeps the rank of the `length` rows cyclically
+    from row `start` (1-based) on the first k columns."""
+    return (k * n + start - 1) * (n + 1) + length
+
+
 def _window_table(rows: Sequence[Sequence[int]]) -> bytes:
     """
-    Rank of every cyclic row window on the first k columns, for every k:
-    entry (k * n + s) * (n + 1) + length is the rank of the `length` rows
-    cyclically from row s + 1 on the first k columns.  One incremental
-    elimination per start row gives all lengths and all k at once.
+    Rank of every cyclic row window on the first k columns, for every k,
+    at `_slot(k, start, length, n)`.  One incremental elimination per
+    start row gives all lengths and all k at once.
     """
     n = len(rows)
     table = [0] * ((n + 1) * n * (n + 1))
-    for s in range(n):
+    for start in range(1, n + 1):
         pivots: Pivots = []
         ranks = [0] * (n + 1)
         for length in range(1, n + 1):
-            col = _add_row(pivots, rows[(s + length - 1) % n])
+            col = _add_row(pivots, rows[(start + length - 2) % n])
             if col is not None:
                 for k in range(col + 1, n + 1):
                     ranks[k] += 1
             for k in range(n + 1):
-                table[(k * n + s) * (n + 1) + length] = ranks[k]
+                table[_slot(k, start, length, n)] = ranks[k]
     return bytes(table)
 
 
@@ -280,9 +284,9 @@ def _check_table_n(n: int) -> None:
 class Flag:
     """
     An invertible exact-rational matrix of size n <= MAX_TABLE_N.
-    Immutable once built.  It holds two tables and a set: the integer
-    table of all its minors and the live set, both built on construction,
-    and the cyclic window ranks, built on first use under the flag's lock.
+    Immutable once built, and finished when built: the constructor makes
+    the integer table of all its minors, the live set and the table of
+    cyclic window ranks, so no read fills anything in.
 
     The exact work runs on a column-scaled integer copy of the matrix: each
     column is multiplied by the lcm of its denominators.  That keeps every
@@ -312,8 +316,7 @@ class Flag:
         # S - r once its last column goes, and extends to one on some S + r
         # because the first |S| + 1 columns have full rank.
         self._live = sum(1 << S for S, minor in enumerate(self._minors) if minor)
-        self._windows: bytes | None = None
-        self._lock = threading.Lock()
+        self._windows = _window_table(self._rows)
 
     def plucker(self, values: Iterable[int]) -> Fraction:
         """P_I: minor on rows I (sorted) and the first |I| columns; P_{} = 1."""
@@ -338,15 +341,6 @@ class Flag:
                 return Fraction(0)
         return Fraction(out, prod(self._scale[1:n]))
 
-    def _window_ranks(self) -> bytes:
-        """The window table of `_window_table`, built on first use."""
-        table = self._windows
-        if table is None:
-            table = _window_table(self._rows)
-            with self._lock:
-                self._windows = table
-        return table
-
     def window_rank(self, start: int, length: int, k: int) -> int:
         """Rank of the `length` rows cyclically from row `start` (start,
         start + 1, ... mod n) restricted to the first k columns."""
@@ -355,7 +349,7 @@ class Flag:
             raise PreconditionError(
                 f"window ({start}, {length}) on {k} columns out of range for n={n}"
             )
-        return self._window_ranks()[(k * n + start - 1) * (n + 1) + length]
+        return self._windows[_slot(k, start, length, n)]
 
 
 def permutation_flag(w: Perm) -> Flag:
@@ -495,7 +489,7 @@ def _rank_plan(
                 (cut, cyclic_set(cut, j, n), u_i),
                 (j, cyclic_set(j, cut - 1, n), v_i),
             ):
-                slots.append((i * n + start - 1) * (n + 1) + len(window))
+                slots.append(_slot(i, start, len(window), n))
                 bounds.append(len(ref & window))
     return tuple(slots), bytes(bounds)
 
@@ -529,7 +523,7 @@ def member_T_rank(
     rows before it the bound from v (equalities for the open cell).
     """
     slots, bounds = _rank_plan(tuple(u), tuple(v), tuple(a), F.n)
-    ranks = F._window_ranks()
+    ranks = F._windows
     if open_cell:
         return all(ranks[s] == b for s, b in zip(slots, bounds))
     return all(ranks[s] <= b for s, b in zip(slots, bounds))
@@ -585,15 +579,16 @@ def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> frozenset[int]
     cut - 2, ....  Each prefix of the scan is a cyclic window.
     """
     n = F.n
+    ranks = F._windows
     jumps = set()
     prev = 0
     for length in range(1, n + 1):
         if backward:
             row = (cut - 1 - length) % n + 1
-            rank = F.window_rank(row, length, k)
+            rank = ranks[_slot(k, row, length, n)]
         else:
             row = (cut + length - 2) % n + 1
-            rank = F.window_rank(cut, length, k)
+            rank = ranks[_slot(k, cut, length, n)]
         if rank > prev:
             jumps.add(row)
         prev = rank
@@ -609,12 +604,6 @@ def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
     """
     if not member_T_plucker(u, v, F, open_cell=False):
         raise PreconditionError("flag is not a member of the tilted Richardson variety")
-    return _locate_stratum(u, v, F)
-
-
-def _locate_stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
-    """`stratum` on a flag whose closed membership the caller has decided.
-    Unchecked: F must lie in the tilted Richardson variety of (u, v)."""
     n = F.n
     a = find_flat(u, v)
     x_word: list[int] = []
@@ -656,36 +645,29 @@ def complete_to_permutation(F: Flag, values: Iterable[int]) -> Perm:
     """
     Given P_I != 0, produce w with w[|I|] = I and P_w != 0, by shrinking I
     one full-rank step at a time and then growing it back up to [n]
-    (smallest usable row at each step, for determinism).
+    (smallest usable row at each step, for determinism).  A step is
+    usable when the row set it reaches is live (see Flag).
     """
     I = frozenset(values)
-    k = len(I)
     if F.plucker(I) == 0:
         raise PreconditionError("P_I vanishes; completion needs a nonzero coordinate")
+    n, live = F.n, F._live
     word: dict[int, int] = {}
-    cur = I
-    for size in range(k, 0, -1):
-        choice = None
-        for i in sorted(cur):
-            if F.plucker(cur - {i}) != 0:
-                choice = i
-                break
-        if choice is None:
-            raise InternalInvariantError("no full-rank shrink step exists")
-        word[size] = choice
-        cur = cur - {choice}
-    cur = I
-    for size in range(k, F.n):
-        choice = None
-        for i in sorted(frozenset(range(1, F.n + 1)) - cur):
-            if F.plucker(cur | {i}) != 0:
-                choice = i
-                break
-        if choice is None:
-            raise InternalInvariantError("no full-rank growth step exists")
-        word[size + 1] = choice
-        cur = cur | {choice}
-    w = tuple(word[pos] for pos in range(1, F.n + 1))
+    shrink = (True, range(len(I), 0, -1))
+    grow = (False, range(len(I) + 1, n + 1))
+    for inside, positions in (shrink, grow):
+        cur = value_mask(I)
+        for pos in positions:
+            for r in range(1, n + 1):
+                bit = 1 << (r - 1)
+                if bool(cur & bit) == inside and live >> (cur ^ bit) & 1:
+                    break
+            else:
+                kind = "shrink" if inside else "growth"
+                raise InternalInvariantError(f"no full-rank {kind} step exists")
+            word[pos] = r
+            cur ^= bit
+    w = tuple(word[pos] for pos in range(1, n + 1))
     if F.plucker_perm(w) == 0:
         raise InternalInvariantError("completion produced a vanishing P_w")
     return w

@@ -163,7 +163,9 @@ def shifted_interval(
     return _shifted_interval_cached(A, B, r, n)
 
 
-@lru_cache(maxsize=16384)
+# one entry per (A, B, r, n); `verify` holds 140 to 348 of them, the sampler
+# 167 after 30 samples at n = 7
+@lru_cache(maxsize=1024)
 def _shifted_interval_cached(A: ValueSet, B: ValueSet, r: int, n: int) -> frozenset[ValueSet]:
     from itertools import combinations
 

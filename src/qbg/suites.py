@@ -71,8 +71,9 @@ class SuiteResult(NamedTuple):
 Outcome = tuple[bool, str, list[str]]
 
 
-def _fmt(w: Perm) -> str:
-    return format_permutation(w)
+def _tuple_text(*perms: Perm) -> str:
+    """Permutations as the reports name them: "(u, v)" in one-line notation."""
+    return f"({', '.join(map(format_permutation, perms))})"
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def suite_distance(n: int, seed: int, samples: int) -> Outcome:
             pairs += 1
             # graph_distance's closed form, on the weight already in hand
             if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
-                mismatches.append(f"mismatch at ({_fmt(u)}, {_fmt(v)})")
+                mismatches.append(f"mismatch at {_tuple_text(u, v)}")
     return not mismatches, f"{pairs} pairs, {len(mismatches)} mismatches", mismatches[:10]
 
 
@@ -130,7 +131,7 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
         for v, weights in zip(g.vertices, weight_sets):
             pairs += 1
             if len(weights) != 1:
-                fail(1, f"several shortest-path weights for ({_fmt(u)}, {_fmt(v)})")
+                fail(1, f"several shortest-path weights for {_tuple_text(u, v)}")
         minimal = [next(iter(weights)) for weights in weight_sets]
         layer: dict[int, dict[int, int]] = {g.index[u]: {0: 1}}
         length = 0
@@ -142,9 +143,11 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
                     walks += count
                     exps = _unpack(packed, n)
                     if not exponent_divides(ref, exps):
-                        fail(count, f"walk weight below minimum at {_fmt(g.vertices[w_idx])}")
+                        w = format_permutation(g.vertices[w_idx])
+                        fail(count, f"walk weight below minimum at {w}")
                     elif exps == ref and length != dist[w_idx]:
-                        fail(count, f"minimal weight on a non-shortest walk from {_fmt(u)}")
+                        w = format_permutation(u)
+                        fail(count, f"minimal weight on a non-shortest walk from {w}")
                 for t_idx, step in steps[w_idx]:
                     if length + 1 <= dist[t_idx] + 2:
                         reached = following.setdefault(t_idx, {})
@@ -178,7 +181,7 @@ def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
                 or weight != formula
                 or not increasing
             ):
-                bad.append(f"greedy path wrong for ({_fmt(u)}, {_fmt(v)})")
+                bad.append(f"greedy path wrong for {_tuple_text(u, v)}")
     return not bad, f"{pairs} pairs, {len(bad)} violations", bad[:10]
 
 
@@ -200,9 +203,7 @@ def suite_increasing(n: int, seed: int, samples: int) -> Outcome:
                 checked += 1
                 paths = found.get(v, [])
                 if len(paths) != 1 or len(paths[0]) != dist[j]:
-                    bad.append(
-                        f"word {word}: {len(paths)} paths for ({_fmt(u)}, {_fmt(v)})"
-                    )
+                    bad.append(f"word {word}: {len(paths)} paths for {_tuple_text(u, v)}")
     return not bad, f"{len(words)} orderings, {checked} pairs, {len(bad)} violations", bad[:10]
 
 
@@ -333,7 +334,7 @@ def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
             split = (by_length ^ by_exists) | (by_length ^ by_all)
             while split and len(bad) < 10:
                 w = vertices[(split & -split).bit_length() - 1]
-                bad.append(f"criteria split on ({_fmt(u)}, {_fmt(v)}, {_fmt(w)})")
+                bad.append(f"criteria split on {_tuple_text(u, v, w)}")
                 split &= split - 1
     if n == 3:
         base_row = dist[g.index[(1, 3, 2)]]
@@ -366,7 +367,7 @@ def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
         shifts = paths[key] & paths[before] if k > 1 else paths[key]
         if not shifts:
             raise InternalInvariantError(
-                f"no common shift for columns {k - 1} and {k} of ({_fmt(u)}, {_fmt(v)})"
+                f"no common shift for columns {k - 1} and {k} of {_tuple_text(u, v)}"
             )
         r = min(shifts)
         if r not in sorting[key] or k > 1 and r not in sorting[before]:
@@ -392,13 +393,11 @@ def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
                 columns.append(states[state])
                 before = key
             if not all(flat for _, flat, _ in columns):
-                bad.append(f"find_flat not flat for ({_fmt(u)}, {_fmt(v)})")
+                bad.append(f"find_flat not flat for {_tuple_text(u, v)}")
                 continue
             count = sum(size for _, _, size in columns)
             if count != total - dist[j]:
-                bad.append(
-                    f"ledger size {count} != {total - dist[j]} for ({_fmt(u)}, {_fmt(v)})"
-                )
+                bad.append(f"ledger size {count} != {total - dist[j]} for {_tuple_text(u, v)}")
             if n <= 4 and dist[j] >= 1:
                 a = tuple(r for r, _, _ in columns)
                 for x, on, d in zip(g.vertices, _geodesic_marks(g, dist, j), dist):
@@ -407,13 +406,13 @@ def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
                     try:
                         count_x = len(diagrams.equations_with_x(u, v, a, x))
                     except PreconditionError as exc:
-                        bad.append(f"x-ledger rejected ({_fmt(u)}, {_fmt(v)}, {_fmt(x)}): {exc}")
+                        bad.append(f"x-ledger rejected {_tuple_text(u, v, x)}: {exc}")
                         continue
                     x_checked += 1
                     if count_x != total - dist[j]:
                         bad.append(
                             f"x-ledger size {count_x} != {total - dist[j]} for "
-                            f"({_fmt(u)}, {_fmt(v)}, {_fmt(x)})"
+                            f"{_tuple_text(u, v, x)}"
                         )
     body = f"{pairs} pairs, " + ("count law holds" if not bad else "violations")
     details = [f"{x_checked} coatom ledgers checked"] if x_checked else []
@@ -436,7 +435,7 @@ def suite_fixedpoints(n: int, seed: int, samples: int) -> Outcome:
                 in_interval = du[k] + dist[k][j] == total
                 member = exactgeom.member_T_plucker(u, v, flags[k])
                 if member != in_interval:
-                    bad.append(f"fixed point split on ({_fmt(u)}, {_fmt(v)}, {_fmt(w)})")
+                    bad.append(f"fixed point split on {_tuple_text(u, v, w)}")
     return not bad, f"{checked} triples, {len(bad)} violations", bad[:10]
 
 
@@ -486,7 +485,7 @@ def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
             try:
                 flags.append(exactgeom.sample_in_open_stratum(u, v, seed * 1000 + idx * 10 + s))
             except SamplingError as exc:
-                bad.append(f"sampler failed for ({_fmt(u)}, {_fmt(v)}): {exc}")
+                bad.append(f"sampler failed for {_tuple_text(u, v)}: {exc}")
         flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
         flags.extend(coordinate)
         flags_used += len(flags)
@@ -503,8 +502,7 @@ def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
                 by_grass = exactgeom.member_T_grassmann(u, v, a, F, open_cell)
                 if not by_rank == by_grass == reference:
                     bad.append(
-                        f"memberships split on ({_fmt(u)}, {_fmt(v)}), "
-                        f"a={a}, open={open_cell}"
+                        f"memberships split on {_tuple_text(u, v)}, a={a}, open={open_cell}"
                     )
     body = f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, {len(bad)} disagreements"
     return not bad, body, bad[:10]
@@ -529,25 +527,26 @@ def _subinterval_classes(u: Perm, v: Perm) -> Classes:
 
 
 def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, bad: list[str], notes: list[str]) -> None:
-    n = len(u)
     want = tiltedorder.interval_member_set(u, v)
     label = exactgeom.stratum(u, v, F)
     located = tiltedorder.interval_member_set(label.x, label.y)
     if located != want:
-        bad.append(f"stratum of a ({_fmt(u)}, {_fmt(v)}) sample is {_fmt(label.x)}, {_fmt(label.y)}")
+        bad.append(
+            f"stratum of a {_tuple_text(u, v)} sample is "
+            f"{format_permutation(label.x)}, {format_permutation(label.y)}"
+        )
     elif (label.x, label.y) != (u, v):
         notes.append(
-            f"label ({_fmt(label.x)}, {_fmt(label.y)}) names the same stratum as "
-            f"({_fmt(u)}, {_fmt(v)})"
+            f"label {_tuple_text(label.x, label.y)} names the same stratum as {_tuple_text(u, v)}"
         )
     a = diagrams.find_flat(u, v)
     closed = exactgeom.member_T_rank(u, v, a, F, False)
     open_ = exactgeom.member_T_rank(u, v, a, F, True)
     chart = F.plucker_perm(u) != 0 and F.plucker_perm(v) != 0
     if open_ != (closed and chart):
-        bad.append(f"chart law fails for ({_fmt(u)}, {_fmt(v)})")
+        bad.append(f"chart law fails for {_tuple_text(u, v)}")
     if not exactgeom.all_equations_vanish(F, diagrams.equations(u, v, a)):
-        bad.append(f"ledger does not vanish on a ({_fmt(u)}, {_fmt(v)}) sample")
+        bad.append(f"ledger does not vanish on a {_tuple_text(u, v)} sample")
 
 
 def _disjointness(
@@ -557,15 +556,11 @@ def _disjointness(
     for member_set, reps in classes:
         outcomes = {exactgeom.member_T_plucker(x, y, F, True) for x, y in reps}
         if len(outcomes) > 1:
-            notes.append(
-                f"open test splits within one member set under ({_fmt(u)}, {_fmt(v)})"
-            )
+            notes.append(f"open test splits within one member set under {_tuple_text(u, v)}")
         if True in outcomes:
             hits.append(member_set)
     if len(hits) != 1:
-        bad.append(
-            f"flag passes {len(hits)} open strata inside ({_fmt(u)}, {_fmt(v)}), expected 1"
-        )
+        bad.append(f"flag passes {len(hits)} open strata inside {_tuple_text(u, v)}, expected 1")
 
 
 def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
@@ -583,7 +578,7 @@ def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
         try:
             F = exactgeom.sample_in_open_stratum(u, v, seed * 100 + idx)
         except SamplingError as exc:
-            bad.append(f"sampler failed for ({_fmt(u)}, {_fmt(v)}): {exc}")
+            bad.append(f"sampler failed for {_tuple_text(u, v)}: {exc}")
             continue
         stratified += 1
         _stratify_one(u, v, F, bad, notes)
@@ -597,18 +592,14 @@ def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
             try:
                 G = exactgeom.sample_in_open_stratum(x, y, seed * 100 + idx + 7)
             except SamplingError as exc:
-                bad.append(f"sampler failed for substratum ({_fmt(x)}, {_fmt(y)}): {exc}")
+                bad.append(f"sampler failed for substratum {_tuple_text(x, y)}: {exc}")
                 continue
             if not exactgeom.member_T_plucker(u, v, G, False):
-                bad.append(
-                    f"substratum sample of ({_fmt(x)}, {_fmt(y)}) escapes ({_fmt(u)}, {_fmt(v)})"
-                )
+                bad.append(f"substratum sample of {_tuple_text(x, y)} escapes {_tuple_text(u, v)}")
                 continue
-            label = exactgeom._locate_stratum(u, v, G)
+            label = exactgeom.stratum(u, v, G)
             if tiltedorder.interval_member_set(label.x, label.y) != tiltedorder.interval_member_set(x, y):
-                bad.append(
-                    f"boundary flag of ({_fmt(u)}, {_fmt(v)}) located in the wrong stratum"
-                )
+                bad.append(f"boundary flag of {_tuple_text(u, v)} located in the wrong stratum")
             _disjointness(x, y, _subinterval_classes(x, y), G, bad, notes)
     return not bad, f"{stratified} sampled flags, {len(bad)} violations", notes[:5] + bad[:10]
 
@@ -671,7 +662,9 @@ LIMITS = {
     "flat-count": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
     "fixedpoints": (1, 5),  # (n!)^3 member_T_plucker calls, about 17 min at n = 6
     "equivalence": (1, 6),  # n! coordinate flags per pair and sequence, about 2 h at n = 7
-    "stratify": (1, exactgeom.MAX_TABLE_N),  # samples flags
+    # the subinterval pairs of (id, w0): 98,407 in 73 s and 739 MB at n = 6,
+    # 3,550,919 at n = 7, where a run was killed at 7.65 GB
+    "stratify": (1, 6),
     "plucker": (3, exactgeom.MAX_TABLE_N),  # no incidence relation below 3; flags above 7
 }
 

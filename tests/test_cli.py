@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from qbg import cli
 from qbg.cli import MAX_CLI_N, main
 from qbg.errors import ResourceLimitError
 from qbg.exactgeom import (
@@ -67,6 +68,30 @@ class TestDist:
         assert f"bounded at n <= {MAX_CLI_N}" in err
         code, out, _ = run(capsys, "dist", "id", big[big.index(",") + 1:])
         assert code == 0 and out.startswith("ell=")
+
+    def test_every_explicit_permutation_is_bounded(self, capsys):
+        big = ",".join(map(str, range(MAX_CLI_N + 1, 0, -1)))
+        for args in ([big, "321"], ["321", big]):
+            code, out, err = run(capsys, "dist", *args)
+            assert (code, out) == (2, "")
+            assert f"bounded at n <= {MAX_CLI_N}, got n = {MAX_CLI_N + 1}" in err
+
+    @pytest.mark.parametrize("args, parsed", [
+        (["dist", "321", "213"], ["321", "213"]),
+        (["diagram", "4321", "w0"], ["4321"]),
+        (["interval", "id", "w0", "--n", "3"], []),
+    ])
+    def test_each_explicit_permutation_is_parsed_once(self, capsys, monkeypatch, args, parsed):
+        seen = []
+
+        def counted(text):
+            seen.append(text)
+            return parse_permutation(text)
+
+        monkeypatch.setattr(cli, "parse_permutation", counted)
+        code, _, _ = run(capsys, *args)
+        assert code == 0
+        assert seen == parsed
 
 
 class TestGraph:
@@ -154,6 +179,14 @@ class TestDiagram:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert f"bounded at n <= {MAX_CLI_N}" in err
+
+    @pytest.mark.parametrize("a", ["\u0664,\u0664,\u0662", "4,4,\u00b2", "4,+4,2", "4,4_0,2"])
+    def test_shift_sequence_in_ascii_digits_only(self, capsys, a):
+        code, out, err = run(capsys, "diagram", "4321", "3142", "--a", a)
+        assert (code, out) == (2, "")
+        assert "usage error: bad shift sequence" in err
+        code, out, _ = run(capsys, "diagram", "4321", "3142", "--a", " 4, 4 ,2 ")
+        assert code == 0 and "count=3" in out
 
     def test_out_of_range_shift(self, capsys):
         # read mod n, 8,6,6 would act as 4,2,2 under a header naming 8,6,6

@@ -553,9 +553,9 @@ def test_bad_shift_sequence_raises_on_every_call():
 
 
 def test_one_flag_read_from_several_threads():
-    # the minor table and the live set are built with the flag, the window
-    # table on first use; half the threads start with the window ranks, half
-    # with the chain route
+    # the minor table, the live set and the window table are all built with
+    # the flag, so the threads only read; half of them start with the window
+    # ranks, half with the chain route
     u, v = (4, 3, 2, 1), (3, 1, 4, 2)
     matrix = sample_in_open_stratum(u, v, 3).matrix
     shift_seqs = [(4, a2, 2) for a2 in (2, 3, 4)]
@@ -706,6 +706,8 @@ def test_chain_route_reads_no_coordinate_and_no_window(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the multi-Plucker route read a coordinate or a window")
 
-    for name in ("plucker", "plucker_perm", "window_rank", "_window_ranks"):
+    for name in ("plucker", "plucker_perm", "window_rank"):
         monkeypatch.setattr(Flag, name, refuse)
+    for F in flags:  # a read of the window table now fails on None
+        monkeypatch.setattr(F, "_windows", None)
     assert [[member_T_plucker(u, v, F, oc) for oc in (False, True)] for F in flags] == expected

@@ -1,5 +1,8 @@
 """`import qbg` stays light: a cold process pays for every module the
-package loads, so it must not pull in the dataclass machinery."""
+package loads, so it must not pull in the dataclass machinery; and what
+the package keeps in memory stays bounded."""
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +29,22 @@ def test_import_loads_no_dataclass_machinery():
     loaded = _modules_after("import qbg, qbg.cli")
     assert "qbg.cli" in loaded
     assert sorted((loaded - bare) & HEAVY) == []
+
+
+def test_every_cache_is_bounded():
+    found = []
+    for path in sorted((SRC / "qbg").glob("*.py")):
+        module = importlib.import_module(f"qbg.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else target.id
+                if name in ("lru_cache", "cache"):
+                    # a cache inside a function could not be checked here
+                    cached = getattr(module, node.name)
+                    found.append(f"{path.stem}.{node.name}")
+                    assert cached.cache_parameters()["maxsize"] is not None, found[-1]
+    assert "tiltedorder.interval_member_set" in found
+    assert "latticepath._shifted_interval_cached" in found

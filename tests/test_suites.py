@@ -5,6 +5,7 @@ exceed what S_n x S_n holds.
 """
 import random
 import signal
+import time
 from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
@@ -150,6 +151,17 @@ def test_the_readme_suite_table_states_the_limits():
     assert stated == {
         name: (suites.LIMITS[name], default_n) for name, (_, default_n) in suites.SUITES.items()
     }
+
+
+def test_stratify_refuses_n_7_at_once(capsys):
+    # (id, w0) alone has 3,550,919 subinterval pairs at n = 7
+    start = time.perf_counter()
+    with time_limit(10):
+        with pytest.raises(ResourceLimitError):
+            suites.run_suite("stratify", 7)
+        assert main(["verify", "--suite", "stratify", "--n", "7"]) == 2
+    assert time.perf_counter() - start < 2
+    assert "bounded at n <= 6" in capsys.readouterr().err
 
 
 def test_interval_member_set_refuses_n_beyond_the_graph_bound():
