@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import diagrams, exactgeom, qbgraph, suites, tiltedorder
-from .errors import QbgError, ResourceLimitError, SamplingError
+from .errors import ParseError, QbgError, ResourceLimitError, SamplingError
 from .permcore import (
     Perm,
     format_permutation,
@@ -21,6 +21,12 @@ from .permcore import (
 #: 83 MB and 11 s at n = 500), and `dist` grows about as n^2 (4 s at
 #: n = 4000; times on a 2-CPU host).  The library functions take any n.
 MAX_CLI_N = 200
+
+#: `stratify --matrix` reads at most this many bytes.  Flags stop at n = 7
+#: and Python refuses ints of more than 4300 digits, so a valid matrix file
+#: holds at most 49 entries of two such runs each, about 0.5 MB; the bound
+#: leaves the same again for whitespace.
+MAX_MATRIX_BYTES = 1 << 20
 
 
 class UsageError(QbgError):
@@ -146,9 +152,20 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_matrix_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_MATRIX_BYTES + 1)
+    if len(data) > MAX_MATRIX_BYTES:
+        raise ResourceLimitError(f"matrix files are bounded at {MAX_MATRIX_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"matrix file is not UTF-8: {exc}") from exc
+
+
 def cmd_stratify(args: argparse.Namespace) -> int:
     u, v = _perm_pair(args.u, args.v, args.n)
-    matrix = exactgeom.parse_matrix(Path(args.matrix).read_text(encoding="utf-8"))
+    matrix = exactgeom.parse_matrix(_read_matrix_file(args.matrix))
     F = exactgeom.Flag(matrix)
     if not exactgeom.member_T_plucker(u, v, F, open_cell=False):
         print(

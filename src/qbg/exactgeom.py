@@ -29,16 +29,22 @@ window ranks, the per-column route only the minors P_I, and the
 multi-Plucker route only the live set, and their agreement is part of the
 verification suites.  What the first two read of (u, v, a) is planned
 once per (u, v, a, n) in a bounded cache.
+
+Sets of values or rows are value masks (`permcore.value_mask`), the index
+of the minor table and the live set: the plans, the sampler's caps and
+`stratum` work on masks, and each shifted Gale window, listed by the
+brute-force `latticepath.shifted_interval`, is turned into masks once.
 """
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import lcm, prod
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagrams import EquationSet, PluckerEquation, find_flat, signed_sorted_insert
 from .errors import (
@@ -48,15 +54,8 @@ from .errors import (
     ResourceLimitError,
     SamplingError,
 )
-from .latticepath import shift_leq, shifted_gale_leq, shifted_interval
-from .permcore import (
-    Perm,
-    cyclic_set,
-    format_permutation,
-    prefix_set,
-    validate_permutation,
-    value_mask,
-)
+from .latticepath import _gale_leq, shift_leq, shifted_interval
+from .permcore import Perm, format_permutation, validate_permutation, value_mask
 from .tiltedorder import admissible_nodes
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -201,19 +200,31 @@ def _window_table(rows: Sequence[Sequence[int]]) -> bytes:
 
 
 def matrix_from_rows(rows: Iterable[Iterable[object]]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """The rows as Fractions; entries must be exact, an int or a Fraction."""
+    rows = [tuple(row) for row in rows]
+    bad = [x for row in rows for x in row if not isinstance(x, (int, Fraction))]
+    if bad:
+        raise PreconditionError(f"matrix entries must be int or Fraction, got {bad[0]!r}")
+    return tuple(tuple(map(Fraction, row)) for row in rows)
+
+
+#: A matrix entry: an optionally signed run of ASCII digits, optionally
+#: followed by "/" and a second run; int() and Fraction() take far more.
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_matrix(text: str) -> Matrix:
     """
-    Plain-text format: first line n, then n lines of n rationals ("p/q" or
-    integers) separated by whitespace.
+    Plain-text format: first line n in ASCII digits, then n lines of n
+    entries separated by whitespace, each an integer or "p/q" (see _ENTRY).
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty matrix file")
     try:
-        n = int(lines[0])
+        if not (lines[0].isascii() and lines[0].isdigit()):
+            raise ValueError("not a run of ASCII digits")
+        n = int(lines[0])  # past Python's limit on int digits this raises too
     except ValueError as exc:
         raise ParseError(f"first line must be the size n, got {lines[0]!r}") from exc
     if len(lines) != n + 1:
@@ -223,8 +234,10 @@ def parse_matrix(text: str) -> Matrix:
         tokens = ln.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries per row, got {len(tokens)}: {ln!r}")
+        if not all(map(_ENTRY.fullmatch, tokens)):
+            raise ParseError(f"bad rational in row {ln!r}: entries are integers or p/q")
         try:
-            rows.append(tuple(Fraction(tok) for tok in tokens))
+            rows.append(tuple(map(Fraction, tokens)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational in row {ln!r}: {exc}") from exc
     return tuple(rows)
@@ -468,29 +481,44 @@ def _check_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> None:
         raise PreconditionError("u is not below v under the supplied shift sequence")
 
 
+def _window_masks(u: Perm, v: Perm, k: int, r: int) -> frozenset[int]:
+    """The level-k shifted Gale window, the k-sets K with u[:k] <=_r K <=_r
+    v[:k], as value masks; `latticepath.shifted_interval` lists it."""
+    return frozenset(map(value_mask, shifted_interval(u[:k], v[:k], r, len(u))))
+
+
+def _scan(k: int, cut: int, n: int, backward: bool) -> Iterator[tuple[int, int]]:
+    """Scan the rows cyclically from the cut, forward cut, cut + 1, ... or
+    backward cut - 1, cut - 2, ...: each step's slot in the window table on
+    the first k columns (the scan so far is a cyclic window) and its row."""
+    for length in range(1, n + 1):
+        if backward:
+            row = (cut - 1 - length) % n + 1
+            yield _slot(k, row, length, n), row
+        else:
+            yield _slot(k, cut, length, n), (cut + length - 2) % n + 1
+
+
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _rank_plan(
     u: Perm, v: Perm, a: tuple[int, ...], n: int
 ) -> tuple[tuple[int, ...], bytes]:
     """
     The windows of the rank route as positions in a flag's window table,
-    with their bounds: for column i and endpoint j, the rows cyclically
-    from the cut a_i through j may have rank at most |u[i] & window|, and
-    the rows from j up to the cut at most |v[i] & window|.
+    with their bounds: on column i, each window scanned forward from the
+    cut a_i may have rank at most |u[:i] & window|, and each window scanned
+    backward from it at most |v[:i] & window|.
     """
     _check_plan(u, v, a, n)
     slots: list[int] = []
     bounds: list[int] = []
     for i in range(1, n):
-        u_i, v_i = prefix_set(u, i), prefix_set(v, i)
-        cut = a[i - 1]
-        for j in range(1, n + 1):
-            for start, window, ref in (
-                (cut, cyclic_set(cut, j, n), u_i),
-                (j, cyclic_set(j, cut - 1, n), v_i),
-            ):
-                slots.append(_slot(i, start, len(window), n))
-                bounds.append(len(ref & window))
+        for backward, ref in ((False, value_mask(u[:i])), (True, value_mask(v[:i]))):
+            window = 0
+            for slot, row in _scan(i, a[i - 1], n, backward):
+                window |= 1 << (row - 1)
+                slots.append(slot)
+                bounds.append((ref & window).bit_count())
     return tuple(slots), bytes(bounds)
 
 
@@ -499,19 +527,12 @@ def _grassmann_plan(
     u: Perm, v: Perm, a: tuple[int, ...], n: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For every column k, the masks of the k-subsets outside the shifted
-    Gale window of (u[k], v[k], a_k); and the masks of the endpoint sets
-    u[k], v[k] of every column."""
+    Gale window of (u[:k], v[:k], a_k); and the masks of the endpoint sets
+    u[:k], v[:k] of every column."""
     _check_plan(u, v, a, n)
-    off: list[int] = []
-    ends: list[int] = []
-    for k in range(1, n):
-        u_k, v_k = prefix_set(u, k), prefix_set(v, k)
-        window = shifted_interval(u_k, v_k, a[k - 1], n)
-        for K in combinations(range(1, n + 1), k):
-            if frozenset(K) not in window:
-                off.append(value_mask(K))
-        ends += (value_mask(u_k), value_mask(v_k))
-    return tuple(off), tuple(ends)
+    windows = [_window_masks(u, v, k, a[k - 1]) for k in range(1, n)]
+    off = tuple(K for K in range(1, (1 << n) - 1) if K not in windows[K.bit_count() - 1])
+    return off, tuple(value_mask(w[:k]) for k in range(1, n) for w in (u, v))
 
 
 def member_T_rank(
@@ -572,27 +593,18 @@ class StratumLabel(NamedTuple):
     y: Perm
 
 
-def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> frozenset[int]:
-    """
-    Rows where the rank of the first k columns jumps while scanning
-    cyclically from the cut: forward cut, cut + 1, ...; backward cut - 1,
-    cut - 2, ....  Each prefix of the scan is a cyclic window.
-    """
-    n = F.n
+def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> int:
+    """The mask of the rows where the rank of the first k columns jumps
+    while scanning cyclically from the cut (see `_scan`)."""
     ranks = F._windows
-    jumps = set()
+    jumps = 0
     prev = 0
-    for length in range(1, n + 1):
-        if backward:
-            row = (cut - 1 - length) % n + 1
-            rank = ranks[_slot(k, row, length, n)]
-        else:
-            row = (cut + length - 2) % n + 1
-            rank = ranks[_slot(k, cut, length, n)]
+    for slot, row in _scan(k, cut, F.n, backward):
+        rank = ranks[slot]
         if rank > prev:
-            jumps.add(row)
+            jumps |= 1 << (row - 1)
         prev = rank
-    return frozenset(jumps)
+    return jumps
 
 
 def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
@@ -608,27 +620,27 @@ def stratum(u: Perm, v: Perm, F: Flag) -> StratumLabel:
     a = find_flat(u, v)
     x_word: list[int] = []
     y_word: list[int] = []
-    I_prev: frozenset[int] = frozenset()
-    J_prev: frozenset[int] = frozenset()
+    I_prev = J_prev = 0
     for k in range(1, n + 1):
         if k < n:
             I_k = _rank_jump_rows(F, k, a[k - 1], backward=False)
             J_k = _rank_jump_rows(F, k, a[k - 1], backward=True)
         else:
-            I_k = J_k = frozenset(range(1, n + 1))
+            I_k = J_k = (1 << n) - 1
+        # the previous set has k - 1 rows, so these two make it a proper subset
         for name, cur, prev in (("forward", I_k, I_prev), ("backward", J_k, J_prev)):
-            if len(cur) != k or not prev < cur:
+            if cur.bit_count() != k or prev & ~cur:
                 raise InternalInvariantError(
                     f"{name} rank-jump sets fail to nest at column {k}"
                 )
-        x_word.append(next(iter(I_k - I_prev)))
-        y_word.append(next(iter(J_k - J_prev)))
+        x_word.append((I_k & ~I_prev).bit_length())
+        y_word.append((J_k & ~J_prev).bit_length())
         I_prev, J_prev = I_k, J_k
     x, y = tuple(x_word), tuple(y_word)
     for k in range(1, n):
-        chain = (prefix_set(u, k), prefix_set(x, k), prefix_set(y, k), prefix_set(v, k))
+        chain = (u[:k], x[:k], y[:k], v[:k])
         for lo, hi in zip(chain, chain[1:]):
-            if not shifted_gale_leq(lo, hi, a[k - 1], n):
+            if not _gale_leq(lo, hi, a[k - 1], n):
                 raise InternalInvariantError(
                     f"stratum label breaks the shifted chain at column {k}"
                 )
@@ -691,17 +703,19 @@ def all_equations_vanish(F: Flag, es: EquationSet) -> bool:
 
 
 def _cap_constraints(
-    cols: list[list[Fraction]], rows_idx: Sequence[int], cap: int, n: int
+    cols: list[list[Fraction]], S: int, cap: int, n: int
 ) -> list[list[Fraction]] | None:
     """
-    Keep rank(rows, built columns + new column) at most cap.  If the built
-    columns already sit at the cap, the new column's restriction must stay
-    inside their restricted span, a linear condition; below the cap the new
-    column is unconstrained; above it, the partial matrix is already bad.
+    Keep rank(rows of the mask S, built columns + new column) at most cap.
+    If the built columns already sit at the cap, the new column's
+    restriction must stay inside their restricted span, a linear condition;
+    below the cap the new column is unconstrained; above it, the partial
+    matrix is already bad.
     """
+    rows_idx = [r for r in range(n) if S >> r & 1]
     pivots: Pivots = []
     for col in cols:
-        _add_row(pivots, _integer_row(col[r - 1] for r in rows_idx))
+        _add_row(pivots, _integer_row(col[r] for r in rows_idx))
     rank = len(pivots)
     if rank > cap:
         return None
@@ -711,44 +725,32 @@ def _cap_constraints(
     for lam in _nullspace(pivots, len(rows_idx)):
         coeffs = [Fraction(0)] * n
         for m, r in enumerate(rows_idx):
-            coeffs[r - 1] = lam[m]
+            coeffs[r] = lam[m]
         out.append(coeffs)
     return out
 
 
-def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[tuple[int, ...], int]]:
+def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[int, int]]:
     """
     Projection-rank caps for the column sampler.  A space whose Plucker
     coordinates vanish outside the level-j window has row matroid with
-    every basis inside the window, so for any row subset S its projection
-    rank is at most max over window members K of |K and S|.  Those caps
+    every basis inside the window, so for any row mask S its projection
+    rank is at most max over window members K of |K & S|.  Those caps
     bind every earlier column as well (each column lies in every later
     space of the flag), so column k obeys, for each S, the minimum cap
-    over levels j >= k.  Entry k-1 of the returned list maps S to that
-    suffix minimum; vacuous caps (>= |S|) are dropped.
+    over levels j >= k: one running list over all S, folded from level
+    n - 1 down.  Entry k-1 of the returned list maps S to that minimum;
+    vacuous caps (>= |S|) are dropped.
     """
     n = len(u)
-    subsets = [
-        tuple(sorted(S))
-        for size in range(1, n + 1)
-        for S in combinations(range(1, n + 1), size)
-    ]
-    per_level: list[dict[tuple[int, ...], int]] = []
-    for j in range(1, n):
-        window = shifted_interval(prefix_set(u, j), prefix_set(v, j), a[j - 1], n)
-        caps = {}
-        for S in subsets:
-            S_set = frozenset(S)
-            caps[S] = max(len(K & S_set) for K in window)
-        per_level.append(caps)
-    suffix: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n)]
-    running: dict[tuple[int, ...], int] = {}
+    running = [S.bit_count() for S in range(1 << n)]
+    caps: list[dict[int, int]] = [{} for _ in range(n)]
     for j in range(n - 1, 0, -1):
-        for S, cap in per_level[j - 1].items():
-            if S not in running or cap < running[S]:
-                running[S] = cap
-        suffix[j - 1] = {S: cap for S, cap in running.items() if cap < len(S)}
-    return suffix
+        window = _window_masks(u, v, j, a[j - 1])
+        for S in range(1, 1 << n):
+            running[S] = min(running[S], max((K & S).bit_count() for K in window))
+        caps[j - 1] = {S: cap for S, cap in enumerate(running) if cap < S.bit_count()}
+    return caps
 
 
 def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
@@ -767,29 +769,27 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     n = len(u)
     if len(v) != n:
         raise PreconditionError("permutations must have the same size")
-    if n > MAX_TABLE_N:
-        raise ResourceLimitError(f"sampling is bounded at n <= {MAX_TABLE_N}")
+    _check_table_n(n)
     a = find_flat(u, v)
     caps_for_column = _sampler_caps(u, v, a)
     rng = random.Random(seed)
     last_failure = n
     for _ in range(MAX_RESTARTS):
         cols: list[list[Fraction]] = []
-        failed = False
         for k in range(1, n + 1):
             constraints: list[list[Fraction]] = []
-            if k < n:
-                for S, cap in sorted(caps_for_column[k - 1].items()):
-                    if cap >= min(len(S), k):
-                        continue
-                    extra = _cap_constraints(cols, S, cap, n)
-                    if extra is None:
-                        raise InternalInvariantError(
-                            f"partial matrix broke a rank cap at column {k}"
-                        )
-                    constraints.extend(extra)
+            # the solution space, and with it the draw, is the same in any
+            # order of the constraints: nullspace_basis is canonical
+            for S, cap in caps_for_column[k - 1].items():
+                if cap >= k:  # k columns have rank at most k
+                    continue
+                extra = _cap_constraints(cols, S, cap, n)
+                if extra is None:
+                    raise InternalInvariantError(
+                        f"partial matrix broke a rank cap at column {k}"
+                    )
+                constraints.extend(extra)
             basis = nullspace_basis(constraints, n)
-            chart_rows = [sorted(prefix_set(u, k)), sorted(prefix_set(v, k))]
             accepted = None
             if basis:
                 for _attempt in range(MAX_COLUMN_TRIES):
@@ -804,21 +804,19 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
                     trial = cols + [col]
                     if all(
                         _det([_integer_row(c[r - 1] for c in trial) for r in rows]) != 0
-                        for rows in chart_rows
+                        for rows in (u[:k], v[:k])
                     ):
                         accepted = col
                         break
             if accepted is None:
                 last_failure = k
-                failed = True
                 break
             cols.append(accepted)
-        if failed:
-            continue
-        flag = Flag([[cols[c][r] for c in range(n)] for r in range(n)])
-        if member_T_plucker(u, v, flag, open_cell=True):
-            return flag
-        last_failure = n
+        else:
+            flag = Flag([[cols[c][r] for c in range(n)] for r in range(n)])
+            if member_T_plucker(u, v, flag, open_cell=True):
+                return flag
+            last_failure = n
     raise SamplingError(
         f"could not sample the open stratum of ({format_permutation(u)}, "
         f"{format_permutation(v)}); column {last_failure} kept failing",

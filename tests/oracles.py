@@ -5,11 +5,13 @@ their tests, and the library does not ship them.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from qbg.errors import PreconditionError
-from qbg.exactgeom import Flag, Matrix, Pivots, _add_row
-from qbg.permcore import Perm
+from qbg.exactgeom import Flag, Matrix, Pivots, _add_row, _check_plan, _slot
+from qbg.latticepath import shifted_interval
+from qbg.permcore import Perm, cyclic_set, prefix_set, value_mask
 
 
 def inverse(w: Perm) -> Perm:
@@ -73,3 +75,112 @@ def chi_rotate(m: Matrix) -> Matrix:
 def chi_set(values: Iterable[int], n: int) -> frozenset[int]:
     """The companion index rotation i -> i + 1 (mod n)."""
     return frozenset(i % n + 1 for i in values)
+
+
+# ---------------------------------------------------------------------------
+# The membership plans, the sampler caps and the rank-jump sets on value
+# sets.  These are the library's builders as they were before they moved
+# to value masks, kept unchanged (less their plan cache) as the reference
+# the mask builders must agree with.
+
+
+def _rank_plan(
+    u: Perm, v: Perm, a: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], bytes]:
+    """
+    The windows of the rank route as positions in a flag's window table,
+    with their bounds: for column i and endpoint j, the rows cyclically
+    from the cut a_i through j may have rank at most |u[i] & window|, and
+    the rows from j up to the cut at most |v[i] & window|.
+    """
+    _check_plan(u, v, a, n)
+    slots: list[int] = []
+    bounds: list[int] = []
+    for i in range(1, n):
+        u_i, v_i = prefix_set(u, i), prefix_set(v, i)
+        cut = a[i - 1]
+        for j in range(1, n + 1):
+            for start, window, ref in (
+                (cut, cyclic_set(cut, j, n), u_i),
+                (j, cyclic_set(j, cut - 1, n), v_i),
+            ):
+                slots.append(_slot(i, start, len(window), n))
+                bounds.append(len(ref & window))
+    return tuple(slots), bytes(bounds)
+
+
+def _grassmann_plan(
+    u: Perm, v: Perm, a: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For every column k, the masks of the k-subsets outside the shifted
+    Gale window of (u[k], v[k], a_k); and the masks of the endpoint sets
+    u[k], v[k] of every column."""
+    _check_plan(u, v, a, n)
+    off: list[int] = []
+    ends: list[int] = []
+    for k in range(1, n):
+        u_k, v_k = prefix_set(u, k), prefix_set(v, k)
+        window = shifted_interval(u_k, v_k, a[k - 1], n)
+        for K in combinations(range(1, n + 1), k):
+            if frozenset(K) not in window:
+                off.append(value_mask(K))
+        ends += (value_mask(u_k), value_mask(v_k))
+    return tuple(off), tuple(ends)
+
+
+def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> frozenset[int]:
+    """
+    Rows where the rank of the first k columns jumps while scanning
+    cyclically from the cut: forward cut, cut + 1, ...; backward cut - 1,
+    cut - 2, ....  Each prefix of the scan is a cyclic window.
+    """
+    n = F.n
+    ranks = F._windows
+    jumps = set()
+    prev = 0
+    for length in range(1, n + 1):
+        if backward:
+            row = (cut - 1 - length) % n + 1
+            rank = ranks[_slot(k, row, length, n)]
+        else:
+            row = (cut + length - 2) % n + 1
+            rank = ranks[_slot(k, cut, length, n)]
+        if rank > prev:
+            jumps.add(row)
+        prev = rank
+    return frozenset(jumps)
+
+
+def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[tuple[int, ...], int]]:
+    """
+    Projection-rank caps for the column sampler.  A space whose Plucker
+    coordinates vanish outside the level-j window has row matroid with
+    every basis inside the window, so for any row subset S its projection
+    rank is at most max over window members K of |K and S|.  Those caps
+    bind every earlier column as well (each column lies in every later
+    space of the flag), so column k obeys, for each S, the minimum cap
+    over levels j >= k.  Entry k-1 of the returned list maps S to that
+    suffix minimum; vacuous caps (>= |S|) are dropped.
+    """
+    n = len(u)
+    subsets = [
+        tuple(sorted(S))
+        for size in range(1, n + 1)
+        for S in combinations(range(1, n + 1), size)
+    ]
+    per_level: list[dict[tuple[int, ...], int]] = []
+    for j in range(1, n):
+        window = shifted_interval(prefix_set(u, j), prefix_set(v, j), a[j - 1], n)
+        caps = {}
+        for S in subsets:
+            S_set = frozenset(S)
+            caps[S] = max(len(K & S_set) for K in window)
+        per_level.append(caps)
+    suffix: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n)]
+    running: dict[tuple[int, ...], int] = {}
+    for j in range(n - 1, 0, -1):
+        for S, cap in per_level[j - 1].items():
+            if S not in running or cap < running[S]:
+                running[S] = cap
+        suffix[j - 1] = {S: cap for S, cap in running.items() if cap < len(S)}
+    return suffix

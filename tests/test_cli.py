@@ -1,10 +1,11 @@
 import json
+import os
 import time
 
 import pytest
 
 from qbg import cli
-from qbg.cli import MAX_CLI_N, main
+from qbg.cli import MAX_CLI_N, MAX_MATRIX_BYTES, main
 from qbg.errors import ResourceLimitError
 from qbg.exactgeom import (
     Flag,
@@ -240,6 +241,39 @@ class TestStratify:
         code, out, _ = run(capsys, "stratify", "--matrix", str(path), "--u", "213", "--v", "213")
         assert code == 1
         assert "not a member" in out
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"2\n1e20000000 0\n0 1\n", "bad rational"),
+            ("\u0662\n\u0661 0\n0 1_0\n".encode(), "size n"),
+            (b"2\n1 0\n0 \xff\n", "not UTF-8"),
+            (b"2\n1 0\n0 1\n" + b" " * MAX_MATRIX_BYTES, "bounded at"),
+        ],
+    )
+    def test_hostile_matrix_file_refused(self, capsys, tmp_path, data, message):
+        path = tmp_path / "h.mat"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "stratify", "--matrix", str(path), "--u", "12", "--v", "21")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_matrix_file_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "stratify", "--matrix", "/dev/zero", "--u", "12", "--v", "21")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "bounded at" in err
+
+    def test_largest_valid_entries_fit_the_byte_bound(self):
+        # 49 entries, each two runs of the most digits Python turns into an int
+        entry = "-" + "9" * 4300 + "/" + "7" * 4300
+        text = "7\n" + "\n".join(" ".join([entry] * 7) for _ in range(7)) + "\n"
+        assert len(text.encode()) <= MAX_MATRIX_BYTES
+        assert len(parse_matrix(text)) == 7
 
 
 class TestSample:

@@ -4,10 +4,11 @@ import threading
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from qbg import exactgeom
 from qbg.diagrams import equations, find_flat
 from qbg.errors import ParseError, PreconditionError, ResourceLimitError
 from qbg.exactgeom import (
@@ -35,7 +36,7 @@ from qbg.exactgeom import (
     sample_in_open_stratum,
     stratum,
 )
-from qbg.latticepath import valid_shifts
+from qbg.latticepath import prefix_paths, valid_shifts
 from qbg.permcore import (
     all_permutations,
     cyclic_set,
@@ -47,6 +48,7 @@ from qbg.permcore import (
 )
 from qbg.tiltedorder import interval_member_set, interval_members_criterion
 
+import oracles
 from oracles import _rank, chi_rotate, chi_set, rank_region
 
 
@@ -71,6 +73,34 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             parse_matrix("1\n1/0\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n1e20000000 0\n0 1\n",  # int() and Fraction() take exponents
+            "\u0662\n\u0661 0\n0 1_0\n",  # and other digits, and underscores
+            "2\n\u0661 0\n0 1\n",
+            "2\n1 0\n0 1_0\n",
+            "2\n1.5 0\n0 1\n",
+            "2\n1 0\n0 1/-2\n",
+            "2\n1 0\n0 1//2\n",
+            "2\n1 0\n0 0x10\n",
+            "2\n1 0\n0 inf\n",
+            "+2\n1 0\n0 1\n",
+            "2.0\n1 0\n0 1\n",
+            "1" * 5000 + "\n",  # past Python's limit on int digits
+            "1\n" + "1" * 5000 + "\n",
+        ],
+    )
+    def test_only_the_documented_grammar(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_matrix(text)
+        assert time.perf_counter() - start < 1
+
+    def test_signed_integers_and_ratios(self):
+        m = parse_matrix("2\n+3 -0\n-7/3 +7/3\n")
+        assert m == ((3, 0), (Fraction(-7, 3), Fraction(7, 3)))
+
 
 class TestFlag:
     def test_identity_pluckers(self):
@@ -86,6 +116,11 @@ class TestFlag:
                 for K in combinations(range(1, 4), k):
                     if frozenset(K) != prefix_set(w, k):
                         assert F.plucker(K) == 0
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "x", "1", float("nan"), None, 1j])
+    def test_entries_must_be_exact(self, bad):
+        with pytest.raises(PreconditionError, match="int or Fraction"):
+            Flag([[bad, 0], [0, 1]])
 
     def test_singular_rejected(self):
         with pytest.raises(PreconditionError):
@@ -711,3 +746,79 @@ def test_chain_route_reads_no_coordinate_and_no_window(monkeypatch):
     for F in flags:  # a read of the window table now fails on None
         monkeypatch.setattr(F, "_windows", None)
     assert [[member_T_plucker(u, v, F, oc) for oc in (False, True)] for F in flags] == expected
+
+
+# ---------------------------------------------------------------------------
+# The mask builders against the value-set builders they replaced
+
+
+def _shift_sequences(u, v):
+    """Every shift sequence a with u <=_a v."""
+    return product(*(sorted(shifts) for _, shifts in prefix_paths(u, v)))
+
+
+def _assert_builders_agree(u, v, a):
+    n = len(u)
+    slots, bounds = exactgeom._rank_plan(u, v, a, n)
+    ref_slots, ref_bounds = oracles._rank_plan(u, v, a, n)
+    assert len(slots) == len(ref_slots)
+    assert set(zip(slots, bounds)) == set(zip(ref_slots, ref_bounds))
+    off, ends = exactgeom._grassmann_plan(u, v, a, n)
+    ref_off, ref_ends = oracles._grassmann_plan(u, v, a, n)
+    assert sorted(off) == sorted(ref_off) and ends == ref_ends
+    ref_caps = oracles._sampler_caps(u, v, a)
+    assert exactgeom._sampler_caps(u, v, a) == [
+        {value_mask(S): cap for S, cap in caps.items()} for caps in ref_caps
+    ]
+
+
+def _assert_jump_rows_agree(F):
+    n = F.n
+    for k, cut, backward in product(range(1, n), range(1, n + 1), (False, True)):
+        jumps = exactgeom._rank_jump_rows(F, k, cut, backward)
+        assert jumps == value_mask(oracles._rank_jump_rows(F, k, cut, backward))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mask_builders_match_the_set_builders_on_every_pair(n):
+    perms = list(all_permutations(n))
+    for u in perms:
+        for v in perms:
+            for a in _shift_sequences(u, v):
+                _assert_builders_agree(u, v, a)
+    for w in perms:
+        _assert_jump_rows_agree(permutation_flag(w))
+    for F in _oracle_flags(n)[0]:
+        _assert_jump_rows_agree(F)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_mask_builders_match_the_set_builders_on_seeded_pairs(n):
+    rng = random.Random(80 + n)
+    for _ in range(6):
+        u = tuple(rng.sample(range(1, n + 1), n))
+        v = tuple(rng.sample(range(1, n + 1), n))
+        sequences = list(_shift_sequences(u, v))
+        for a in {find_flat(u, v), sequences[0], rng.choice(sequences)}:
+            _assert_builders_agree(u, v, a)
+        _assert_jump_rows_agree(random_flag(n, rng))
+
+
+# (u, v, seed) at n = 5..7: each open-stratum sample is located in its own stratum
+SEEDED_STRATA = [
+    ("35142", "21453", 5),
+    ("52413", "41532", 17),
+    ("12345", "54321", 3),
+    ("431652", "265134", 8),
+    ("615243", "346125", 21),
+    ("3716254", "5273641", 4),
+    ("1234567", "7654321", 9),
+]
+
+
+@pytest.mark.parametrize("u, v, seed", SEEDED_STRATA)
+def test_seeded_samples_locate_their_own_stratum(u, v, seed):
+    u, v = parse_permutation(u), parse_permutation(v)
+    F = sample_in_open_stratum(u, v, seed)
+    assert stratum(u, v, F) == (u, v)
+    _assert_jump_rows_agree(F)

@@ -48,3 +48,17 @@ def test_every_cache_is_bounded():
                     assert cached.cache_parameters()["maxsize"] is not None, found[-1]
     assert "tiltedorder.interval_member_set" in found
     assert "latticepath._shifted_interval_cached" in found
+
+
+def test_exactgeom_reads_value_sets_as_masks():
+    # the flag indexes its tables by value mask, so the plans and the
+    # sampler build no frozensets or tuples of values
+    tree = ast.parse((SRC / "qbg" / "exactgeom.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "value_mask" in imported
+    assert imported.isdisjoint({"prefix_set", "cyclic_set", "shifted_gale_leq", "combinations"})
