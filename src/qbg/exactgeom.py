@@ -213,10 +213,29 @@ def matrix_from_rows(rows: Iterable[Iterable[object]]) -> Matrix:
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _excerpt(text: str, limit: int = 60) -> str:
+    """`text` quoted for an error message, cut after `limit` characters."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+
+
+def _entry(token: str, row: str) -> Fraction:
+    """One matrix entry of `row`, or a ParseError quoting a bounded part of each."""
+    reason = "entries are integers or p/q"
+    try:
+        if _ENTRY.fullmatch(token):
+            return Fraction(token)
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError as exc:  # past Python's limit on int digits
+        reason = str(exc)
+    raise ParseError(f"bad rational {_excerpt(token)} in row {_excerpt(row)}: {reason}")
+
+
 def parse_matrix(text: str) -> Matrix:
     """
     Plain-text format: first line n in ASCII digits, then n lines of n
     entries separated by whitespace, each an integer or "p/q" (see _ENTRY).
+    Error messages quote at most a bounded prefix of the offending line.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -226,20 +245,15 @@ def parse_matrix(text: str) -> Matrix:
             raise ValueError("not a run of ASCII digits")
         n = int(lines[0])  # past Python's limit on int digits this raises too
     except ValueError as exc:
-        raise ParseError(f"first line must be the size n, got {lines[0]!r}") from exc
+        raise ParseError(f"first line must be the size n, got {_excerpt(lines[0])}") from exc
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != n:
-            raise ParseError(f"expected {n} entries per row, got {len(tokens)}: {ln!r}")
-        if not all(map(_ENTRY.fullmatch, tokens)):
-            raise ParseError(f"bad rational in row {ln!r}: entries are integers or p/q")
-        try:
-            rows.append(tuple(map(Fraction, tokens)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational in row {ln!r}: {exc}") from exc
+            raise ParseError(f"expected {n} entries per row, got {len(tokens)}: {_excerpt(ln)}")
+        rows.append(tuple([_entry(token, ln) for token in tokens]))
     return tuple(rows)
 
 

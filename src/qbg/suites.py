@@ -9,10 +9,11 @@ suite reuses what it holds: one BFS per source, subintervals read off
 the instance, it runs once per distinct state and counts every instance
 it covers, from tables per pair of prefix sets (`_shift_tables`):
 `distance` and `bfp` read each pair's closed-form weight off the depth
-table; `flat-count` decides find_flat's shift, the flat test and the
-ledger size once per column state; `tilted` decides each prefix criterion
-per column state (u_k, v_k, S); and `samepath` counts walks per (vertex,
-length, weight).  Every route still decides every instance.
+table; `bfp` runs each greedy stage once per (word, k, v_k); `flat-count`
+decides find_flat's shift, the flat test and the ledger size once per
+column state; `tilted` decides each prefix criterion per column state
+(u_k, v_k, S); and `samepath` counts walks per (vertex, length, weight).
+Every route still decides every instance.
 
 Each suite returns (ok, body, details); `run_suite` checks n and the
 sample count against `LIMITS` and `MAX_SAMPLES` before it calls the suite,
@@ -160,28 +161,77 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
 
 
 def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
-    """The greedy label-increasing path has oracle length and the closed-form
-    weight, read from `_shift_tables` as in `distance`."""
+    """
+    The greedy label-increasing path has oracle length, the closed-form
+    weight (read from `_shift_tables` as in `distance`) and increasing labels.
+
+    Stage k of the path from u to v depends only on the word w that the
+    earlier stages left and on v_k, so each (w, k, v_k) runs `_greedy_stage`
+    once, into a table keyed by the int x n^2 + (k - 1) n + v_k - 1, x the
+    index of w.  An entry holds the index of the word after the stage, its
+    step count, its packed weight and its first and last label ranks (None
+    for both when it takes no step or its labels do not increase).  From
+    each u the targets are walked as a prefix tree, in increasing order at
+    each depth, so that its leaves come in vertex order; length, weight and
+    label order add up along the walk.  Stage n takes no step, since
+    position n then holds the one value left, so a leaf is reached after
+    stage n - 1.
+    """
     g = build_graph(n)
     _, _, depths = _shift_tables(n)
     prefixes = _prefix_masks(g.vertices)
+    rank = {t: r for r, t in enumerate(qbgraph.all_roots(n))}
+    # weights packed: a greedy path is shorter than |S_n| steps and raises
+    # each coordinate by at most 1 per step
+    stages: dict[int, tuple] = {}
+    unpacked: dict[int, tuple[int, ...]] = {}
+    leaves: list[tuple[int, int, int | None, bool]] = []
     bad: list[str] = []
-    pairs = 0
-    root_rank = {t: i for i, t in enumerate(qbgraph.all_roots(n))}
+
+    def stage(key: int, x: int, k: int, target: int) -> tuple:
+        word = list(g.vertices[x])
+        steps = qbgraph._greedy_stage(word, k, target, n)
+        labels = [rank[k, p] for p, _ in steps]
+        increasing = labels and all(a < b for a, b in zip(labels, labels[1:]))
+        first, last = (labels[0], labels[-1]) if increasing else (None, None)
+        packed = sum(_pack(exps) for _, exps in steps)
+        entry = stages[key] = (g.index[tuple(word)], len(steps), packed, first, last)
+        return entry
+
+    def walk(x: int, k: int, rest: tuple[int, ...], length: int, weight: int,
+             top: int | None, increasing: bool) -> None:
+        base = (x * n + k - 1) * n - 1
+        for pos, target in enumerate(rest):
+            key = base + target
+            y, count, packed, first, last = stages.get(key) or stage(key, x, k, target)
+            if count:
+                state = (length + count, weight + packed, last,
+                         increasing and first is not None and top < first)
+            else:
+                state = (length, weight, top, increasing)
+            if k == n - 1:
+                leaves.append(state)
+            else:
+                walk(y, k + 1, rest[:pos] + rest[pos + 1:], *state)
+
     for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
-        for j, (v, formula) in enumerate(zip(g.vertices, _weights_from(i, prefixes, depths, n))):
-            pairs += 1
-            path = qbgraph.bfp_greedy_path(u, v)
-            labels = [root_rank[e.root] for e in path]
-            increasing = all(a < b for a, b in zip(labels, labels[1:]))
-            weight = qbgraph.path_weight(path, n)
-            if (
-                len(path) != dist[j]
-                or weight != formula
-                or not increasing
-            ):
-                bad.append(f"greedy path wrong for {_tuple_text(u, v)}")
+        formulas = _weights_from(i, prefixes, depths, n)
+        leaves.clear()
+        if n == 1:
+            leaves.append((0, 0, -1, True))
+        else:
+            walk(i, 1, tuple(range(1, n + 1)), 0, 0, -1, True)
+        if len(leaves) != len(g.vertices):
+            raise InternalInvariantError(
+                f"greedy prefix tree from {format_permutation(u)} has {len(leaves)} leaves"
+            )
+        for j, (length, weight, _, increasing) in enumerate(leaves):
+            if weight not in unpacked:
+                unpacked[weight] = _unpack(weight, n)
+            if length != dist[j] or unpacked[weight] != formulas[j] or not increasing:
+                bad.append(f"greedy path wrong for {_tuple_text(u, g.vertices[j])}")
+    pairs = len(g.vertices) ** 2
     return not bad, f"{pairs} pairs, {len(bad)} violations", bad[:10]
 
 

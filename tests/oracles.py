@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 from qbg.errors import PreconditionError
 from qbg.exactgeom import Flag, Matrix, Pivots, _add_row, _check_plan, _slot
 from qbg.latticepath import shifted_interval
-from qbg.permcore import Perm, cyclic_set, prefix_set, value_mask
+from qbg.permcore import Perm, apply_transposition, cyclic_set, prefix_set, value_mask
+from qbg.qbgraph import QbgEdge, QExponent, edge_weight, exponent_add, zero_exponent
 
 
 def inverse(w: Perm) -> Perm:
@@ -38,6 +39,39 @@ def shifted_less(r: int, a: int, b: int, n: int) -> bool:
     True
     """
     return shifted_key(r, a, n) < shifted_key(r, b, n)
+
+
+# ---------------------------------------------------------------------------
+# The greedy minimal path
+
+
+def checked_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
+    """Reference greedy path through the shifted_less oracle, which picks
+    each position, and the checked edge_weight, which weighs each step."""
+    n = len(u)
+    w = u
+    edges = []
+    for k in range(1, n + 1):
+        target = v[k - 1]
+        base = target % n + 1
+        prev = k
+        while w[k - 1] != target:
+            p = next(
+                p for p in range(prev + 1, n + 1) if shifted_less(base, w[k - 1], w[p - 1], n)
+            )
+            exps = edge_weight(w, (k, p))
+            assert exps is not None
+            nxt = apply_transposition(w, (k, p))
+            edges.append(QbgEdge(w, nxt, (k, p), exps))
+            w, prev = nxt, p
+    return edges
+
+
+def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:
+    exps = zero_exponent(n)
+    for e in path:
+        exps = exponent_add(exps, e.exps)
+    return exps
 
 
 # ---------------------------------------------------------------------------

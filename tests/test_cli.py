@@ -260,6 +260,25 @@ class TestStratify:
         assert (code, out) == (2, "")
         assert message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n" + "1 " * 400_000 + "\n0 1\n", "expected 2 entries per row, got 400000: '1 1 "),
+            ("2\n1 " + "x" * 400_000 + "\n0 1\n", "bad rational 'xxx"),
+            ("2\n1 " + "1" * 5000 + "\n0 1\n", "bad rational '111"),
+            ("2\n1 " + "1" * 4000 + "/0\n0 1\n", "zero denominator"),
+            ("1" * 400_000 + "\n", "size n, got '111"),
+        ],
+        ids=["entry-count", "bad-token", "digit-limit", "zero-denominator", "first-line"],
+    )
+    def test_long_lines_quoted_in_bounded_messages(self, capsys, tmp_path, text, message):
+        path = tmp_path / "long.mat"
+        path.write_text(text)
+        code, out, err = run(capsys, "stratify", "--matrix", str(path), "--u", "12", "--v", "21")
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
+        assert len(err) < 400
+
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_matrix_file_refused(self, capsys):
         start = time.perf_counter()

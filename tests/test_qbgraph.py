@@ -19,7 +19,6 @@ from qbg.permcore import (
     reflection_ordering,
 )
 from qbg.qbgraph import (
-    QbgEdge,
     bfp_greedy_path,
     build_graph,
     edge_weight,
@@ -30,35 +29,12 @@ from qbg.qbgraph import (
     increasing_paths_from,
     monomial_str,
     oracle_distance,
-    path_weight,
     shortest_path_weight_sets,
     zero_exponent,
 )
 from qbg.tiltedorder import cover_edges, hasse_export, interval
 
-from oracles import shifted_less
-
-
-def checked_greedy_path(u, v):
-    """Reference greedy path through the shifted_less oracle, which picks
-    each position, and the checked edge_weight, which weighs each step."""
-    n = len(u)
-    w = u
-    edges = []
-    for k in range(1, n + 1):
-        target = v[k - 1]
-        base = target % n + 1
-        prev = k
-        while w[k - 1] != target:
-            p = next(
-                p for p in range(prev + 1, n + 1) if shifted_less(base, w[k - 1], w[p - 1], n)
-            )
-            exps = edge_weight(w, (k, p))
-            assert exps is not None
-            nxt = apply_transposition(w, (k, p))
-            edges.append(QbgEdge(w, nxt, (k, p), exps))
-            w, prev = nxt, p
-    return edges
+from oracles import checked_greedy_path, path_weight
 
 
 class BackwardRule:

@@ -8,7 +8,7 @@ import signal
 import time
 from contextlib import contextmanager
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,8 @@ from qbg.qbgraph import (
     shortest_path_weight_sets,
     zero_exponent,
 )
+
+from oracles import path_weight
 
 
 @contextmanager
@@ -271,7 +273,7 @@ def per_pair_bfp(n):
             path = qbgraph.bfp_greedy_path(u, v)
             labels = [root_rank[e.root] for e in path]
             increasing = all(a < b for a, b in zip(labels, labels[1:]))
-            weight = qbgraph.path_weight(path, n)
+            weight = path_weight(path, n)
             if len(path) != dist[j] or weight != formula_weight(u, v) or not increasing:
                 bad.append(f"greedy path wrong for ({fmt(u)}, {fmt(v)})")
     body = f"{pairs} pairs, {len(bad)} violations"
@@ -321,7 +323,7 @@ REFERENCES = {
     "bfp": per_pair_bfp,
     "flat-count": per_pair_flat_count,
 }
-REFERENCE_SIZES = {"samepath": 4, "tilted": 4, "distance": 5, "bfp": 4, "flat-count": 5}
+REFERENCE_SIZES = {"samepath": 4, "tilted": 4, "distance": 5, "bfp": 5, "flat-count": 5}
 
 
 @pytest.mark.parametrize("name, n", [
@@ -436,19 +438,58 @@ def test_a_broken_cell_rule_fails_flat_count_as_in_the_per_pair_suite(monkeypatc
     assert result.report() == reference.report()
 
 
+def drop_the_last_step(steps):
+    return steps[:-1]
+
+
+def reverse_the_steps(steps):
+    return steps[::-1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("change", [drop_the_last_step, reverse_the_steps])
+def test_a_broken_greedy_stage_fails_bfp_as_in_the_per_pair_suite(monkeypatch, change, n):
+    """A stage kernel that still moves v_k into place but returns its steps
+    one short, or out of label order, reaches the stage table and the public
+    bfp_greedy_path alike.  One short breaks every pair u != v; out of order
+    breaks every pair with a stage of two or more steps."""
+    stage = qbgraph._greedy_stage
+
+    def broken(word, k, target, size):
+        return change(stage(word, k, target, size))
+
+    monkeypatch.setattr(qbgraph, "_greedy_stage", broken)
+    with time_limit(60):
+        result, reference = suites.run_suite("bfp", n), per_pair_bfp(n)
+    assert not result.ok and not reference.ok
+    assert result.body == reference.body
+    assert result.details == reference.details
+    if change is drop_the_last_step:
+        pairs = factorial(n) ** 2
+        assert result.body == f"{pairs} pairs, {pairs - factorial(n)} violations"
+
+
 def test_flat_count_at_n6_decides_column_states_not_pairs():
     """518,400 pairs: per-pair ledgers took about 49 s (2-CPU host)."""
     with time_limit(20):
         assert suites.run_suite("flat-count", 6).ok
 
 
+def test_bfp_at_n6_walks_stage_states_not_pairs():
+    """518,400 pairs: one greedy path per pair took about 22 s (2-CPU host)."""
+    with time_limit(10):
+        assert suites.run_suite("bfp", 6).body == "518400 pairs, 0 violations"
+
+
 def count_calls(monkeypatch, owner, name):
-    """Patch owner.name to record each call's arguments, and return the record."""
+    """Patch owner.name to record each call's arguments as they were at the
+    call (lists copied: a kernel may change them in place), and return the
+    record."""
     calls = []
     original = getattr(owner, name)
 
     def counted(*args):
-        calls.append(args)
+        calls.append(tuple(tuple(a) if isinstance(a, list) else a for a in args))
         return original(*args)
 
     monkeypatch.setattr(owner, name, counted)
@@ -464,6 +505,14 @@ def test_one_bfs_per_source(monkeypatch, name, n, runs):
         assert suites.run_suite(name, n).ok
     assert len(calls) == runs
     assert sorted(u for _, u in calls) == sorted(set(u for _, u in calls))
+
+
+@pytest.mark.parametrize("n, states", [(3, 30), (4, 216), (5, 1680)])
+def test_bfp_runs_each_greedy_stage_state_once(monkeypatch, n, states):
+    calls = count_calls(monkeypatch, qbgraph, "_greedy_stage")
+    with time_limit(60):
+        assert suites.run_suite("bfp", n).ok
+    assert len(calls) == len(set(calls)) == states
 
 
 def test_equivalence_builds_each_coordinate_flag_once(monkeypatch):
