@@ -10,6 +10,7 @@ from . import diagrams, exactgeom, qbgraph, suites, tiltedorder
 from .errors import ParseError, QbgError, ResourceLimitError, SamplingError
 from .permcore import (
     Perm,
+    _excerpt,
     format_permutation,
     identity,
     longest_element,
@@ -115,10 +116,12 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     else:
         tokens = [tok.strip() for tok in args.a.split(",")]
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise UsageError(
-                f"bad shift sequence {args.a!r}: entries are ASCII digits 0-9 separated by commas"
-            )
-        a = tuple(map(int, tokens))
+            raise UsageError(f"bad shift sequence {_excerpt(args.a)}: "
+                             "entries are ASCII digits 0-9 separated by commas")
+        digits = [tok.lstrip("0") or "0" for tok in tokens]
+        if max(map(len, digits)) > len(str(n)):  # and int() refuses past 4300 digits
+            raise UsageError(f"bad shift sequence {_excerpt(args.a)}: entries are in 1..{n}")
+        a = tuple(map(int, digits))
     lines = [
         f"u={format_permutation(u)} v={format_permutation(v)} a={','.join(map(str, a))}",
         "",

@@ -55,7 +55,7 @@ from .errors import (
     SamplingError,
 )
 from .latticepath import _gale_leq, shift_leq, shifted_interval
-from .permcore import Perm, format_permutation, validate_permutation, value_mask
+from .permcore import Perm, _excerpt, format_permutation, validate_permutation, value_mask
 from .tiltedorder import admissible_nodes
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -211,11 +211,6 @@ def matrix_from_rows(rows: Iterable[Iterable[object]]) -> Matrix:
 #: A matrix entry: an optionally signed run of ASCII digits, optionally
 #: followed by "/" and a second run; int() and Fraction() take far more.
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _excerpt(text: str, limit: int = 60) -> str:
-    """`text` quoted for an error message, cut after `limit` characters."""
-    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
 
 
 def _entry(token: str, row: str) -> Fraction:

@@ -41,6 +41,11 @@ def validate_permutation(w: Sequence[int]) -> Perm:
     return tuple(w)
 
 
+def _excerpt(text: str, limit: int = 60) -> str:
+    """`text` quoted for an error message, cut after `limit` characters."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+
+
 def parse_permutation(text: str) -> Perm:
     """
     Parse one-line notation, either a digit string (n <= 9) or a
@@ -58,18 +63,22 @@ def parse_permutation(text: str) -> Perm:
         tokens = [tok.strip() for tok in text.split(",")]
     else:
         tokens = list(text)
+    n = len(tokens)
+    width = len(str(n))
     word = []
     for tok in tokens:
         if not (tok.isascii() and tok.isdigit()):
-            raise ParseError(f"invalid token {tok!r} in permutation {text!r}")
-        word.append(int(tok))
-    n = len(word)
+            raise ParseError(f"invalid token {_excerpt(tok)} in permutation {_excerpt(text)}")
+        digits = tok.lstrip("0") or "0"
+        if len(digits) > width:  # out of range, and int() refuses past 4300 digits
+            raise ParseError(f"value {_excerpt(digits)} out of range 1..{n} in {_excerpt(text)}")
+        word.append(int(digits))
     seen: set[int] = set()
-    for tok, value in zip(tokens, word):
+    for value in word:
         if value < 1 or value > n:
-            raise ParseError(f"value {tok} out of range 1..{n} in {text!r}")
+            raise ParseError(f"value {value} out of range 1..{n} in {_excerpt(text)}")
         if value in seen:
-            raise ParseError(f"duplicate value {tok} in {text!r}")
+            raise ParseError(f"duplicate value {value} in {_excerpt(text)}")
         seen.add(value)
     return tuple(word)
 

@@ -15,6 +15,11 @@ BFS from u; the weight sets take it from their caller.
 The edge set is derived twice, by code that shares nothing: `_edge_exps`
 applies the length rule to one root, and `build_graph` runs `_out_edges`,
 one scan per position; the tests pin the two against each other.
+
+Label-increasing paths (Brenti-Fomin-Postnikov: one per pair and
+reflection ordering, a shortest one) are enumerated, not assumed unique:
+`increasing_path_lengths` labels the rows once per ordering and keeps each
+path as its length, per source and endpoint.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .errors import InternalInvariantError, ParseError, PreconditionError, Resou
 from .latticepath import _check_perms, prefix_paths
 from .permcore import (
     Perm, Root, all_permutations, all_roots, apply_transposition, coxeter_length,
-    format_permutation, is_reflection_ordering, parse_permutation, validate_permutation,
+    _excerpt, format_permutation, is_reflection_ordering, parse_permutation, validate_permutation,
 )
 
 QExponent = tuple[int, ...]
@@ -206,9 +211,15 @@ def build_graph(n: int) -> QuantumBruhatGraph:
     >>> g.edge_count()
     15
     """
-    if not 1 <= n <= MAX_GRAPH_N:
-        raise ResourceLimitError(f"graph construction is bounded at n <= {MAX_GRAPH_N}")
+    _check_graph_n(n)
     return QuantumBruhatGraph(n, ((w, *e) for w in all_permutations(n) for e in _out_edges(w, n)))
+
+
+def _check_graph_n(n: int) -> None:
+    if n < 1:
+        raise PreconditionError(f"graphs are built for n >= 1, got n = {n}")
+    if n > MAX_GRAPH_N:
+        raise ResourceLimitError(f"graph construction is bounded at n <= {MAX_GRAPH_N}")
 
 
 def _check_vertices(g: QuantumBruhatGraph, *perms: Perm) -> None:
@@ -361,33 +372,40 @@ def bfp_greedy_path(u: Perm, v: Perm) -> list[QbgEdge]:
 # Label-increasing paths
 
 
-def increasing_paths_from(g: QuantumBruhatGraph, u: Perm,
-                          ordering: Sequence[Root]) -> dict[Perm, list[tuple[QbgEdge, ...]]]:
+def increasing_path_lengths(g: QuantumBruhatGraph,
+                            ordering: Sequence[Root]) -> Iterator[list[list[int]]]:
     """
-    Every directed path out of u whose label sequence strictly increases
-    in the given reflection ordering, grouped by endpoint.  Exactly one
-    such path is predicted for each endpoint; returning them all keeps the
-    uniqueness testable.
+    Per source, in vertex order, a list indexed by endpoint of the lengths
+    of all paths between them whose labels strictly increase in the given
+    reflection ordering, one entry per path; one entry, the distance, is
+    predicted.  The ordering is checked when called, and the sources are
+    then walked lazily, one at a time.
     """
-    _check_vertices(g, u)
     if not is_reflection_ordering(tuple(ordering), g.n):
         raise PreconditionError("ordering is not a valid reflection ordering")
     position = {root: i for i, root in enumerate(ordering)}
-    vertices = g.vertices
-    found: dict[Perm, list[tuple[QbgEdge, ...]]] = {}
-    acc: list[QbgEdge] = []
+    # each row as (label position, neighbour index), highest label first
+    rows = [sorted([(position[root], x) for x, root, _ in row], reverse=True) for row in g.out_adj]
+    return (_increasing_lengths(rows, source) for source in range(len(rows)))
 
-    def extend(w: int, floor: int) -> None:
-        found.setdefault(vertices[w], []).append(tuple(acc))
-        for x, root, exps in g.out_adj[w]:
-            pos = position[root]
-            if pos > floor:
-                acc.append(QbgEdge(vertices[w], vertices[x], root, exps))
-                extend(x, pos)
-                acc.pop()
 
-    extend(g.index[u], -1)
-    return found
+def _increasing_lengths(rows: list[list[tuple[int, int]]], source: int) -> list[list[int]]:
+    """One source of `increasing_path_lengths`: a path may leave w by the
+    edges labelled above its last label, a prefix of w's row."""
+    lengths: list[list[int]] = [[] for _ in rows]
+    # the stack of paths still to extend, as three int stacks: no tuple per path
+    ends, floors, steps = [source], [-1], [0]
+    while ends:
+        w, floor, length = ends.pop(), floors.pop(), steps.pop()
+        lengths[w].append(length)
+        length += 1
+        for pos, x in rows[w]:
+            if pos <= floor:
+                break
+            ends.append(x)
+            floors.append(pos)
+            steps.append(length)
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +468,33 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
 
 
 def graph_from_json(text: str) -> QuantumBruhatGraph:
-    """Reader for the JSON export; round-trips build_graph output."""
+    """
+    Reader for the JSON export; round-trips build_graph output.  n must be
+    an int in 1..MAX_GRAPH_N, checked before any vertex is listed.
+    """
     try:
         payload = json.loads(text)
-        n = payload["n"]
-        edges = [
-            (parse_permutation(item["source"]), parse_permutation(item["target"]),
-             tuple(item["root"]), tuple(item["exps"]))
-            for item in payload["edges"]
-        ]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        n, items = payload["n"], payload["edges"]
+        if type(n) is not int or n < 1:
+            raise ParseError(f"malformed graph JSON: n {_excerpt(json.dumps(n))} "
+                             "is not an int >= 1")
+        _check_graph_n(n)
+        roots = set(all_roots(n))
+        edges = [_json_edge(item, n, roots) for item in items]
+    except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     return QuantumBruhatGraph(n, edges)
+
+
+def _json_edge(item: dict, n: int, roots: set[Root]) -> tuple[Perm, Perm, Root, QExponent]:
+    """One record of the "edges" list, checked against S_n: two permutations
+    of [n], a root of S_n and n - 1 exponents, all ints, none negative."""
+    ends = [parse_permutation(w) if isinstance(w, str) else ()
+            for w in (item["source"], item["target"])]
+    root, exps = item["root"], item["exps"]
+    ints = all(isinstance(x, list) and all(type(i) is int for i in x) for x in (root, exps))
+    if not (ints and len(ends[0]) == len(ends[1]) == len(exps) + 1 == n
+            and tuple(root) in roots and min(exps, default=0) >= 0):
+        raise ParseError(f"malformed graph JSON: {_excerpt(json.dumps(item))} "
+                         f"is not an edge of S_{n}")
+    return ends[0], ends[1], tuple(root), tuple(exps)

@@ -50,7 +50,7 @@ from .qbgraph import (
     build_graph,
     edge_weight,
     exponent_divides,
-    increasing_paths_from,
+    increasing_path_lengths,
     shortest_path_weight_sets,
 )
 
@@ -236,7 +236,9 @@ def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
 
 
 def suite_increasing(n: int, seed: int, samples: int) -> Outcome:
-    """Every reflection ordering admits exactly one increasing path per pair."""
+    """Every reflection ordering admits exactly one increasing path per pair,
+    and it is a shortest one: the lengths of the pair's increasing paths,
+    each listed, must be [d(u, v)]."""
     g = build_graph(n)
     words = reduced_words_of_longest(n)
     expected_words = {3: 2, 4: 16}
@@ -244,16 +246,15 @@ def suite_increasing(n: int, seed: int, samples: int) -> Outcome:
     if n in expected_words and len(words) != expected_words[n]:
         bad.append(f"expected {expected_words[n]} reduced words, found {len(words)}")
     checked = 0
-    dists = [g.distance_vector_from(u) for u in g.vertices]
+    # per source, what its lengths must equal: [d(u, v)] at each endpoint v
+    expected = [[[d] for d in g.distance_vector_from(u)] for u in g.vertices]
     for word in sorted(words):
-        ordering = reflection_ordering(word)
-        for u, dist in zip(g.vertices, dists):
-            found = increasing_paths_from(g, u, ordering)
-            for j, v in enumerate(g.vertices):
-                checked += 1
-                paths = found.get(v, [])
-                if len(paths) != 1 or len(paths[0]) != dist[j]:
-                    bad.append(f"word {word}: {len(paths)} paths for {_tuple_text(u, v)}")
+        found = increasing_path_lengths(g, reflection_ordering(word))
+        for u, lengths, wanted in zip(g.vertices, found, expected):
+            checked += len(lengths)
+            if lengths != wanted:
+                bad.extend(f"word {word}: {len(paths)} paths for {_tuple_text(u, v)}"
+                           for v, paths, one in zip(g.vertices, lengths, wanted) if paths != one)
     return not bad, f"{len(words)} orderings, {checked} pairs, {len(bad)} violations", bad[:10]
 
 

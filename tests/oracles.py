@@ -11,8 +11,13 @@ from typing import Iterable, Sequence
 from qbg.errors import PreconditionError
 from qbg.exactgeom import Flag, Matrix, Pivots, _add_row, _check_plan, _slot
 from qbg.latticepath import shifted_interval
-from qbg.permcore import Perm, apply_transposition, cyclic_set, prefix_set, value_mask
-from qbg.qbgraph import QbgEdge, QExponent, edge_weight, exponent_add, zero_exponent
+from qbg.permcore import (
+    Perm, Root, apply_transposition, cyclic_set, is_reflection_ordering, prefix_set, value_mask,
+)
+from qbg.qbgraph import (
+    QbgEdge, QExponent, QuantumBruhatGraph, _check_vertices, edge_weight, exponent_add,
+    zero_exponent,
+)
 
 
 def inverse(w: Perm) -> Perm:
@@ -72,6 +77,39 @@ def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:
     for e in path:
         exps = exponent_add(exps, e.exps)
     return exps
+
+
+# ---------------------------------------------------------------------------
+# Label-increasing paths
+
+
+def increasing_paths_from(g: QuantumBruhatGraph, u: Perm,
+                          ordering: Sequence[Root]) -> dict[Perm, list[tuple[QbgEdge, ...]]]:
+    """
+    Every directed path out of u whose label sequence strictly increases
+    in the given reflection ordering, grouped by endpoint.  Exactly one
+    such path is predicted for each endpoint; returning them all keeps the
+    uniqueness testable.
+    """
+    _check_vertices(g, u)
+    if not is_reflection_ordering(tuple(ordering), g.n):
+        raise PreconditionError("ordering is not a valid reflection ordering")
+    position = {root: i for i, root in enumerate(ordering)}
+    vertices = g.vertices
+    found: dict[Perm, list[tuple[QbgEdge, ...]]] = {}
+    acc: list[QbgEdge] = []
+
+    def extend(w: int, floor: int) -> None:
+        found.setdefault(vertices[w], []).append(tuple(acc))
+        for x, root, exps in g.out_adj[w]:
+            pos = position[root]
+            if pos > floor:
+                acc.append(QbgEdge(vertices[w], vertices[x], root, exps))
+                extend(x, pos)
+                acc.pop()
+
+    extend(g.index[u], -1)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,18 @@ class TestDist:
             assert (code, out) == (2, "")
             assert f"bounded at n <= {MAX_CLI_N}, got n = {MAX_CLI_N + 1}" in err
 
+    @pytest.mark.parametrize("u", [
+        "1," + "9" * 5000,  # past the 4300 digits int() reads
+        ",".join(["1"] * 30000),  # 60 KB of one repeated value
+        "1," + "x" * 60000,
+    ])
+    def test_hostile_permutation_refused_in_one_short_line(self, capsys, u):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dist", u, "1,2")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400
+
     @pytest.mark.parametrize("args, parsed", [
         (["dist", "321", "213"], ["321", "213"]),
         (["diagram", "4321", "w0"], ["4321"]),
@@ -112,6 +124,12 @@ class TestGraph:
         code, _, err = run(capsys, "graph", "--n", "12")
         assert code == 2
         assert "bounded" in err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_under_bound(self, capsys, n):
+        code, out, err = run(capsys, "graph", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: graphs are built for n >= 1, got n = {n}\n"
 
 
 class TestInterval:
@@ -188,6 +206,16 @@ class TestDiagram:
         assert "usage error: bad shift sequence" in err
         code, out, _ = run(capsys, "diagram", "4321", "3142", "--a", " 4, 4 ,2 ")
         assert code == 0 and "count=3" in out
+
+    def test_shift_past_the_int_digit_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "diagram", "4321", "3142", "--a", "9" * 5000)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: bad shift sequence ")
+        assert err.endswith("entries are in 1..4\n") and err.count("\n") == 1 and len(err) < 400
+        code, out, _ = run(capsys, "diagram", "4321", "3142", "--a", "0" * 5000 + "4,4,2")
+        assert code == 0 and out.startswith("u=4321 v=3142 a=4,4,2\n")
 
     def test_out_of_range_shift(self, capsys):
         # read mod n, 8,6,6 would act as 4,2,2 under a header naming 8,6,6

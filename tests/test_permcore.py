@@ -52,6 +52,12 @@ class TestParse:
         with pytest.raises(ParseError, match="invalid token"):
             parse_permutation(text)
 
+    def test_values_past_the_int_digit_limit_are_out_of_range(self):
+        message = r"^value '9{60}'\.\.\. out of range 1\.\.2 in '1,9{58}'\.\.\.$"
+        with pytest.raises(ParseError, match=message):
+            parse_permutation("1," + "9" * 5000)
+        assert parse_permutation("1," + "0" * 5000 + "2") == (1, 2)
+
     def test_format_roundtrip(self):
         for text in ("321", "7,3,6,4,1,5,2", "123456789"):
             w = parse_permutation(text)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbg import qbgraph
-from qbg.errors import InternalInvariantError, PreconditionError, ResourceLimitError
+from qbg.errors import InternalInvariantError, ParseError, PreconditionError, ResourceLimitError
 from qbg.permcore import (
     all_permutations,
     all_roots,
@@ -16,6 +16,7 @@ from qbg.permcore import (
     cyclic_contains,
     format_permutation,
     parse_permutation,
+    reduced_words_of_longest,
     reflection_ordering,
 )
 from qbg.qbgraph import (
@@ -26,7 +27,7 @@ from qbg.qbgraph import (
     formula_weight,
     graph_distance,
     graph_from_json,
-    increasing_paths_from,
+    increasing_path_lengths,
     monomial_str,
     oracle_distance,
     shortest_path_weight_sets,
@@ -34,7 +35,7 @@ from qbg.qbgraph import (
 )
 from qbg.tiltedorder import cover_edges, hasse_export, interval
 
-from oracles import checked_greedy_path, path_weight
+from oracles import checked_greedy_path, increasing_paths_from, path_weight
 
 
 class BackwardRule:
@@ -201,6 +202,11 @@ class TestBuildGraph:
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
             build_graph(8)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sizes_below_one_refused(self, n):
+        with pytest.raises(PreconditionError, match=f"n >= 1, got n = {n}$"):
+            build_graph(n)
 
 
 def length_rule_edges(n):
@@ -417,24 +423,37 @@ class TestGreedyPath:
             bfp_greedy_path((1, 2, 3), bad)
 
 
+def lengths_between(g, ordering, u, v):
+    return list(increasing_path_lengths(g, ordering))[g.index[u]][g.index[v]]
+
+
 class TestIncreasingPaths:
     def test_empty_path(self):
         g = build_graph(3)
         ordering = reflection_ordering((1, 2, 1))
-        paths = increasing_paths_from(g, (2, 1, 3), ordering)[(2, 1, 3)]
-        assert paths == [()]
+        assert lengths_between(g, ordering, (2, 1, 3), (2, 1, 3)) == [0]
 
     def test_unique_path(self):
         g = build_graph(3)
         ordering = reflection_ordering((1, 2, 1))
-        paths = increasing_paths_from(g, (3, 2, 1), ordering)[(1, 2, 3)]
-        assert len(paths) == 1
-        assert len(paths[0]) == oracle_distance(g, (3, 2, 1), (1, 2, 3))[0]
+        lengths = lengths_between(g, ordering, (3, 2, 1), (1, 2, 3))
+        assert len(lengths) == 1
+        assert lengths[0] == oracle_distance(g, (3, 2, 1), (1, 2, 3))[0]
 
     def test_invalid_ordering(self):
         g = build_graph(3)
         with pytest.raises(PreconditionError):
-            increasing_paths_from(g, (1, 2, 3), ((1, 3), (1, 2), (2, 3)))
+            increasing_path_lengths(g, ((1, 3), (1, 2), (2, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lengths_are_those_of_the_listed_paths(self, n):
+        g = build_graph(n)
+        for word in reduced_words_of_longest(n):
+            ordering = reflection_ordering(word)
+            for u, lengths in zip(g.vertices, increasing_path_lengths(g, ordering)):
+                listed = increasing_paths_from(g, u, ordering)
+                for v, found in zip(g.vertices, lengths):
+                    assert sorted(found) == sorted(map(len, listed.get(v, [])))
 
 
 def old_edge_dot(e):
@@ -543,6 +562,59 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(PreconditionError):
             export_graph(build_graph(2), "xml")
+
+
+def json_export_with(change):
+    """The JSON export of the graph on S_3 with its payload passed through `change`."""
+    payload = json.loads(export_graph(build_graph(3), "json"))
+    change(payload)
+    return json.dumps(payload)
+
+
+def set_first_edge(field, value):
+    return lambda payload: payload["edges"][0].update({field: value})
+
+
+class TestGraphFromJson:
+    @pytest.mark.parametrize("n", ["3", 3.0, True, 0, -1, None])
+    def test_n_must_be_a_positive_int(self, n):
+        with pytest.raises(ParseError, match="malformed graph JSON: n .* is not an int >= 1$"):
+            graph_from_json(json_export_with(lambda payload: payload.update(n=n)))
+
+    @pytest.mark.parametrize("n", [8, 9, 10 ** 6])
+    def test_n_above_the_bound_refused_before_any_vertex_is_listed(self, monkeypatch, n):
+        text = json_export_with(lambda payload: payload.update(n=n))
+        monkeypatch.setattr(qbgraph, "all_permutations", None)
+        with pytest.raises(ResourceLimitError, match=f"n <= {qbgraph.MAX_GRAPH_N}"):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("change", [
+        set_first_edge("target", "1234"),
+        set_first_edge("source", 123),
+        set_first_edge("root", [1, 4]),
+        set_first_edge("root", [1.0, 2]),
+        set_first_edge("root", "12"),
+        set_first_edge("exps", [1]),
+        set_first_edge("exps", [1, -1]),
+        set_first_edge("exps", [1, True]),
+    ])
+    def test_malformed_edges_refused(self, change):
+        with pytest.raises(ParseError, match="malformed graph JSON: .* is not an edge of S_3$"):
+            graph_from_json(json_export_with(change))
+
+    @pytest.mark.parametrize("change, message", [
+        (set_first_edge("source", "122"), "duplicate value 2"),
+        (lambda payload: payload["edges"][0].pop("root"), "malformed graph JSON: 'root'"),
+        (lambda payload: payload.update(edges=7), "malformed graph JSON"),
+    ])
+    def test_unreadable_edges_refused(self, change, message):
+        with pytest.raises(ParseError, match=message):
+            graph_from_json(json_export_with(change))
+
+    @pytest.mark.parametrize("text", ["[]", "{", "[" * 100000])
+    def test_malformed_documents_refused(self, text):
+        with pytest.raises(ParseError, match="malformed graph JSON"):
+            graph_from_json(text)
 
 
 def test_monomial_text():

@@ -16,7 +16,13 @@ import pytest
 from qbg import diagrams, exactgeom, latticepath, qbgraph, suites, tiltedorder
 from qbg.cli import main
 from qbg.errors import PreconditionError, ResourceLimitError, SamplingError
-from qbg.permcore import all_permutations, coxeter_length, format_permutation
+from qbg.permcore import (
+    all_permutations,
+    coxeter_length,
+    format_permutation,
+    reduced_words_of_longest,
+    reflection_ordering,
+)
 from qbg.qbgraph import (
     QuantumBruhatGraph,
     exponent_add,
@@ -27,7 +33,7 @@ from qbg.qbgraph import (
     zero_exponent,
 )
 
-from oracles import path_weight
+from oracles import increasing_paths_from, path_weight
 
 
 @contextmanager
@@ -316,14 +322,39 @@ def per_pair_flat_count(n):
     return suites.SuiteResult("flat-count", n, not bad, body, details + bad[:10])
 
 
+def per_source_increasing(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    words = reduced_words_of_longest(n)
+    expected_words = {3: 2, 4: 16}
+    bad, checked = [], 0
+    if n in expected_words and len(words) != expected_words[n]:
+        bad.append(f"expected {expected_words[n]} reduced words, found {len(words)}")
+    dists = [g.distance_vector_from(u) for u in g.vertices]
+    for word in sorted(words):
+        ordering = reflection_ordering(word)
+        for u, dist in zip(g.vertices, dists):
+            found = increasing_paths_from(g, u, ordering)
+            for j, v in enumerate(g.vertices):
+                checked += 1
+                paths = found.get(v, [])
+                if len(paths) != 1 or len(paths[0]) != dist[j]:
+                    bad.append(f"word {word}: {len(paths)} paths for ({fmt(u)}, {fmt(v)})")
+    body = f"{len(words)} orderings, {checked} pairs, {len(bad)} violations"
+    return suites.SuiteResult("increasing", n, not bad, body, bad[:10])
+
+
 REFERENCES = {
     "samepath": stack_samepath,
     "tilted": criterion_tilted,
     "distance": per_pair_distance,
     "bfp": per_pair_bfp,
     "flat-count": per_pair_flat_count,
+    "increasing": per_source_increasing,
 }
-REFERENCE_SIZES = {"samepath": 4, "tilted": 4, "distance": 5, "bfp": 5, "flat-count": 5}
+REFERENCE_SIZES = {
+    "samepath": 4, "tilted": 4, "distance": 5, "bfp": 5, "flat-count": 5, "increasing": 4,
+}
 
 
 @pytest.mark.parametrize("name, n", [
@@ -353,7 +384,9 @@ def drop_an_edge(edges):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("name, change", [("samepath", bump_a_down_edge), ("tilted", drop_an_edge)])
+@pytest.mark.parametrize("name, change", [
+    ("samepath", bump_a_down_edge), ("tilted", drop_an_edge), ("increasing", drop_an_edge),
+])
 def test_a_broken_graph_fails_as_in_the_per_triple_and_per_walk_suite(monkeypatch, name, change, n):
     g = broken_graph(n, change)
     monkeypatch.setattr(suites, "build_graph", lambda size: g)
@@ -364,6 +397,8 @@ def test_a_broken_graph_fails_as_in_the_per_triple_and_per_walk_suite(monkeypatc
     if name == "tilted":  # splits are listed in (u, v, w) order by both
         assert result.details == reference.details
         assert result.details[0].startswith("criteria split on ")
+    elif name == "increasing":  # pairs are listed in (word, u, v) order by both
+        assert result.details == reference.details
     else:  # one line per failing walk there, per failing (vertex, length, weight) here
         assert not result.body.endswith(" 0 violations")
         assert 0 < len(result.details) <= 10
@@ -481,6 +516,13 @@ def test_bfp_at_n6_walks_stage_states_not_pairs():
         assert suites.run_suite("bfp", 6).body == "518400 pairs, 0 violations"
 
 
+def test_increasing_at_n5_walks_path_lengths_not_path_tuples():
+    """11,059,200 pairs: one tuple of edges per path took about 25 s (2-CPU host)."""
+    with time_limit(15):
+        result = suites.run_suite("increasing", 5)
+    assert result.body == "768 orderings, 11059200 pairs, 0 violations"
+
+
 def count_calls(monkeypatch, owner, name):
     """Patch owner.name to record each call's arguments as they were at the
     call (lists copied: a kernel may change them in place), and return the
@@ -498,6 +540,7 @@ def count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("name, n, runs", [
     ("distance", 4, 24), ("samepath", 4, 24), ("flat-count", 4, 24), ("tilted", 3, 6),
+    ("increasing", 4, 24),
 ])
 def test_one_bfs_per_source(monkeypatch, name, n, runs):
     calls = count_calls(monkeypatch, QuantumBruhatGraph, "distance_vector_from")
@@ -513,6 +556,14 @@ def test_bfp_runs_each_greedy_stage_state_once(monkeypatch, n, states):
     with time_limit(60):
         assert suites.run_suite("bfp", n).ok
     assert len(calls) == len(set(calls)) == states
+
+
+@pytest.mark.parametrize("n, orderings", [(3, 2), (4, 16)])
+def test_increasing_checks_and_labels_each_ordering_once(monkeypatch, n, orderings):
+    calls = count_calls(monkeypatch, qbgraph, "is_reflection_ordering")
+    with time_limit(60):
+        assert suites.run_suite("increasing", n).ok
+    assert len(calls) == len(set(calls)) == orderings
 
 
 def test_equivalence_builds_each_coordinate_flag_once(monkeypatch):
