@@ -49,6 +49,8 @@ def _resolve_perm(text: str, n_hint: int | None) -> Perm:
 
 
 def _perm_pair(u_text: str, v_text: str, n_flag: int | None) -> tuple[Perm, Perm]:
+    if n_flag is not None and n_flag < 1:
+        raise UsageError(f"--n must be at least 1, got --n {n_flag}")
     texts = (u_text, v_text)
     # each explicit permutation is parsed once; --n sizes the shorthands only when both are
     explicit = {t: parse_permutation(t) for t in texts if t.strip().lower() not in _ALIASES}

@@ -15,9 +15,12 @@ column state; `tilted` decides each prefix criterion per column state
 (u_k, v_k, S); and `samepath` counts walks per (vertex, length, weight).
 Every route still decides every instance.
 
-Each suite returns (ok, body, details); `run_suite` checks n and the
-sample count against `LIMITS` and `MAX_SAMPLES` before it calls the suite,
-and frames what it returns as a SuiteResult.
+Each suite records what fails in a `_Findings` and returns its body, which
+prints the full counts.  `run_suite` checks n and the sample count against
+`LIMITS` and `MAX_SAMPLES` before it calls the suite, and alone decides the
+SuiteResult: PASS when nothing failed, and as details the first five notes
+and then the first ten failure messages, so a failing run holds at most
+fifteen strings at any n.
 """
 from __future__ import annotations
 
@@ -69,7 +72,25 @@ class SuiteResult(NamedTuple):
         return "\n".join(lines)
 
 
-Outcome = tuple[bool, str, list[str]]
+class _Findings:
+    """What a suite found: the failure count, the first ten failure messages
+    and the first five notes.  Passing checks never touch it."""
+
+    MESSAGES, NOTES = 10, 5
+
+    def __init__(self) -> None:
+        self.failures = 0
+        self.messages: list[str] = []
+        self.notes: list[str] = []
+
+    def fail(self, message: str | None = None, count: int = 1) -> None:
+        self.failures += count
+        if message is not None and len(self.messages) < self.MESSAGES:
+            self.messages.append(message)
+
+    def note(self, message: str) -> None:
+        if len(self.notes) < self.NOTES:
+            self.notes.append(message)
 
 
 def _tuple_text(*perms: Perm) -> str:
@@ -80,7 +101,7 @@ def _tuple_text(*perms: Perm) -> str:
 # ---------------------------------------------------------------------------
 
 
-def suite_distance(n: int, seed: int, samples: int) -> Outcome:
+def suite_distance(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Closed-form weight and length agree with the BFS oracle on all pairs:
     with the BFS distance and with the weight of every shortest path.  The
     weight's k-th coordinate is the depth of the path of the k-prefix sets,
@@ -90,7 +111,6 @@ def suite_distance(n: int, seed: int, samples: int) -> Outcome:
     _, _, depths = _shift_tables(n)
     prefixes = _prefix_masks(g.vertices)
     pairs = 0
-    mismatches = []
     for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
         weight_sets = shortest_path_weight_sets(g, dist)
@@ -98,11 +118,11 @@ def suite_distance(n: int, seed: int, samples: int) -> Outcome:
             pairs += 1
             # graph_distance's closed form, on the weight already in hand
             if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
-                mismatches.append(f"mismatch at {_tuple_text(u, v)}")
-    return not mismatches, f"{pairs} pairs, {len(mismatches)} mismatches", mismatches[:10]
+                found.fail(f"mismatch at {_tuple_text(u, v)}")
+    return f"{pairs} pairs, {found.failures} mismatches"
 
 
-def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
+def suite_samepath(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     All shortest paths between a pair carry one common weight; every walk
     within two steps of geodesic length carries a weight divisible by it,
@@ -114,15 +134,7 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
     and each counts its walks, into the violations too when it fails.
     """
     g = build_graph(n)
-    bad: list[str] = []
-    pairs = walks = violations = 0
-
-    def fail(count: int, message: str) -> None:
-        nonlocal violations
-        violations += count
-        if len(bad) < 10:
-            bad.append(message)
-
+    pairs = walks = 0
     # weights packed: a bounded walk is shorter than |S_n| + 2 steps and
     # raises each coordinate by at most 1 per step
     steps = [[(t, _pack(exps)) for t, _, exps in row] for row in g.out_adj]
@@ -132,7 +144,7 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
         for v, weights in zip(g.vertices, weight_sets):
             pairs += 1
             if len(weights) != 1:
-                fail(1, f"several shortest-path weights for {_tuple_text(u, v)}")
+                found.fail(f"several shortest-path weights for {_tuple_text(u, v)}")
         minimal = [next(iter(weights)) for weights in weight_sets]
         layer: dict[int, dict[int, int]] = {g.index[u]: {0: 1}}
         length = 0
@@ -145,10 +157,10 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
                     exps = _unpack(packed, n)
                     if not exponent_divides(ref, exps):
                         w = format_permutation(g.vertices[w_idx])
-                        fail(count, f"walk weight below minimum at {w}")
+                        found.fail(f"walk weight below minimum at {w}", count)
                     elif exps == ref and length != dist[w_idx]:
                         w = format_permutation(u)
-                        fail(count, f"minimal weight on a non-shortest walk from {w}")
+                        found.fail(f"minimal weight on a non-shortest walk from {w}", count)
                 for t_idx, step in steps[w_idx]:
                     if length + 1 <= dist[t_idx] + 2:
                         reached = following.setdefault(t_idx, {})
@@ -156,11 +168,10 @@ def suite_samepath(n: int, seed: int, samples: int) -> Outcome:
                             reached[packed + step] = reached.get(packed + step, 0) + count
             layer = following
             length += 1
-    body = f"{pairs} pairs, {walks} bounded walks, {violations} violations"
-    return not violations, body, bad
+    return f"{pairs} pairs, {walks} bounded walks, {found.failures} violations"
 
 
-def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
+def suite_bfp(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     The greedy label-increasing path has oracle length, the closed-form
     weight (read from `_shift_tables` as in `distance`) and increasing labels.
@@ -186,7 +197,6 @@ def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
     stages: dict[int, tuple] = {}
     unpacked: dict[int, tuple[int, ...]] = {}
     leaves: list[tuple[int, int, int | None, bool]] = []
-    bad: list[str] = []
 
     def stage(key: int, x: int, k: int, target: int) -> tuple:
         word = list(g.vertices[x])
@@ -230,37 +240,35 @@ def suite_bfp(n: int, seed: int, samples: int) -> Outcome:
             if weight not in unpacked:
                 unpacked[weight] = _unpack(weight, n)
             if length != dist[j] or unpacked[weight] != formulas[j] or not increasing:
-                bad.append(f"greedy path wrong for {_tuple_text(u, g.vertices[j])}")
-    pairs = len(g.vertices) ** 2
-    return not bad, f"{pairs} pairs, {len(bad)} violations", bad[:10]
+                found.fail(f"greedy path wrong for {_tuple_text(u, g.vertices[j])}")
+    return f"{len(g.vertices) ** 2} pairs, {found.failures} violations"
 
 
-def suite_increasing(n: int, seed: int, samples: int) -> Outcome:
+def suite_increasing(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Every reflection ordering admits exactly one increasing path per pair,
     and it is a shortest one: the lengths of the pair's increasing paths,
     each listed, must be [d(u, v)]."""
     g = build_graph(n)
     words = reduced_words_of_longest(n)
     expected_words = {3: 2, 4: 16}
-    bad: list[str] = []
     if n in expected_words and len(words) != expected_words[n]:
-        bad.append(f"expected {expected_words[n]} reduced words, found {len(words)}")
+        found.fail(f"expected {expected_words[n]} reduced words, found {len(words)}")
     checked = 0
     # per source, what its lengths must equal: [d(u, v)] at each endpoint v
     expected = [[[d] for d in g.distance_vector_from(u)] for u in g.vertices]
     for word in sorted(words):
-        found = increasing_path_lengths(g, reflection_ordering(word))
-        for u, lengths, wanted in zip(g.vertices, found, expected):
+        per_source = increasing_path_lengths(g, reflection_ordering(word))
+        for u, lengths, wanted in zip(g.vertices, per_source, expected):
             checked += len(lengths)
             if lengths != wanted:
-                bad.extend(f"word {word}: {len(paths)} paths for {_tuple_text(u, v)}"
-                           for v, paths, one in zip(g.vertices, lengths, wanted) if paths != one)
-    return not bad, f"{len(words)} orderings, {checked} pairs, {len(bad)} violations", bad[:10]
+                for v, paths, one in zip(g.vertices, lengths, wanted):
+                    if paths != one:
+                        found.fail(f"word {word}: {len(paths)} paths for {_tuple_text(u, v)}")
+    return f"{len(words)} orderings, {checked} pairs, {found.failures} violations"
 
 
-def suite_rotation(n: int, seed: int, samples: int) -> Outcome:
+def suite_rotation(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Rotating all values by the long cycle preserves the unweighted edges."""
-    bad = 0
     checked = 0
     roots = qbgraph.all_roots(n)
     for w in all_permutations(n):
@@ -268,8 +276,8 @@ def suite_rotation(n: int, seed: int, samples: int) -> Outcome:
         for t in roots:
             checked += 1
             if (edge_weight(w, t) is None) != (edge_weight(rotated, t) is None):
-                bad += 1
-    return bad == 0, f"{checked} vertex-root pairs, {bad} violations", []
+                found.fail()
+    return f"{checked} vertex-root pairs, {found.failures} violations"
 
 
 _FIGURE_D132_EDGES = {
@@ -333,7 +341,7 @@ def _shift_tables(n: int) -> Tables:
     return paths, sorting, depths
 
 
-def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
+def suite_tilted(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     The three membership criteria agree on every (u, v, w) triple: the BFS
     length identity, exists_shift on the path route (the valid shifts of
@@ -371,7 +379,6 @@ def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
         for k, d in enumerate(row):
             from_u[i][d] = from_u[i].get(d, 0) | 1 << k
             to_v[k][d] = to_v[k].get(d, 0) | 1 << i
-    bad: list[str] = []
     for i, u in enumerate(vertices):
         for j, v in enumerate(vertices):
             by_length = 0
@@ -383,21 +390,22 @@ def suite_tilted(n: int, seed: int, samples: int) -> Outcome:
                 by_exists &= ~exists_out
                 by_all &= ~all_out
             split = (by_length ^ by_exists) | (by_length ^ by_all)
-            while split and len(bad) < 10:
+            # the body prints no count, so no message past the tenth is formatted
+            while split and len(found.messages) < found.MESSAGES:
                 w = vertices[(split & -split).bit_length() - 1]
-                bad.append(f"criteria split on {_tuple_text(u, v, w)}")
+                found.fail(f"criteria split on {_tuple_text(u, v, w)}")
                 split &= split - 1
     if n == 3:
         base_row = dist[g.index[(1, 3, 2)]]
         if sorted(base_row) != [0, 1, 1, 1, 2, 2]:
-            bad.append("rank profile of the base-132 order is wrong")
+            found.fail("rank profile of the base-132 order is wrong")
         if base_poset_hasse(g, base_row) != _FIGURE_D132_EDGES:
-            bad.append("cover relations of the base-132 order are wrong")
-    body = f"{len(vertices) ** 3} triples, " + ("equivalences hold" if not bad else "violations")
-    return not bad, body, bad[:10]
+            found.fail("cover relations of the base-132 order are wrong")
+    verdict = "violations" if found.failures else "equivalences hold"
+    return f"{len(vertices) ** 3} triples, {verdict}"
 
 
-def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
+def suite_flat_count(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     find_flat yields flat sequences and the ledgers have the right size.
 
@@ -426,9 +434,7 @@ def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
         # the column passes shift_leq, so its unchecked ledger is counted
         return r, True, len(diagrams._ledger_column(u, v, k, r, n))
 
-    bad: list[str] = []
-    pairs = 0
-    x_checked = 0
+    pairs = x_checked = 0
     total = comb(n, 2)
     for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
@@ -444,11 +450,11 @@ def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
                 columns.append(states[state])
                 before = key
             if not all(flat for _, flat, _ in columns):
-                bad.append(f"find_flat not flat for {_tuple_text(u, v)}")
+                found.fail(f"find_flat not flat for {_tuple_text(u, v)}")
                 continue
             count = sum(size for _, _, size in columns)
             if count != total - dist[j]:
-                bad.append(f"ledger size {count} != {total - dist[j]} for {_tuple_text(u, v)}")
+                found.fail(f"ledger size {count} != {total - dist[j]} for {_tuple_text(u, v)}")
             if n <= 4 and dist[j] >= 1:
                 a = tuple(r for r, _, _ in columns)
                 for x, on, d in zip(g.vertices, _geodesic_marks(g, dist, j), dist):
@@ -457,25 +463,24 @@ def suite_flat_count(n: int, seed: int, samples: int) -> Outcome:
                     try:
                         count_x = len(diagrams.equations_with_x(u, v, a, x))
                     except PreconditionError as exc:
-                        bad.append(f"x-ledger rejected {_tuple_text(u, v, x)}: {exc}")
+                        found.fail(f"x-ledger rejected {_tuple_text(u, v, x)}: {exc}")
                         continue
                     x_checked += 1
                     if count_x != total - dist[j]:
-                        bad.append(
+                        found.fail(
                             f"x-ledger size {count_x} != {total - dist[j]} for "
                             f"{_tuple_text(u, v, x)}"
                         )
-    body = f"{pairs} pairs, " + ("count law holds" if not bad else "violations")
-    details = [f"{x_checked} coatom ledgers checked"] if x_checked else []
-    return not bad, body, details + bad[:10]
+    if x_checked:
+        found.note(f"{x_checked} coatom ledgers checked")
+    return f"{pairs} pairs, " + ("violations" if found.failures else "count law holds")
 
 
-def suite_fixedpoints(n: int, seed: int, samples: int) -> Outcome:
+def suite_fixedpoints(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Coordinate flags sit in exactly the varieties of intervals containing them."""
     g = build_graph(n)
     dist = [g.distance_vector_from(u) for u in g.vertices]
     flags = [exactgeom.permutation_flag(w) for w in g.vertices]
-    bad: list[str] = []
     checked = 0
     for i, u in enumerate(g.vertices):
         du = dist[i]
@@ -486,8 +491,8 @@ def suite_fixedpoints(n: int, seed: int, samples: int) -> Outcome:
                 in_interval = du[k] + dist[k][j] == total
                 member = exactgeom.member_T_plucker(u, v, flags[k])
                 if member != in_interval:
-                    bad.append(f"fixed point split on {_tuple_text(u, v, w)}")
-    return not bad, f"{checked} triples, {len(bad)} violations", bad[:10]
+                    found.fail(f"fixed point split on {_tuple_text(u, v, w)}")
+    return f"{checked} triples, {found.failures} violations"
 
 
 def _draw_pairs(
@@ -515,7 +520,7 @@ def _all_shift_sequences(u: Perm, v: Perm) -> list[tuple[int, ...]]:
     return [tuple(a) for a in product(*per_column)]
 
 
-def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
+def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     The rank, per-column, and multi-Plucker membership routes agree (open
     and closed) on sampled, generic, and coordinate flags, for every shift
@@ -525,9 +530,7 @@ def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
     fixed += [(identity(n), longest_element(n)), (identity(n), identity(n))]
     pairs = _draw_pairs(n, seed, fixed, max(50, samples))
     rng = random.Random(seed + 1)
-    bad: list[str] = []
-    flags_used = 0
-    checks = 0
+    flags_used = checks = 0
     coordinate = [exactgeom.permutation_flag(w) for w in all_permutations(n)]
     for idx, (u, v) in enumerate(pairs):
         shift_seqs = _all_shift_sequences(u, v)
@@ -536,7 +539,7 @@ def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
             try:
                 flags.append(exactgeom.sample_in_open_stratum(u, v, seed * 1000 + idx * 10 + s))
             except SamplingError as exc:
-                bad.append(f"sampler failed for {_tuple_text(u, v)}: {exc}")
+                found.fail(f"sampler failed for {_tuple_text(u, v)}: {exc}")
         flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
         flags.extend(coordinate)
         flags_used += len(flags)
@@ -552,11 +555,11 @@ def suite_equivalence(n: int, seed: int, samples: int) -> Outcome:
                 by_rank = exactgeom.member_T_rank(u, v, a, F, open_cell)
                 by_grass = exactgeom.member_T_grassmann(u, v, a, F, open_cell)
                 if not by_rank == by_grass == reference:
-                    bad.append(
+                    found.fail(
                         f"memberships split on {_tuple_text(u, v)}, a={a}, open={open_cell}"
                     )
-    body = f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, {len(bad)} disagreements"
-    return not bad, body, bad[:10]
+    return (f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, "
+            f"{found.failures} disagreements")
 
 
 Classes = list[tuple[frozenset[Perm], list[tuple[Perm, Perm]]]]
@@ -577,17 +580,17 @@ def _subinterval_classes(u: Perm, v: Perm) -> Classes:
     return sorted(classes.items(), key=lambda kv: kv[1][0])
 
 
-def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, bad: list[str], notes: list[str]) -> None:
+def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None:
     want = tiltedorder.interval_member_set(u, v)
     label = exactgeom.stratum(u, v, F)
     located = tiltedorder.interval_member_set(label.x, label.y)
     if located != want:
-        bad.append(
+        found.fail(
             f"stratum of a {_tuple_text(u, v)} sample is "
             f"{format_permutation(label.x)}, {format_permutation(label.y)}"
         )
     elif (label.x, label.y) != (u, v):
-        notes.append(
+        found.note(
             f"label {_tuple_text(label.x, label.y)} names the same stratum as {_tuple_text(u, v)}"
         )
     a = diagrams.find_flat(u, v)
@@ -595,29 +598,25 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, bad: list[str], notes: li
     open_ = exactgeom.member_T_rank(u, v, a, F, True)
     chart = F.plucker_perm(u) != 0 and F.plucker_perm(v) != 0
     if open_ != (closed and chart):
-        bad.append(f"chart law fails for {_tuple_text(u, v)}")
+        found.fail(f"chart law fails for {_tuple_text(u, v)}")
     if not exactgeom.all_equations_vanish(F, diagrams.equations(u, v, a)):
-        bad.append(f"ledger does not vanish on a {_tuple_text(u, v)} sample")
+        found.fail(f"ledger does not vanish on a {_tuple_text(u, v)} sample")
 
 
-def _disjointness(
-    u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, bad: list[str], notes: list[str]
-) -> None:
+def _disjointness(u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, found: _Findings) -> None:
     hits = []
     for member_set, reps in classes:
         outcomes = {exactgeom.member_T_plucker(x, y, F, True) for x, y in reps}
         if len(outcomes) > 1:
-            notes.append(f"open test splits within one member set under {_tuple_text(u, v)}")
+            found.note(f"open test splits within one member set under {_tuple_text(u, v)}")
         if True in outcomes:
             hits.append(member_set)
     if len(hits) != 1:
-        bad.append(f"flag passes {len(hits)} open strata inside {_tuple_text(u, v)}, expected 1")
+        found.fail(f"flag passes {len(hits)} open strata inside {_tuple_text(u, v)}, expected 1")
 
 
-def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
+def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Sampler round trips, the chart law, and stratum disjointness."""
-    bad: list[str] = []
-    notes: list[str] = []
     if n <= 3:
         pairs = [(u, v) for u in all_permutations(n) for v in all_permutations(n)]
     else:
@@ -629,12 +628,12 @@ def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
         try:
             F = exactgeom.sample_in_open_stratum(u, v, seed * 100 + idx)
         except SamplingError as exc:
-            bad.append(f"sampler failed for {_tuple_text(u, v)}: {exc}")
+            found.fail(f"sampler failed for {_tuple_text(u, v)}: {exc}")
             continue
         stratified += 1
-        _stratify_one(u, v, F, bad, notes)
+        _stratify_one(u, v, F, found)
         classes = _subinterval_classes(u, v)
-        _disjointness(u, v, classes, F, bad, notes)
+        _disjointness(u, v, classes, F, found)
         # a flag sampled on the boundary must land in its own substratum
         whole = tiltedorder.interval_member_set(u, v)
         proper = [reps[0] for member_set, reps in classes if member_set != whole]
@@ -643,26 +642,25 @@ def suite_stratify(n: int, seed: int, samples: int) -> Outcome:
             try:
                 G = exactgeom.sample_in_open_stratum(x, y, seed * 100 + idx + 7)
             except SamplingError as exc:
-                bad.append(f"sampler failed for substratum {_tuple_text(x, y)}: {exc}")
+                found.fail(f"sampler failed for substratum {_tuple_text(x, y)}: {exc}")
                 continue
             if not exactgeom.member_T_plucker(u, v, G, False):
-                bad.append(f"substratum sample of {_tuple_text(x, y)} escapes {_tuple_text(u, v)}")
+                found.fail(f"substratum sample of {_tuple_text(x, y)} escapes {_tuple_text(u, v)}")
                 continue
             label = exactgeom.stratum(u, v, G)
             if tiltedorder.interval_member_set(label.x, label.y) != tiltedorder.interval_member_set(x, y):
-                bad.append(f"boundary flag of {_tuple_text(u, v)} located in the wrong stratum")
-            _disjointness(x, y, _subinterval_classes(x, y), G, bad, notes)
-    return not bad, f"{stratified} sampled flags, {len(bad)} violations", notes[:5] + bad[:10]
+                found.fail(f"boundary flag of {_tuple_text(u, v)} located in the wrong stratum")
+            _disjointness(x, y, _subinterval_classes(x, y), G, found)
+    return f"{stratified} sampled flags, {found.failures} violations"
 
 
-def suite_plucker(n: int, seed: int, samples: int) -> Outcome:
+def suite_plucker(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Incidence relations hold exactly on random coordinates of real flags."""
     rng = random.Random(seed)
     flags = [exactgeom.random_flag(n, rng) for _ in range(max(2, samples // 2))]
     flags.append(exactgeom.permutation_flag(longest_element(n)))
     flags.append(exactgeom.sample_in_open_stratum(identity(n), longest_element(n), seed))
     universe = list(range(1, n + 1))
-    bad = 0
     checked = 0
     for F in flags:
         for _ in range(100):
@@ -671,7 +669,7 @@ def suite_plucker(n: int, seed: int, samples: int) -> Outcome:
             J = rng.sample(universe, k - 1)
             checked += 1
             if not exactgeom.incidence_product_rule_holds(F, I, J):
-                bad += 1
+                found.fail()
             if n >= 4:
                 r = rng.randint(3, n - 1)
                 s = rng.randint(1, r - 2)
@@ -680,10 +678,10 @@ def suite_plucker(n: int, seed: int, samples: int) -> Outcome:
                 j = rng.choice([x for x in universe if x not in J])
                 checked += 2
                 if not exactgeom.incidence_sum_rule_holds(F, I, J):
-                    bad += 1
+                    found.fail()
                 if not exactgeom.incidence_exchange_rule_holds(F, I, J, j):
-                    bad += 1
-    return bad == 0, f"{len(flags)} flags, {checked} relations, {bad} violations", []
+                    found.fail()
+    return f"{len(flags)} flags, {checked} relations, {found.failures} violations"
 
 
 SUITES = {
@@ -738,4 +736,6 @@ def run_suite(name: str, n: int | None = None, seed: int = 0, samples: int = 5) 
         raise ResourceLimitError(f"suite {name} is bounded at n <= {most}")
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"suites are bounded at samples <= {MAX_SAMPLES}, got {samples}")
-    return SuiteResult(name, n, *fn(n, seed, samples))
+    found = _Findings()
+    body = fn(n, seed, samples, found)
+    return SuiteResult(name, n, not found.failures, body, found.notes + found.messages)

@@ -132,6 +132,21 @@ class TestGraph:
         assert err == f"error: graphs are built for n >= 1, got n = {n}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("args", [
+    ["interval", "id", "w0"],
+    ["diagram", "id", "w0"],
+    ["sample", "--u", "id", "--v", "w0"],
+    ["stratify", "--matrix", "no-such-matrix-file", "--u", "id", "--v", "w0"],
+])
+def test_sizes_below_one_refused_before_work(capsys, args, n):
+    """The message names the --n given; stratify refuses it before it opens
+    the matrix file, which does not exist."""
+    code, out, err = run(capsys, *args, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --n must be at least 1, got --n {n}\n"
+
+
 class TestInterval:
     def test_members(self, capsys):
         code, out, _ = run(capsys, "interval", "132", "321")

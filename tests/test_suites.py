@@ -3,9 +3,11 @@ The `verify` suites and the size guards: every size ends in bounded time or
 is refused up front, and the pair requests of the sampled suites never
 exceed what S_n x S_n holds.
 """
+import hashlib
 import random
 import signal
 import time
+import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
 from math import comb, factorial
@@ -189,6 +191,73 @@ def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
         code = main(["stratify", "--matrix", str(path), "--u", "id", "--v", "w0", "--n", "10"])
     assert code == 2
     assert "bounded at n <= 7" in capsys.readouterr().err
+
+
+# The sha256 of each suite's reports at --seed 0 and --samples 5, joined
+# with no separator over the sizes least..most: a refactor must leave every
+# report byte-identical, also at sizes the benchmark does not run.
+GOLDEN_REPORTS = {
+    "distance": (1, 5, "884141965a5f6a895999f836c3081171b1345de0c84703473305eded120372fd"),
+    "samepath": (1, 4, "73fc3e5dc2ed09d4dcd9523f6f6657c9521fe2b18d98010e92a339a3f5aef704"),
+    "bfp": (1, 5, "8383b161bc9a89bac541c55586b2717fd04fe8d28144e1c9075820d13e9f6996"),
+    "increasing": (1, 4, "28b6d01598a8720e7a342f4bf1c0ff454479e9b1ec2dea49eafab3f3357b8b51"),
+    "rotation": (2, 5, "3f74a270b752ea439adcc7c3f41d856bea9d9a47c4570ca07b842bffe82e6948"),
+    "tilted": (1, 4, "5f30890a9145b4e5e2297773bd02df2eee57842ae5a95f10373f2040dac181fc"),
+    "flat-count": (1, 5, "cdec0c5be44443630e28aa70d80ffe7dd0b2317ac0df4449d341baca6c55e58a"),
+    "fixedpoints": (1, 4, "fb165d046c676ddc6b2e065342d3ceb3d2554d4ef64d7a929bce77bc33671e96"),
+    "equivalence": (1, 4, "35e8120e77790eceabf457bd6d271f35b59dbccf16739f3db61cdfe50aed2b46"),
+    "stratify": (1, 4, "f22b41832a081a4fac316ec98a6f7fb65d7d0a6f8ddceb2b3b2b754b9bca8363"),
+    "plucker": (3, 6, "e47db8a392f287a8509db02a6393b2414a864c788715a5ec06da170203e7ca96"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_are_byte_identical_to_the_golden_digests(name):
+    least, most, digest = GOLDEN_REPORTS[name]
+    reports = "".join(suites.run_suite(name, n, 0, 5).report() for n in range(least, most + 1))
+    assert hashlib.sha256(reports.encode()).hexdigest() == digest
+
+
+def test_a_failing_suite_keeps_ten_messages_not_one_per_failure(monkeypatch):
+    """With no shortest-path weights every pair at n = 6 fails; the run
+    counts all 518,400 but keeps ten messages.  One kept message per
+    failure peaks at about 45 MB of traced allocations; ten, near 1 MB."""
+    monkeypatch.setattr(suites, "shortest_path_weight_sets", lambda g, dist: [set()] * len(dist))
+    tracemalloc.start()
+    try:
+        with time_limit(120):  # tracing slows the run about ninefold
+            result = suites.run_suite("distance", 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.body == "518400 pairs, 518400 mismatches"
+    assert len(result.details) == 10 and not result.ok
+    assert peak < 10_000_000
+
+
+def test_run_suite_lists_five_notes_then_ten_messages_and_decides_the_verdict(monkeypatch):
+    def noisy(n, seed, samples, found):
+        for i in range(12):
+            if i < 7:
+                found.note(f"note {i}")
+            found.fail(None if i == 4 else f"failure {i}")
+        return f"{found.failures} failures"
+
+    def quiet(n, seed, samples, found):
+        return "nothing checked"
+
+    for name, fn in (("noisy", noisy), ("quiet", quiet)):
+        monkeypatch.setitem(suites.SUITES, name, (fn, 2))
+        monkeypatch.setitem(suites.LIMITS, name, (1, 3))
+    result = suites.run_suite("noisy")
+    assert not result.ok
+    failures = [f"failure {i}" for i in range(12) if i != 4][:10]
+    assert result.report().split("\n") == [
+        "suite=noisy n=2", "12 failures", *(f"note {i}" for i in range(5)), *failures, "FAIL",
+    ]
+    result = suites.run_suite("quiet")
+    assert result.ok and result.details == []
+    assert result.report() == "suite=quiet n=2\nnothing checked\nPASS"
 
 
 # The suites as they were written first: every triple through both library
