@@ -17,19 +17,21 @@ to B raises the heights after steps a..b-1 by one when a < b, lowers those
 after steps b..a-1 by one when a > b, and moves nothing else.  Fed the
 pairs (u_k, v_k) it gives the path of every pair of k-prefixes in turn,
 so `prefix_paths` builds no prefix sets; fed the elements of A and B in
-any pairing it gives the path of (A, B).
+any pairing it gives the path of (A, B).  `_pair_table(n)` reads every
+pair of equal-size proper subsets of [n] once; no other module walks one.
 
 Public functions validate their input once.  The `_`-prefixed kernels
-(`_walk`, `_prefix_paths`, `_gale_leq`) check nothing; they are called,
-here and from the other layers, only on input that a public function has
-already checked.  `_gale_leq` takes any iterables of distinct in-range
-values of equal count, so it reads prefix slices `u[:k]` and no prefix
-sets are built.
+(`_walk`, `_prefix_paths`, `_prefix_masks`, `_pair_table`, `_gale_leq`)
+check nothing; they are called, here and from the other layers, only on
+input that a public function has already checked.  `_gale_leq` takes any
+iterables of distinct in-range values of equal count, so it reads prefix
+slices `u[:k]` and no prefix sets are built.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
+from itertools import accumulate
+from operator import le, or_
 from typing import Iterable
 
 from .errors import PreconditionError
@@ -129,6 +131,37 @@ def prefix_paths(u: Perm, v: Perm) -> list[Reading]:
 def _prefix_paths(u: Perm, v: Perm) -> list[Reading]:
     """`prefix_paths` of two permutations of one size, unchecked."""
     return _walk([0] * (len(u) + 1), zip(u[:-1], v[:-1]))
+
+
+def _prefix_masks(w: Perm) -> list[int]:
+    """The k-prefix sets of w, k = 1..n-1, as `value_mask` bitmasks."""
+    return list(accumulate((1 << (x - 1) for x in w[:-1]), or_))
+
+
+# one entry per n; the callers bound n at 7, where the table holds 3,430 pairs
+@lru_cache(maxsize=8)
+def _pair_table(n: int) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
+    """(valid shifts, depth) of the path of every pair (A, B) of k-subsets
+    of [n], 1 <= k < n, keyed A << n | B; read only, one object per shift
+    set.  Grown depth first: one `_walk` step (a, b) adds a to A, b to B."""
+    paths: dict[int, frozenset[int]] = {}
+    depths: dict[int, int] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+
+    def grow(A: int, B: int, k: int, heights: list[int]) -> None:
+        for a in range(A.bit_length() + 1, n + 1):
+            grown_A = A | 1 << (a - 1)
+            for b in range(B.bit_length() + 1, n + 1):
+                grown_B, after = B | 1 << (b - 1), heights[:]
+                ((depth, shifts),) = _walk(after, [(a, b)])
+                key = grown_A << n | grown_B
+                paths[key], depths[key] = shared.setdefault(shifts, shifts), depth
+                if k + 2 < n:
+                    grow(grown_A, grown_B, k + 1, after)
+
+    if n > 1:
+        grow(0, 0, 0, [0] * (n + 1))
+    return paths, depths
 
 
 def shifted_gale_leq(a_set: Iterable[int], b_set: Iterable[int], r: int, n: int) -> bool:

@@ -7,11 +7,12 @@ All comparisons are exact; a suite passes only with zero violations.  A
 suite reuses what it holds: one BFS per source, subintervals read off
 [u, v], coordinate flags built once.  Where a check depends on less than
 the instance, it runs once per distinct state and counts every instance
-it covers, from tables per pair of prefix sets (`_shift_tables`):
-`distance` and `bfp` read each pair's closed-form weight off the depth
-table; `bfp` runs each greedy stage once per (word, k, v_k); `flat-count`
-decides find_flat's shift, the flat test and the ledger size once per
-column state; `tilted` decides each prefix criterion per column state
+it covers: `distance` and `bfp` read each pair's closed-form weight off
+the depths of `latticepath._pair_table`, whose valid shifts `tilted` and
+`flat-count` play against a sorting table (`_sorting_table`); `bfp` runs
+each greedy stage once per (word, k, v_k); `flat-count` decides
+find_flat's shift, the flat test and the ledger size once per column
+state; `tilted` decides each prefix criterion per column state
 (u_k, v_k, S); and `samepath` counts walks per (vertex, length, weight).
 Every route still decides every instance.
 
@@ -25,14 +26,14 @@ fifteen strings at any n.
 from __future__ import annotations
 
 import random
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from math import comb
 from operator import or_
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import diagrams, exactgeom, qbgraph, tiltedorder
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError, SamplingError
-from .latticepath import _gale_leq, _walk, prefix_paths
+from .latticepath import _gale_leq, _pair_table, _prefix_masks, prefix_paths
 from .permcore import (
     Perm,
     all_permutations,
@@ -73,8 +74,8 @@ class SuiteResult(NamedTuple):
 
 
 class _Findings:
-    """What a suite found: the failure count, the first ten failure messages
-    and the first five notes.  Passing checks never touch it."""
+    """What a suite found: the failure count, the first ten failure messages,
+    each made by its callable only when kept, and the first five notes."""
 
     MESSAGES, NOTES = 10, 5
 
@@ -83,10 +84,10 @@ class _Findings:
         self.messages: list[str] = []
         self.notes: list[str] = []
 
-    def fail(self, message: str | None = None, count: int = 1) -> None:
+    def fail(self, message: Callable[[], str] | None = None, count: int = 1) -> None:
         self.failures += count
         if message is not None and len(self.messages) < self.MESSAGES:
-            self.messages.append(message)
+            self.messages.append(message())
 
     def note(self, message: str) -> None:
         if len(self.notes) < self.NOTES:
@@ -105,11 +106,11 @@ def suite_distance(n: int, seed: int, samples: int, found: _Findings) -> str:
     """Closed-form weight and length agree with the BFS oracle on all pairs:
     with the BFS distance and with the weight of every shortest path.  The
     weight's k-th coordinate is the depth of the path of the k-prefix sets,
-    read from `_shift_tables`."""
+    read from the pair table's depths."""
     g = build_graph(n)
     lengths = [coxeter_length(w) for w in g.vertices]
-    _, _, depths = _shift_tables(n)
-    prefixes = _prefix_masks(g.vertices)
+    _, depths = _pair_table(n)
+    prefixes = list(map(_prefix_masks, g.vertices))
     pairs = 0
     for i, u in enumerate(g.vertices):
         dist = g.distance_vector_from(u)
@@ -118,7 +119,7 @@ def suite_distance(n: int, seed: int, samples: int, found: _Findings) -> str:
             pairs += 1
             # graph_distance's closed form, on the weight already in hand
             if weight_sets[j] != {weight} or dist[j] != lengths[j] - lengths[i] + 2 * sum(weight):
-                found.fail(f"mismatch at {_tuple_text(u, v)}")
+                found.fail(lambda: f"mismatch at {_tuple_text(u, v)}")
     return f"{pairs} pairs, {found.failures} mismatches"
 
 
@@ -144,7 +145,7 @@ def suite_samepath(n: int, seed: int, samples: int, found: _Findings) -> str:
         for v, weights in zip(g.vertices, weight_sets):
             pairs += 1
             if len(weights) != 1:
-                found.fail(f"several shortest-path weights for {_tuple_text(u, v)}")
+                found.fail(lambda: f"several shortest-path weights for {_tuple_text(u, v)}")
         minimal = [next(iter(weights)) for weights in weight_sets]
         layer: dict[int, dict[int, int]] = {g.index[u]: {0: 1}}
         length = 0
@@ -156,11 +157,12 @@ def suite_samepath(n: int, seed: int, samples: int, found: _Findings) -> str:
                     walks += count
                     exps = _unpack(packed, n)
                     if not exponent_divides(ref, exps):
-                        w = format_permutation(g.vertices[w_idx])
-                        found.fail(f"walk weight below minimum at {w}", count)
+                        w = g.vertices[w_idx]
+                        found.fail(lambda: "walk weight below minimum at "
+                                   + format_permutation(w), count)
                     elif exps == ref and length != dist[w_idx]:
-                        w = format_permutation(u)
-                        found.fail(f"minimal weight on a non-shortest walk from {w}", count)
+                        found.fail(lambda: "minimal weight on a non-shortest walk from "
+                                   + format_permutation(u), count)
                 for t_idx, step in steps[w_idx]:
                     if length + 1 <= dist[t_idx] + 2:
                         reached = following.setdefault(t_idx, {})
@@ -174,7 +176,7 @@ def suite_samepath(n: int, seed: int, samples: int, found: _Findings) -> str:
 def suite_bfp(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     The greedy label-increasing path has oracle length, the closed-form
-    weight (read from `_shift_tables` as in `distance`) and increasing labels.
+    weight (read from the pair table as in `distance`) and increasing labels.
 
     Stage k of the path from u to v depends only on the word w that the
     earlier stages left and on v_k, so each (w, k, v_k) runs `_greedy_stage`
@@ -189,8 +191,8 @@ def suite_bfp(n: int, seed: int, samples: int, found: _Findings) -> str:
     stage n - 1.
     """
     g = build_graph(n)
-    _, _, depths = _shift_tables(n)
-    prefixes = _prefix_masks(g.vertices)
+    _, depths = _pair_table(n)
+    prefixes = list(map(_prefix_masks, g.vertices))
     rank = {t: r for r, t in enumerate(qbgraph.all_roots(n))}
     # weights packed: a greedy path is shorter than |S_n| steps and raises
     # each coordinate by at most 1 per step
@@ -240,7 +242,7 @@ def suite_bfp(n: int, seed: int, samples: int, found: _Findings) -> str:
             if weight not in unpacked:
                 unpacked[weight] = _unpack(weight, n)
             if length != dist[j] or unpacked[weight] != formulas[j] or not increasing:
-                found.fail(f"greedy path wrong for {_tuple_text(u, g.vertices[j])}")
+                found.fail(lambda: f"greedy path wrong for {_tuple_text(u, g.vertices[j])}")
     return f"{len(g.vertices) ** 2} pairs, {found.failures} violations"
 
 
@@ -252,7 +254,7 @@ def suite_increasing(n: int, seed: int, samples: int, found: _Findings) -> str:
     words = reduced_words_of_longest(n)
     expected_words = {3: 2, 4: 16}
     if n in expected_words and len(words) != expected_words[n]:
-        found.fail(f"expected {expected_words[n]} reduced words, found {len(words)}")
+        found.fail(lambda: f"expected {expected_words[n]} reduced words, found {len(words)}")
     checked = 0
     # per source, what its lengths must equal: [d(u, v)] at each endpoint v
     expected = [[[d] for d in g.distance_vector_from(u)] for u in g.vertices]
@@ -263,7 +265,8 @@ def suite_increasing(n: int, seed: int, samples: int, found: _Findings) -> str:
             if lengths != wanted:
                 for v, paths, one in zip(g.vertices, lengths, wanted):
                     if paths != one:
-                        found.fail(f"word {word}: {len(paths)} paths for {_tuple_text(u, v)}")
+                        found.fail(lambda: f"word {word}: {len(paths)} paths for "
+                                   f"{_tuple_text(u, v)}")
     return f"{len(words)} orderings, {checked} pairs, {found.failures} violations"
 
 
@@ -298,11 +301,6 @@ def base_poset_hasse(g: QuantumBruhatGraph, dist: list[int]) -> set[tuple[Perm, 
     return {(e.source, e.target) for e in tiltedorder.cover_edges(g, rank)}
 
 
-def _prefix_masks(vertices: list[Perm]) -> list[list[int]]:
-    """The k-prefix sets of each vertex, k = 1..n-1, as `value_mask` bitmasks."""
-    return [list(accumulate((1 << (x - 1) for x in w[:-1]), or_)) for w in vertices]
-
-
 def _weights_from(
     i: int, prefixes: list[list[int]], depths: dict[int, int], n: int
 ) -> list[tuple[int, ...]]:
@@ -312,33 +310,18 @@ def _weights_from(
     return [tuple([depths[A | B] for A, B in zip(high, masks)]) for masks in prefixes]
 
 
-Tables = tuple[dict[int, frozenset[int]], dict[int, frozenset[int]], dict[int, int]]
-
-
-def _shift_tables(n: int) -> Tables:
-    """
-    The valid shifts of every pair (A, B) of k-subsets of [n], 1 <= k < n,
-    keyed by the bitmask pair A << n | B, by two routes that share nothing:
-    the path route reads them off the comparison path (`_walk`), the sorting
-    route keeps each r with A <=_r B (`_gale_leq`).  Each distinct shift set
-    is one frozenset object.  The third table holds the depth of the same
-    path, the k-th coordinate of the closed-form weight of every pair of
-    permutations with k-prefix sets A and B.
-    """
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    paths: dict[int, frozenset[int]] = {}
+def _sorting_table(paths: dict[int, frozenset[int]], n: int) -> dict[int, frozenset[int]]:
+    """The shifts r with A <=_r B (`_gale_leq`), keyed like the path table
+    `paths` and sharing nothing with it but its objects for equal sets."""
+    shared = {s: s for s in paths.values()}
     sorting: dict[int, frozenset[int]] = {}
-    depths: dict[int, int] = {}
     shifts = range(1, n + 1)
     for k in range(1, n):
         subsets = [(value_mask(A), A) for A in combinations(shifts, k)]
         for (a, A), (b, B) in product(subsets, repeat=2):
-            depth, by_path = _walk([0] * (n + 1), zip(A, B))[-1]
             by_sorting = frozenset(r for r in shifts if _gale_leq(A, B, r, n))
-            paths[a << n | b] = shared.setdefault(by_path, by_path)
             sorting[a << n | b] = shared.setdefault(by_sorting, by_sorting)
-            depths[a << n | b] = depth
-    return paths, sorting, depths
+    return sorting
 
 
 def suite_tilted(n: int, seed: int, samples: int, found: _Findings) -> str:
@@ -348,19 +331,20 @@ def suite_tilted(n: int, seed: int, samples: int, found: _Findings) -> str:
     (u_k, w_k) and (w_k, v_k) meet in every column k) and all_shifts on the
     sorting route (every valid shift of (u_k, v_k) puts w_k between them).
     The prefix criteria read only prefix sets, so each is decided once per
-    column state (u_k, v_k, S) from `_shift_tables`, as the set of vertices
+    column state (u_k, v_k, S) from the two tables, as the set of vertices
     with k-prefix set S that fail it there.  Per pair (u, v) each route
     gives a bitmask over all w, and the three are compared bit by bit.
     """
     g = build_graph(n)
     vertices = g.vertices
     everyone = (1 << len(vertices)) - 1
-    prefixes = _prefix_masks(vertices)
+    prefixes = list(map(_prefix_masks, vertices))
     holders: dict[int, int] = {}  # the vertices with each prefix set
     for k, masks in enumerate(prefixes):
         for S in masks:
             holders[S] = holders.get(S, 0) | 1 << k
-    paths, sorting, _ = _shift_tables(n)
+    paths, _ = _pair_table(n)
+    sorting = _sorting_table(paths, n)
     failing: dict[int, tuple[int, int]] = {}  # (exists_shift, all_shifts) per (A, B)
     for key, need in paths.items():
         A, B = key >> n, key & ((1 << n) - 1)
@@ -393,14 +377,14 @@ def suite_tilted(n: int, seed: int, samples: int, found: _Findings) -> str:
             # the body prints no count, so no message past the tenth is formatted
             while split and len(found.messages) < found.MESSAGES:
                 w = vertices[(split & -split).bit_length() - 1]
-                found.fail(f"criteria split on {_tuple_text(u, v, w)}")
+                found.fail(lambda: f"criteria split on {_tuple_text(u, v, w)}")
                 split &= split - 1
     if n == 3:
         base_row = dist[g.index[(1, 3, 2)]]
         if sorted(base_row) != [0, 1, 1, 1, 2, 2]:
-            found.fail("rank profile of the base-132 order is wrong")
+            found.fail(lambda: "rank profile of the base-132 order is wrong")
         if base_poset_hasse(g, base_row) != _FIGURE_D132_EDGES:
-            found.fail("cover relations of the base-132 order are wrong")
+            found.fail(lambda: "cover relations of the base-132 order are wrong")
     verdict = "violations" if found.failures else "equivalences hold"
     return f"{len(vertices) ** 3} triples, {verdict}"
 
@@ -418,8 +402,9 @@ def suite_flat_count(n: int, seed: int, samples: int, found: _Findings) -> str:
     adds up its columns.
     """
     g = build_graph(n)
-    paths, sorting, _ = _shift_tables(n)
-    prefixes = _prefix_masks(g.vertices)
+    paths, _ = _pair_table(n)
+    sorting = _sorting_table(paths, n)
+    prefixes = list(map(_prefix_masks, g.vertices))
     states: dict[int, tuple[int, bool, int]] = {}  # (a_k, flat, ledger size)
 
     def decide(u: Perm, v: Perm, k: int, before: int, key: int) -> tuple[int, bool, int]:
@@ -450,11 +435,12 @@ def suite_flat_count(n: int, seed: int, samples: int, found: _Findings) -> str:
                 columns.append(states[state])
                 before = key
             if not all(flat for _, flat, _ in columns):
-                found.fail(f"find_flat not flat for {_tuple_text(u, v)}")
+                found.fail(lambda: f"find_flat not flat for {_tuple_text(u, v)}")
                 continue
             count = sum(size for _, _, size in columns)
             if count != total - dist[j]:
-                found.fail(f"ledger size {count} != {total - dist[j]} for {_tuple_text(u, v)}")
+                found.fail(lambda: f"ledger size {count} != {total - dist[j]} for "
+                           f"{_tuple_text(u, v)}")
             if n <= 4 and dist[j] >= 1:
                 a = tuple(r for r, _, _ in columns)
                 for x, on, d in zip(g.vertices, _geodesic_marks(g, dist, j), dist):
@@ -463,12 +449,12 @@ def suite_flat_count(n: int, seed: int, samples: int, found: _Findings) -> str:
                     try:
                         count_x = len(diagrams.equations_with_x(u, v, a, x))
                     except PreconditionError as exc:
-                        found.fail(f"x-ledger rejected {_tuple_text(u, v, x)}: {exc}")
+                        found.fail(lambda: f"x-ledger rejected {_tuple_text(u, v, x)}: {exc}")
                         continue
                     x_checked += 1
                     if count_x != total - dist[j]:
                         found.fail(
-                            f"x-ledger size {count_x} != {total - dist[j]} for "
+                            lambda: f"x-ledger size {count_x} != {total - dist[j]} for "
                             f"{_tuple_text(u, v, x)}"
                         )
     if x_checked:
@@ -491,7 +477,7 @@ def suite_fixedpoints(n: int, seed: int, samples: int, found: _Findings) -> str:
                 in_interval = du[k] + dist[k][j] == total
                 member = exactgeom.member_T_plucker(u, v, flags[k])
                 if member != in_interval:
-                    found.fail(f"fixed point split on {_tuple_text(u, v, w)}")
+                    found.fail(lambda: f"fixed point split on {_tuple_text(u, v, w)}")
     return f"{checked} triples, {found.failures} violations"
 
 
@@ -539,7 +525,7 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
             try:
                 flags.append(exactgeom.sample_in_open_stratum(u, v, seed * 1000 + idx * 10 + s))
             except SamplingError as exc:
-                found.fail(f"sampler failed for {_tuple_text(u, v)}: {exc}")
+                found.fail(lambda: f"sampler failed for {_tuple_text(u, v)}: {exc}")
         flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
         flags.extend(coordinate)
         flags_used += len(flags)
@@ -555,9 +541,8 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
                 by_rank = exactgeom.member_T_rank(u, v, a, F, open_cell)
                 by_grass = exactgeom.member_T_grassmann(u, v, a, F, open_cell)
                 if not by_rank == by_grass == reference:
-                    found.fail(
-                        f"memberships split on {_tuple_text(u, v)}, a={a}, open={open_cell}"
-                    )
+                    found.fail(lambda: f"memberships split on {_tuple_text(u, v)}, "
+                               f"a={a}, open={open_cell}")
     return (f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, "
             f"{found.failures} disagreements")
 
@@ -586,7 +571,7 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None
     located = tiltedorder.interval_member_set(label.x, label.y)
     if located != want:
         found.fail(
-            f"stratum of a {_tuple_text(u, v)} sample is "
+            lambda: f"stratum of a {_tuple_text(u, v)} sample is "
             f"{format_permutation(label.x)}, {format_permutation(label.y)}"
         )
     elif (label.x, label.y) != (u, v):
@@ -598,9 +583,9 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None
     open_ = exactgeom.member_T_rank(u, v, a, F, True)
     chart = F.plucker_perm(u) != 0 and F.plucker_perm(v) != 0
     if open_ != (closed and chart):
-        found.fail(f"chart law fails for {_tuple_text(u, v)}")
+        found.fail(lambda: f"chart law fails for {_tuple_text(u, v)}")
     if not exactgeom.all_equations_vanish(F, diagrams.equations(u, v, a)):
-        found.fail(f"ledger does not vanish on a {_tuple_text(u, v)} sample")
+        found.fail(lambda: f"ledger does not vanish on a {_tuple_text(u, v)} sample")
 
 
 def _disjointness(u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, found: _Findings) -> None:
@@ -612,7 +597,8 @@ def _disjointness(u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, found: 
         if True in outcomes:
             hits.append(member_set)
     if len(hits) != 1:
-        found.fail(f"flag passes {len(hits)} open strata inside {_tuple_text(u, v)}, expected 1")
+        found.fail(lambda: f"flag passes {len(hits)} open strata inside "
+                   f"{_tuple_text(u, v)}, expected 1")
 
 
 def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
@@ -628,7 +614,7 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
         try:
             F = exactgeom.sample_in_open_stratum(u, v, seed * 100 + idx)
         except SamplingError as exc:
-            found.fail(f"sampler failed for {_tuple_text(u, v)}: {exc}")
+            found.fail(lambda: f"sampler failed for {_tuple_text(u, v)}: {exc}")
             continue
         stratified += 1
         _stratify_one(u, v, F, found)
@@ -642,14 +628,17 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
             try:
                 G = exactgeom.sample_in_open_stratum(x, y, seed * 100 + idx + 7)
             except SamplingError as exc:
-                found.fail(f"sampler failed for substratum {_tuple_text(x, y)}: {exc}")
+                found.fail(lambda: "sampler failed for substratum "
+                           f"{_tuple_text(x, y)}: {exc}")
                 continue
             if not exactgeom.member_T_plucker(u, v, G, False):
-                found.fail(f"substratum sample of {_tuple_text(x, y)} escapes {_tuple_text(u, v)}")
+                found.fail(lambda: f"substratum sample of {_tuple_text(x, y)} escapes "
+                           f"{_tuple_text(u, v)}")
                 continue
             label = exactgeom.stratum(u, v, G)
             if tiltedorder.interval_member_set(label.x, label.y) != tiltedorder.interval_member_set(x, y):
-                found.fail(f"boundary flag of {_tuple_text(u, v)} located in the wrong stratum")
+                found.fail(lambda: f"boundary flag of {_tuple_text(u, v)} located in the "
+                           "wrong stratum")
             _disjointness(x, y, _subinterval_classes(x, y), G, found)
     return f"{stratified} sampled flags, {found.failures} violations"
 

@@ -10,9 +10,9 @@ theorem and is exercised by the test suites, so the two implementations
 are deliberately kept apart.
 
 The exists_shift criterion reads only the prefix sets {w_1..w_k}, so per
-pair it is a set of admissible nodes of the lattice of subsets of [n], and
-[u, v] is the set of chains from the empty set to [n] through them:
-`interval_member_set` walks those chains instead of all of S_n.
+pair it is a set of admissible nodes of the lattice of subsets of [n],
+read off `latticepath._pair_table`; [u, v] is the set of chains from the
+empty set to [n] through them; `interval_member_set` walks them, not S_n.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
-from .latticepath import _check_perms, _gale_leq, _prefix_paths, _walk
+from .latticepath import _check_perms, _gale_leq, _pair_table, _prefix_masks, _prefix_paths
 from .permcore import Perm, format_permutation
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record, monomial_str
 from .qbgraph import _check_vertices, _geodesic_marks, _json_list
@@ -72,33 +72,22 @@ def admissible_nodes(u: Perm, v: Perm) -> int:
     u[k], v[k] the k-prefix sets.  Returned as a set of nodes, bit
     value_mask(S) set for each such S; the empty set and [n] always pass.
     Since the test reads only the prefix sets, [u, v] is exactly the set of
-    w whose chain of prefix sets runs through these nodes.
-
-    The subsets are visited depth first, each grown from its largest
-    element, and both paths follow along incrementally: adding x to S as
-    its (k+1)-th element moves the path of (u[k], S) by the pair (u_{k+1}, x)
-    and that of (S, v[k]) by (x, v_{k+1}), one `_walk` step each.  So every
-    subset costs two one-step walks; the callers bound n.
+    w whose chain of prefix sets runs through these nodes.  Each node costs
+    two reads of the pair table, made once n <= MAX_GRAPH_N is checked.
     """
     u, v = _check_perms(u, v)
     n = len(u)
-
-    def extend(S: int, k: int, below: list[int], above: list[int]) -> int:
-        """The admissible nodes among the supersets of the k-set S grown
-        by larger elements, up to size n - 1."""
-        nodes = 0
-        for x in range(S.bit_length() + 1, n + 1):
-            T = S | 1 << (x - 1)
-            next_below, next_above = below[:], above[:]
-            ((_, shifts_below),) = _walk(next_below, [(u[k], x)])
-            ((_, shifts_above),) = _walk(next_above, [(x, v[k])])
-            if shifts_below & shifts_above:
-                nodes |= 1 << T
-            if k + 2 < n:
-                nodes |= extend(T, k + 1, next_below, next_above)
-        return nodes
-
-    return 1 | 1 << ((1 << n) - 1) | extend(0, 0, [0] * (n + 1), [0] * (n + 1))
+    if n > MAX_GRAPH_N:
+        raise ResourceLimitError(f"interval enumeration is bounded at n <= {MAX_GRAPH_N}")
+    paths, _ = _pair_table(n)
+    below, above = [0, *(A << n for A in _prefix_masks(u))], [0, *_prefix_masks(v)]
+    full = (1 << n) - 1
+    nodes = 1 | 1 << full
+    for S in range(1, full):
+        k = S.bit_count()
+        if paths[below[k] | S] & paths[S << n | above[k]]:
+            nodes |= 1 << S
+    return nodes
 
 
 # an entry is a set of up to n! permutations.  `stratify` holds 363 at n = 4
@@ -111,10 +100,8 @@ def interval_member_set(u: Perm, v: Perm) -> frozenset[Perm]:
     empty set to [n], one value added per step, read as words (in
     lexicographic order).  Bounded like the graph: n <= MAX_GRAPH_N.
     """
-    n = len(u)
-    if n > MAX_GRAPH_N:
-        raise ResourceLimitError(f"interval enumeration is bounded at n <= {MAX_GRAPH_N}")
     nodes = admissible_nodes(u, v)
+    n = len(u)
     members: list[Perm] = []
     word: list[int] = []
 

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from qbg.errors import PreconditionError
 from qbg.exactgeom import Flag, Matrix, Pivots, _add_row, _check_plan, _slot
-from qbg.latticepath import shifted_interval
+from qbg.latticepath import _check_perms, _walk, shifted_interval
 from qbg.permcore import (
     Perm, Root, apply_transposition, cyclic_set, is_reflection_ordering, prefix_set, value_mask,
 )
@@ -110,6 +110,46 @@ def increasing_paths_from(g: QuantumBruhatGraph, u: Perm,
 
     extend(g.index[u], -1)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Admissible nodes, one walk per pair
+
+
+def admissible_nodes(u: Perm, v: Perm) -> int:
+    """
+    The value sets S that pass the exists_shift test of column |S| against
+    (u, v): the paths of (u[k], S) and (S, v[k]) share a valid shift, with
+    u[k], v[k] the k-prefix sets.  Returned as a set of nodes, bit
+    value_mask(S) set for each such S; the empty set and [n] always pass.
+    Since the test reads only the prefix sets, [u, v] is exactly the set of
+    w whose chain of prefix sets runs through these nodes.
+
+    The subsets are visited depth first, each grown from its largest
+    element, and both paths follow along incrementally: adding x to S as
+    its (k+1)-th element moves the path of (u[k], S) by the pair (u_{k+1}, x)
+    and that of (S, v[k]) by (x, v_{k+1}), one `_walk` step each.  So every
+    subset costs two one-step walks; the callers bound n.
+    """
+    u, v = _check_perms(u, v)
+    n = len(u)
+
+    def extend(S: int, k: int, below: list[int], above: list[int]) -> int:
+        """The admissible nodes among the supersets of the k-set S grown
+        by larger elements, up to size n - 1."""
+        nodes = 0
+        for x in range(S.bit_length() + 1, n + 1):
+            T = S | 1 << (x - 1)
+            next_below, next_above = below[:], above[:]
+            ((_, shifts_below),) = _walk(next_below, [(u[k], x)])
+            ((_, shifts_above),) = _walk(next_above, [(x, v[k])])
+            if shifts_below & shifts_above:
+                nodes |= 1 << T
+            if k + 2 < n:
+                nodes |= extend(T, k + 1, next_below, next_above)
+        return nodes
+
+    return 1 | 1 << ((1 << n) - 1) | extend(0, 0, [0] * (n + 1), [0] * (n + 1))
 
 
 # ---------------------------------------------------------------------------

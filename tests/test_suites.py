@@ -183,6 +183,18 @@ def test_interval_member_set_refuses_n_beyond_the_graph_bound():
     assert tiltedorder.interval_member_set.cache_info().currsize == entries
 
 
+def test_admissible_nodes_refuse_n_8_before_the_pair_table_is_read():
+    u, v = tuple(range(1, 9)), tuple(range(8, 0, -1))
+    caches = (tiltedorder.admissible_nodes, latticepath._pair_table)
+    entries = [cache.cache_info().currsize for cache in caches]
+    start = time.perf_counter()
+    for _ in range(2):  # a raise is not cached: the second call refuses too
+        with time_limit(10), pytest.raises(ResourceLimitError, match="n <= 7"):
+            tiltedorder.admissible_nodes(u, v)
+    assert time.perf_counter() - start < 1
+    assert [cache.cache_info().currsize for cache in caches] == entries
+
+
 def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
     path = tmp_path / "id10.mat"
     rows = [" ".join("1" if i == j else "0" for j in range(10)) for i in range(10)]
@@ -235,12 +247,30 @@ def test_a_failing_suite_keeps_ten_messages_not_one_per_failure(monkeypatch):
     assert peak < 10_000_000
 
 
+def test_a_failing_suite_formats_only_the_messages_it_keeps(monkeypatch):
+    """Every pair at n = 5 fails; only the ten kept messages name their
+    pair, so `_tuple_text` runs ten times, not once per failure (14,400)."""
+    calls = []
+    tuple_text = suites._tuple_text
+
+    def counted(*perms):
+        calls.append(perms)
+        return tuple_text(*perms)
+
+    monkeypatch.setattr(suites, "shortest_path_weight_sets", lambda g, dist: [set()] * len(dist))
+    monkeypatch.setattr(suites, "_tuple_text", counted)
+    result = suites.run_suite("distance", 5)
+    assert result.body == "14400 pairs, 14400 mismatches"
+    assert len(calls) <= 10
+    assert result.details == [f"mismatch at {tuple_text(*perms)}" for perms in calls]
+
+
 def test_run_suite_lists_five_notes_then_ten_messages_and_decides_the_verdict(monkeypatch):
     def noisy(n, seed, samples, found):
         for i in range(12):
             if i < 7:
                 found.note(f"note {i}")
-            found.fail(None if i == 4 else f"failure {i}")
+            found.fail(None if i == 4 else lambda: f"failure {i}")
         return f"{found.failures} failures"
 
     def quiet(n, seed, samples, found):
@@ -473,34 +503,48 @@ def test_a_broken_graph_fails_as_in_the_per_triple_and_per_walk_suite(monkeypatc
         assert 0 < len(result.details) <= 10
 
 
+@pytest.fixture
+def fresh_pair_table():
+    """The cached pair table cleared before and after the test, so a table
+    built with a patched kernel reaches neither this test nor a later one."""
+    latticepath._pair_table.cache_clear()
+    yield
+    latticepath._pair_table.cache_clear()
+
+
 @pytest.mark.parametrize("kernel", ["_walk", "_gale_leq"])
-def test_each_prefix_route_reads_its_own_kernel(monkeypatch, kernel):
+def test_each_prefix_route_reads_its_own_kernel(monkeypatch, fresh_pair_table, kernel):
     """With one kernel made to call every shift valid, the route that reads
     it puts every w in [u, u] (for exists_shift, every shift of (u_k, w_k)
     is valid, and for all_shifts, every shift puts w_k between u_k and u_k),
     so the first split is the first non-member of [123, 123]."""
-    if kernel == "_walk":
+    if kernel == "_walk":  # the path table's kernel
+        owner = latticepath
+
         def every_shift(heights, pairs):
             return [(0, frozenset(range(1, len(heights)))) for _ in pairs]
-    else:
+    else:  # the suites' sorting table's
+        owner = suites
+
         def every_shift(A, B, r, n):
             return True
-    monkeypatch.setattr(suites, kernel, every_shift)
+    monkeypatch.setattr(owner, kernel, every_shift)
     result = suites.run_suite("tilted", 3)
     assert not result.ok
     assert result.details[0] == "criteria split on (123, 123, 132)"
 
 
-def test_distance_reads_its_weights_from_the_path_table(monkeypatch):
-    """A path walk that reads every depth one too deep breaks the weight of
+def test_distance_reads_its_weights_from_the_path_table(monkeypatch, fresh_pair_table):
+    """A pair table that reads every depth one too deep breaks the weight of
     every pair, while the per-pair suite, which walks through prefix_paths,
     still passes."""
-    walk = suites._walk
+    table = suites._pair_table
 
-    def one_deeper(heights, pairs):
-        return [(d + 1, shifts) for d, shifts in walk(heights, pairs)]
+    def one_deeper(n):
+        paths, depths = table(n)
+        return paths, {key: d + 1 for key, d in depths.items()}
 
-    monkeypatch.setattr(suites, "_walk", one_deeper)
+    monkeypatch.setattr(suites, "_pair_table", one_deeper)
     result = suites.run_suite("distance", 3)
     assert result.body == "36 pairs, 36 mismatches"
     assert result.details[0] == "mismatch at (123, 123)"

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from qbg.errors import InternalInvariantError, PreconditionError
-from qbg.latticepath import depth, shifted_gale_leq, valid_shifts
+from qbg.latticepath import _pair_table, depth, shifted_gale_leq, valid_shifts
 from qbg.permcore import (
     all_permutations,
     identity,
@@ -15,7 +15,7 @@ from qbg.permcore import (
     value_mask,
 )
 from qbg.qbgraph import QuantumBruhatGraph, build_graph, edge_weight, graph_distance
-from qbg.suites import _FIGURE_D132_EDGES, _shift_tables, base_poset_hasse
+from qbg.suites import _FIGURE_D132_EDGES, _sorting_table, base_poset_hasse
 from qbg.tiltedorder import (
     admissible_nodes,
     cover_edges,
@@ -25,6 +25,8 @@ from qbg.tiltedorder import (
     interval_members_criterion,
     tilted_leq,
 )
+
+import oracles
 
 
 def bruhat_leq(u, v):
@@ -130,12 +132,13 @@ class TestCriteria:
             assert by_len == interval_members_criterion(u, v, w, "exists_shift")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_suite_shift_tables_match_both_routes(n):
-    """The suites' per-prefix-set tables: the path table is valid_shifts,
-    the sorting table is the shifts passing the Gale test, and the depth
-    table is the path's depth."""
-    paths, sorting, depths = _shift_tables(n)
+    """The tables per pair of prefix sets: the pair table's paths are
+    valid_shifts and its depths the path's depth, and the suites' sorting
+    table is the shifts passing the Gale test."""
+    paths, depths = _pair_table(n)
+    sorting = _sorting_table(paths, n)
     universe = range(1, n + 1)
     keys = set()
     for k in range(1, n):
@@ -290,6 +293,22 @@ class TestChainEnumeration:
                             for r in shifts
                         )
                         assert bool(nodes >> value_mask(S) & 1) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_admissible_nodes_match_the_walk_on_all_pairs(self, n):
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms:
+                assert admissible_nodes(u, v) == oracles.admissible_nodes(u, v)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_admissible_nodes_match_the_walk_on_seeded_pairs(self, n):
+        rng = random.Random(n)
+        perms = list(all_permutations(n))
+        pairs = [(identity(n), longest_element(n)), (longest_element(n), identity(n))]
+        pairs += [(rng.choice(perms), rng.choice(perms)) for _ in range(500)]
+        for u, v in pairs:
+            assert admissible_nodes(u, v) == oracles.admissible_nodes(u, v)
 
     def test_admissible_nodes_reject_bad_pairs(self):
         for u, v in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 1))]:
