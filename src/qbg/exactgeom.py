@@ -33,7 +33,8 @@ once per (u, v, a, n) in a bounded cache.
 Sets of values or rows are value masks (`permcore.value_mask`), the index
 of the minor table and the live set: the plans, the sampler's caps and
 `stratum` work on masks, and each shifted Gale window, listed by the
-brute-force `latticepath.shifted_interval`, is turned into masks once.
+brute-force `latticepath.shifted_interval`, is turned into masks once.  A
+permutation's prefix sets are read off `latticepath._prefix_masks`.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ from .errors import (
     ResourceLimitError,
     SamplingError,
 )
-from .latticepath import _gale_leq, shift_leq, shifted_interval
+from .latticepath import _gale_leq, _prefix_masks, shift_leq, shifted_interval
 from .permcore import Perm, _excerpt, format_permutation, validate_permutation, value_mask
 from .tiltedorder import admissible_nodes
 
@@ -286,16 +287,6 @@ def _minor_table(rows: Sequence[Sequence[int]]) -> list[int]:
     return table
 
 
-def _chain(w: Perm) -> int:
-    """The prefix sets of w, k = 0..n, as a set of nodes."""
-    S = 0
-    nodes = 1
-    for x in w:
-        S |= 1 << (x - 1)
-        nodes |= 1 << S
-    return nodes
-
-
 def _check_table_n(n: int) -> None:
     if n > MAX_TABLE_N:
         raise ResourceLimitError(
@@ -341,11 +332,14 @@ class Flag:
         self._windows = _window_table(self._rows)
 
     def plucker(self, values: Iterable[int]) -> Fraction:
-        """P_I: minor on rows I (sorted) and the first |I| columns; P_{} = 1."""
-        key = frozenset(values)
-        if key and not (1 <= min(key) and max(key) <= self.n):
-            raise PreconditionError(f"row set {sorted(key)} out of range 1..{self.n}")
-        return Fraction(self._minors[value_mask(key)], self._scale[len(key)])
+        """P_I: minor on the distinct rows I (sorted) and the first |I| columns; P_{} = 1."""
+        rows = list(values)
+        if rows and not (1 <= min(rows) and max(rows) <= self.n):
+            raise PreconditionError(f"row set {sorted(set(rows))} out of range 1..{self.n}")
+        mask = value_mask(rows)
+        if mask.bit_count() != len(rows):
+            raise PreconditionError(f"row list {_excerpt(str(rows))} repeats a row")
+        return Fraction(self._minors[mask], self._scale[len(rows)])
 
     def plucker_perm(self, w: Perm) -> Fraction:
         """P_w: the product of the prefix coordinates of w, a permutation of size n."""
@@ -355,9 +349,7 @@ class Flag:
             raise PreconditionError(f"P_w needs a permutation of size {n}, got {len(w)}")
         minors = self._minors
         out = 1
-        S = 0
-        for x in w[:-1]:
-            S |= 1 << (x - 1)
+        for S in _prefix_masks(w):
             out *= minors[S]
             if out == 0:
                 return Fraction(0)
@@ -521,8 +513,8 @@ def _rank_plan(
     _check_plan(u, v, a, n)
     slots: list[int] = []
     bounds: list[int] = []
-    for i in range(1, n):
-        for backward, ref in ((False, value_mask(u[:i])), (True, value_mask(v[:i]))):
+    for i, refs in enumerate(zip(_prefix_masks(u), _prefix_masks(v)), start=1):
+        for backward, ref in zip((False, True), refs):
             window = 0
             for slot, row in _scan(i, a[i - 1], n, backward):
                 window |= 1 << (row - 1)
@@ -541,7 +533,7 @@ def _grassmann_plan(
     _check_plan(u, v, a, n)
     windows = [_window_masks(u, v, k, a[k - 1]) for k in range(1, n)]
     off = tuple(K for K in range(1, (1 << n) - 1) if K not in windows[K.bit_count() - 1])
-    return off, tuple(value_mask(w[:k]) for k in range(1, n) for w in (u, v))
+    return off, tuple(M for ends in zip(_prefix_masks(u), _prefix_masks(v)) for M in ends)
 
 
 def member_T_rank(
@@ -589,7 +581,7 @@ def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool
     if F._live & ~admissible_nodes(tuple(u), tuple(v)):
         return False
     if open_cell:
-        return not (_chain(u) | _chain(v)) & ~F._live
+        return all(F._live >> S & 1 for S in _prefix_masks(u) + _prefix_masks(v))
     return True
 
 

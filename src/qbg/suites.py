@@ -13,7 +13,8 @@ the depths of `latticepath._pair_table`, whose valid shifts `tilted` and
 each greedy stage once per (word, k, v_k); `flat-count` decides
 find_flat's shift, the flat test and the ledger size once per column
 state; `tilted` decides each prefix criterion per column state
-(u_k, v_k, S); and `samepath` counts walks per (vertex, length, weight).
+(u_k, v_k, S); `samepath` counts walks per (vertex, length, weight); and
+`stratify` names each stratum by its `tiltedorder.interval_nodes` int.
 Every route still decides every instance.
 
 Each suite records what fails in a `_Findings` and returns its body, which
@@ -547,28 +548,29 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
             f"{found.failures} disagreements")
 
 
-Classes = list[tuple[frozenset[Perm], list[tuple[Perm, Perm]]]]
+Classes = list[tuple[int, list[tuple[Perm, Perm]]]]
 
 
 def _subinterval_classes(u: Perm, v: Perm) -> Classes:
     """
-    Subintervals of [u, v] grouped by their member sets, ordered by their
-    first (x, y) pair.  A subinterval is a geodesically nested pair: x and y
-    on a common shortest u -> v path in that order (member-set containment
-    alone is weaker and would break the disjointness being tested).  For x
-    in [u, v] those y are exactly [x, v], by the triangle inequality.
+    Subintervals of [u, v] grouped by their `tiltedorder.interval_nodes`
+    (one int per member set), ordered by their first (x, y) pair.  A
+    subinterval is a geodesically nested pair: x and y on a common shortest
+    u -> v path in that order (member-set containment alone is weaker and
+    would break the disjointness being tested).  For x in [u, v] those y
+    are exactly [x, v], by the triangle inequality.
     """
-    classes: dict[frozenset[Perm], list[tuple[Perm, Perm]]] = {}
+    classes: dict[int, list[tuple[Perm, Perm]]] = {}
     for x in sorted(tiltedorder.interval_member_set(u, v)):
         for y in sorted(tiltedorder.interval_member_set(x, v)):
-            classes.setdefault(tiltedorder.interval_member_set(x, y), []).append((x, y))
+            classes.setdefault(tiltedorder.interval_nodes(x, y), []).append((x, y))
     return sorted(classes.items(), key=lambda kv: kv[1][0])
 
 
 def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None:
-    want = tiltedorder.interval_member_set(u, v)
+    want = tiltedorder.interval_nodes(u, v)
     label = exactgeom.stratum(u, v, F)
-    located = tiltedorder.interval_member_set(label.x, label.y)
+    located = tiltedorder.interval_nodes(label.x, label.y)
     if located != want:
         found.fail(
             lambda: f"stratum of a {_tuple_text(u, v)} sample is "
@@ -590,12 +592,12 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None
 
 def _disjointness(u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, found: _Findings) -> None:
     hits = []
-    for member_set, reps in classes:
+    for nodes, reps in classes:
         outcomes = {exactgeom.member_T_plucker(x, y, F, True) for x, y in reps}
         if len(outcomes) > 1:
             found.note(f"open test splits within one member set under {_tuple_text(u, v)}")
         if True in outcomes:
-            hits.append(member_set)
+            hits.append(nodes)
     if len(hits) != 1:
         found.fail(lambda: f"flag passes {len(hits)} open strata inside "
                    f"{_tuple_text(u, v)}, expected 1")
@@ -621,8 +623,8 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
         classes = _subinterval_classes(u, v)
         _disjointness(u, v, classes, F, found)
         # a flag sampled on the boundary must land in its own substratum
-        whole = tiltedorder.interval_member_set(u, v)
-        proper = [reps[0] for member_set, reps in classes if member_set != whole]
+        whole = tiltedorder.interval_nodes(u, v)
+        proper = [reps[0] for nodes, reps in classes if nodes != whole]
         if proper:
             x, y = proper[len(proper) // 2]
             try:
@@ -636,7 +638,7 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
                            f"{_tuple_text(u, v)}")
                 continue
             label = exactgeom.stratum(u, v, G)
-            if tiltedorder.interval_member_set(label.x, label.y) != tiltedorder.interval_member_set(x, y):
+            if tiltedorder.interval_nodes(label.x, label.y) != tiltedorder.interval_nodes(x, y):
                 found.fail(lambda: f"boundary flag of {_tuple_text(u, v)} located in the "
                            "wrong stratum")
             _disjointness(x, y, _subinterval_classes(x, y), G, found)
@@ -700,8 +702,8 @@ LIMITS = {
     "flat-count": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
     "fixedpoints": (1, 5),  # (n!)^3 member_T_plucker calls, about 17 min at n = 6
     "equivalence": (1, 6),  # n! coordinate flags per pair and sequence, about 2 h at n = 7
-    # the subinterval pairs of (id, w0): 98,407 in 73 s and 739 MB at n = 6,
-    # 3,550,919 at n = 7, where a run was killed at 7.65 GB
+    # the subinterval pairs of (id, w0): 98,407 in 13 s and 63 MB at n = 6;
+    # 3,550,919 at n = 7, where the cost is unmeasured
     "stratify": (1, 6),
     "plucker": (3, exactgeom.MAX_TABLE_N),  # no incidence relation below 3; flags above 7
 }

@@ -12,7 +12,8 @@ are deliberately kept apart.
 The exists_shift criterion reads only the prefix sets {w_1..w_k}, so per
 pair it is a set of admissible nodes of the lattice of subsets of [n],
 read off `latticepath._pair_table`; [u, v] is the set of chains from the
-empty set to [n] through them; `interval_member_set` walks them, not S_n.
+empty set to [n] through them.  `interval_nodes` keeps the nodes on such a
+chain, an int that names [u, v]; `interval_member_set` walks them, not S_n.
 """
 from __future__ import annotations
 
@@ -90,34 +91,49 @@ def admissible_nodes(u: Perm, v: Perm) -> int:
     return nodes
 
 
-# an entry is a set of up to n! permutations.  `stratify` holds 363 at n = 4
-# (532 hits at 512 or 4096 entries); at n = 5 it hits 598 times at 512 and
-# 1104 at 4096, in the same 1.3-1.5 s, with an eighth of the sets kept
+def interval_nodes(u: Perm, v: Perm) -> int:
+    """
+    The admissible nodes of (u, v) on a chain from the empty set to [n]:
+    kept going forward when some S - r is, then back when some S + r is,
+    each pass shifting the whole node mask by every r until it stops
+    growing.  [u, v] is the set of chains through them, so one int names
+    [u, v]: two pairs share their node set exactly when they share their
+    member set.
+    """
+    nodes, n = admissible_nodes(u, v), len(u)
+    full = (1 << n) - 1
+    every = (2 << full) - 1
+    # for each value bit b, the nodes S without it: runs of b set bits, b clear
+    lacks = [(b, every // ((1 << 2 * b) - 1) * ((1 << b) - 1)) for b in (1 << r for r in range(n))]
+    ahead, last = 1, 0
+    while ahead != last:
+        last = ahead
+        for b, lack in lacks:
+            ahead |= nodes & (ahead & lack) << b
+    kept, last = 1 << full, 0
+    while kept != last:
+        last = kept
+        for b, lack in lacks:
+            kept |= ahead & kept >> b & lack
+    return kept
+
+
+# an entry is a set of up to n! permutations.  `stratify` looks up 161 at
+# n = 4 (47 hits), 346 at n = 5 (27 hits) and 1,436 at n = 6 (24 hits, 512
+# kept); it names and compares strata by `interval_nodes`
 @lru_cache(maxsize=512)
 def interval_member_set(u: Perm, v: Perm) -> frozenset[Perm]:
     """
-    All of [u, v], graph-free: the chains of admissible nodes from the
-    empty set to [n], one value added per step, read as words (in
+    All of [u, v], graph-free: the chains through `interval_nodes`, which
+    reach no dead end, one value added per step, read as words (in
     lexicographic order).  Bounded like the graph: n <= MAX_GRAPH_N.
     """
-    nodes = admissible_nodes(u, v)
-    n = len(u)
-    members: list[Perm] = []
-    word: list[int] = []
-
-    def extend(S: int) -> None:
-        if len(word) == n:
-            members.append(tuple(word))
-            return
-        for x in range(1, n + 1):
-            T = S | 1 << (x - 1)
-            if T != S and nodes >> T & 1:
-                word.append(x)
-                extend(T)
-                word.pop()
-
-    extend(0)
-    return frozenset(members)
+    nodes, n = interval_nodes(u, v), len(u)
+    words: list[tuple[Perm, int]] = [((), 0)]  # (word, its value set)
+    for _ in range(n):
+        words = [((*w, x), T) for w, S in words for x in range(1, n + 1)
+                 if (T := S | 1 << (x - 1)) != S and nodes >> T & 1]
+    return frozenset(w for w, _ in words)
 
 
 class TiltedInterval(NamedTuple):

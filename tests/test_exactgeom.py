@@ -130,6 +130,12 @@ class TestFlag:
         F = random_flag(3, 0)
         assert F.plucker([]) == 1
 
+    @pytest.mark.parametrize("rows", [[1, 1], [2, 3, 2], (3, 3, 3)])
+    def test_plucker_refuses_a_repeated_row(self, rows):
+        # a repeated row is no row set: P_{1} is not a minor on two rows
+        with pytest.raises(PreconditionError, match="repeats a row"):
+            random_flag(3, 1).plucker(rows)
+
     @pytest.mark.parametrize("w", [(1, 1, 2), (1, 2), (1, 2, 4), (1, 2, 3, 4), ()])
     def test_plucker_perm_needs_a_permutation_of_size_n(self, w):
         with pytest.raises(PreconditionError):

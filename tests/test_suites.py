@@ -195,6 +195,18 @@ def test_admissible_nodes_refuse_n_8_before_the_pair_table_is_read():
     assert [cache.cache_info().currsize for cache in caches] == entries
 
 
+def test_interval_nodes_refuse_n_8_before_the_pair_table_is_read():
+    u, v = tuple(range(1, 9)), tuple(range(8, 0, -1))
+    caches = (tiltedorder.admissible_nodes, latticepath._pair_table)
+    entries = [cache.cache_info().currsize for cache in caches]
+    start = time.perf_counter()
+    for _ in range(2):
+        with time_limit(10), pytest.raises(ResourceLimitError, match="n <= 7"):
+            tiltedorder.interval_nodes(u, v)
+    assert time.perf_counter() - start < 1
+    assert [cache.cache_info().currsize for cache in caches] == entries
+
+
 def test_stratify_refuses_a_matrix_beyond_the_table_bound(capsys, tmp_path):
     path = tmp_path / "id10.mat"
     rows = [" ".join("1" if i == j else "0" for j in range(10)) for i in range(10)]
@@ -699,13 +711,22 @@ def pairwise_subinterval_classes(u, v):
     return sorted(classes.items(), key=lambda kv: kv[1][0])
 
 
+def assert_classes_match_the_pairwise_oracle(u, v):
+    """The same classes in the same order, each named by its node set where
+    the oracle names it by its member set."""
+    classes, expected = suites._subinterval_classes(u, v), pairwise_subinterval_classes(u, v)
+    assert [reps for _, reps in classes] == [reps for _, reps in expected]
+    for (_, reps), (member_set, _) in zip(classes, expected):
+        assert tiltedorder.interval_member_set(*reps[0]) == member_set
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_subinterval_classes_match_the_pairwise_length_identity(n):
     perms = list(all_permutations(n))
     with time_limit(60):
         for u in perms:
             for v in perms:
-                assert suites._subinterval_classes(u, v) == pairwise_subinterval_classes(u, v)
+                assert_classes_match_the_pairwise_oracle(u, v)
 
 
 def test_subinterval_classes_match_the_pairwise_length_identity_on_seeded_pairs_n5():
@@ -714,7 +735,25 @@ def test_subinterval_classes_match_the_pairwise_length_identity_on_seeded_pairs_
     with time_limit(120):
         for _ in range(100):
             u, v = rng.choice(perms), rng.choice(perms)
-            assert suites._subinterval_classes(u, v) == pairwise_subinterval_classes(u, v)
+            assert_classes_match_the_pairwise_oracle(u, v)
+
+
+def test_stratify_names_strata_by_node_sets_not_member_sets():
+    """Strata are grouped and compared by `interval_nodes`, so at n = 5 the
+    suite looks up 346 member sets, not one per nested pair (5,478), and
+    its traced peak from cold member sets is about 2.4 MB (9.6 MB then)."""
+    tiltedorder.interval_member_set.cache_clear()
+    tracemalloc.start()
+    try:
+        with time_limit(60):  # tracing slows the run severalfold
+            result = suites.run_suite("stratify", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    info = tiltedorder.interval_member_set.cache_info()
+    assert result.ok
+    assert info.hits + info.misses <= 400
+    assert peak < 5_000_000
 
 
 def test_subinterval_classes_use_no_graph_distance(monkeypatch):

@@ -23,6 +23,7 @@ from qbg.tiltedorder import (
     interval,
     interval_member_set,
     interval_members_criterion,
+    interval_nodes,
     tilted_leq,
 )
 
@@ -314,6 +315,58 @@ class TestChainEnumeration:
         for u, v in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 1))]:
             with pytest.raises(PreconditionError):
                 admissible_nodes(u, v)
+
+
+def chain_nodes(members):
+    """The OR over the members w of their chains of prefix sets, k = 0..n."""
+    return sum({1 << value_mask(w[:k]) for w in members for k in range(len(w) + 1)})
+
+
+def assert_nodes_name_intervals(pairs):
+    """interval_nodes is the chain OR of the members, and two pairs share
+    their node set exactly when they share their member set; returns how
+    many pairs have admissible nodes off every full chain."""
+    by_nodes, by_members = {}, {}
+    pruned = 0
+    for u, v in pairs:
+        members, nodes = interval_member_set(u, v), interval_nodes(u, v)
+        assert nodes == chain_nodes(members)
+        by_nodes.setdefault(nodes, set()).add(members)
+        by_members.setdefault(members, set()).add(nodes)
+        pruned += nodes != admissible_nodes(u, v)
+    assert all(len(found) == 1 for found in by_nodes.values())
+    assert all(len(found) == 1 for found in by_members.values())
+    return pruned
+
+
+class TestIntervalNodes:
+    @pytest.mark.parametrize("n, pruned", [(1, 0), (2, 0), (3, 6), (4, 224)])
+    def test_name_the_interval_on_all_pairs(self, n, pruned):
+        perms = list(all_permutations(n))
+        assert assert_nodes_name_intervals(product(perms, perms)) == pruned
+
+    def test_raw_admissible_nodes_would_split_member_sets(self):
+        # why the pruning is needed: keyed by admissible_nodes, 142 of the
+        # 321 member sets at n = 4 would fall into more than one class
+        keys = {}
+        for u, v in product(all_permutations(4), repeat=2):
+            keys.setdefault(interval_member_set(u, v), set()).add(admissible_nodes(u, v))
+        assert (len(keys), sum(len(found) > 1 for found in keys.values())) == (321, 142)
+
+    @pytest.mark.parametrize("n, count", [(5, 3), (6, 1)])
+    def test_name_the_interval_on_the_subintervals_of_seeded_pairs(self, n, count):
+        # the nested pairs (x, y) of seeded pairs and their reverses (y, x),
+        # which often share a member set with another pair, so that the
+        # "only if" direction is tested, not just the "if"
+        rng = random.Random(n)
+        perms = list(all_permutations(n))
+        pairs = []
+        for u, v in [(rng.choice(perms), rng.choice(perms)) for _ in range(count)]:
+            for x in sorted(interval_member_set(u, v)):
+                for y in sorted(interval_member_set(x, v)):
+                    pairs += [(x, y), (y, x)]
+        assert assert_nodes_name_intervals(pairs) > 0
+        assert len({interval_nodes(x, y) for x, y in pairs}) < len(pairs)
 
 
 def old_hasse_edges(ti):
