@@ -6,9 +6,11 @@ tests are literal equality, and no floating point appears anywhere.  A
 flag is an invertible n x n matrix; its k-th space is the span of the
 first k columns, and P_I is the minor on rows I and the first |I| columns.
 
-All exact work runs on a column-scaled integer copy of each flag;
+All exact work runs on a column-scaled integer copy of each flag, and the
+sampler keeps each column it builds as integers over one denominator;
 rationals reappear only at the API boundary (`Flag.plucker`,
-`nullspace_basis`, sampled matrices), with the same values exact rational
+`nullspace_basis`, sampled matrices) and in the canonical kernel basis the
+sampler draws from, once per column, with the same values exact rational
 elimination gives.  A flag is finished when it is made: its constructor
 builds the table of all its 2^n minors P_I, each by Laplace expansion
 from the minors one row smaller; its live set, the row sets on a chain of
@@ -28,7 +30,11 @@ implementations share nothing on purpose: the rank route reads only
 window ranks, the per-column route only the minors P_I, and the
 multi-Plucker route only the live set, and their agreement is part of the
 verification suites.  What the first two read of (u, v, a) is planned
-once per (u, v, a, n) in a bounded cache.
+once per (u, v, a, n) in a bounded cache.  A `_FlagFamily` runs the three
+routes on a list of flags at once, each answer a bitset with one bit per
+flag: it turns the window ranks, the nonzero minors and the live sets of
+its flags into three separate tables of bitsets, and each route reads its
+plan against its own table only.
 
 Sets of values or rows are value masks (`permcore.value_mask`), the index
 of the minor table and the live set: the plans, the sampler's caps and
@@ -43,8 +49,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import mul, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagrams import EquationSet, PluckerEquation, find_flat, signed_sorted_insert
@@ -585,6 +591,77 @@ def member_T_plucker(u: Perm, v: Perm, F: Flag, open_cell: bool = False) -> bool
     return True
 
 
+class _FlagFamily:
+    """
+    The three routes on a list of flags of one size at once, each answer a
+    bitset with bit i for flag i.  Each route reads its own table, as the
+    per-flag route reads its own part of a flag: per window-table slot and
+    rank r, the flags of rank at most r there and of rank exactly r (rank
+    route); per node K, the flags with P_K != 0 (per-column route); per
+    node S, the flags with S live (multi-Plucker route).
+    """
+
+    def __init__(self, flags: Sequence[Flag]):
+        n = self.n = flags[0].n
+        self.everyone = (1 << len(flags)) - 1
+        exactly = [[0] * (n + 1) for _ in flags[0]._windows]
+        nonzero = [0] * (1 << n)
+        live = [0] * (1 << n)
+        for i, F in enumerate(flags):
+            bit = 1 << i
+            for at, rank in zip(exactly, F._windows):
+                at[rank] |= bit
+            for K, minor in enumerate(F._minors):
+                if minor:
+                    nonzero[K] |= bit
+            for S in range(1 << n):
+                if F._live >> S & 1:
+                    live[S] |= bit
+        self._exactly = exactly
+        self._at_most = [list(accumulate(at, or_)) for at in exactly]
+        self._nonzero = nonzero
+        self._live = live
+
+    def rank(self, u: Perm, v: Perm, a: tuple[int, ...], open_cell: bool = False) -> int:
+        """`member_T_rank` on every flag: the AND over the plan's slots."""
+        slots, bounds = _rank_plan(tuple(u), tuple(v), tuple(a), self.n)
+        table = self._exactly if open_cell else self._at_most
+        out = self.everyone
+        for s, b in zip(slots, bounds):
+            out &= table[s][b]
+        return out
+
+    def grassmann(self, u: Perm, v: Perm, a: tuple[int, ...], open_cell: bool = False) -> int:
+        """`member_T_grassmann` on every flag: no off-window P_K nonzero, and
+        for the open cell the endpoint coordinates nonzero."""
+        off, ends = _grassmann_plan(tuple(u), tuple(v), tuple(a), self.n)
+        nonzero = self._nonzero
+        out = self.everyone
+        for K in off:
+            out &= ~nonzero[K]
+        if open_cell:
+            for K in ends:
+                out &= nonzero[K]
+        return out
+
+    def plucker(self, u: Perm, v: Perm, open_cell: bool = False) -> int:
+        """`member_T_plucker` on every flag: no non-admissible node live, and
+        for the open cell the chains of u and v live."""
+        n = self.n
+        if len(u) != n or len(v) != n:
+            raise PreconditionError("permutations must match the flag's size")
+        admissible = admissible_nodes(tuple(u), tuple(v))
+        live = self._live
+        out = self.everyone
+        for S in range(1 << n):
+            if not admissible >> S & 1:
+                out &= ~live[S]
+        if open_cell:
+            for S in _prefix_masks(u) + _prefix_masks(v):
+                out &= live[S]
+        return out
+
+
 # ---------------------------------------------------------------------------
 # Stratum location
 
@@ -703,28 +780,53 @@ def all_equations_vanish(F: Flag, es: EquationSet) -> bool:
     return all(equation_vanishes(F, eq) for eq in es.equations)
 
 
-def _cap_constraints(
-    cols: list[list[Fraction]], S: int, cap: int, n: int
-) -> list[list[Fraction]] | None:
+def _integer_kernel(pivots: Pivots, ncols: int) -> list[list[int]]:
+    """
+    Integer vectors spanning the kernel of the pivot rows' span: one per
+    free column, 1 there and 0 at the other free columns, solved by back
+    substitution from the rightmost pivot column (each pivot row vanishes
+    left of its own), the vector scaled up whenever a division is inexact.
+    """
+    pivot_cols = {col for col, _ in pivots}
+    order = sorted(pivots, key=lambda piv: piv[0], reverse=True)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for col, prow in order:
+            total, p = sum(x * y for x, y in zip(prow, vec)), prow[col]
+            scale = abs(p) // gcd(total, p)
+            if scale != 1:
+                vec = [x * scale for x in vec]
+                total *= scale
+            vec[col] = -total // p
+        basis.append(vec)
+    return basis
+
+
+def _cap_constraints(cols: list[list[int]], S: int, cap: int, n: int) -> list[list[int]] | None:
     """
     Keep rank(rows of the mask S, built columns + new column) at most cap.
     If the built columns already sit at the cap, the new column's
-    restriction must stay inside their restricted span, a linear condition;
-    below the cap the new column is unconstrained; above it, the partial
-    matrix is already bad.
+    restriction must stay inside their restricted span, a linear condition
+    (integer rows spanning it; the columns may be scaled, which keeps the
+    span); below the cap the new column is unconstrained; above it, the
+    partial matrix is already bad.
     """
     rows_idx = [r for r in range(n) if S >> r & 1]
     pivots: Pivots = []
     for col in cols:
-        _add_row(pivots, _integer_row(col[r] for r in rows_idx))
+        _add_row(pivots, [col[r] for r in rows_idx])
     rank = len(pivots)
     if rank > cap:
         return None
     if rank < cap:
         return []
     out = []
-    for lam in _nullspace(pivots, len(rows_idx)):
-        coeffs = [Fraction(0)] * n
+    for lam in _integer_kernel(pivots, len(rows_idx)):
+        coeffs = [0] * n
         for m, r in enumerate(rows_idx):
             coeffs[r] = lam[m]
         out.append(coeffs)
@@ -757,15 +859,17 @@ def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[int, int]]:
 def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     """
     A random rational flag in the open stratum of (u, v), built column by
-    column with exact rational elimination.  Column k must respect every
+    column with exact integer elimination.  Column k must respect every
     projection-rank cap the level windows impose (which makes all the
     off-window Plucker coordinates of its level vanish, plus everything
     deeper levels force on it, since the column lies inside every later
     space of the flag); the caps are linear in the column once earlier
-    columns are fixed.  A random point of the solution space is drawn,
-    redrawn until the chart coordinates of the column are nonzero, and
-    the finished flag is re-verified through the Plucker membership route,
-    so n is bounded like a flag: n <= MAX_TABLE_N, checked first.
+    columns are fixed.  A random point of the solution space is drawn on
+    its canonical basis, scaled to integers, redrawn until the chart
+    coordinates of the column are nonzero, and kept as integers over the
+    basis' denominator; the finished flag is re-verified through the
+    Plucker membership route, so n is bounded like a flag: n <=
+    MAX_TABLE_N, checked first.
     """
     n = len(u)
     if len(v) != n:
@@ -776,11 +880,14 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     rng = random.Random(seed)
     last_failure = n
     for _ in range(MAX_RESTARTS):
-        cols: list[list[Fraction]] = []
+        # column c is cols[c] / dens[c], a column of integers over one denominator
+        cols: list[list[int]] = []
+        dens: list[int] = []
         for k in range(1, n + 1):
-            constraints: list[list[Fraction]] = []
+            pivots: Pivots = []
             # the solution space, and with it the draw, is the same in any
-            # order of the constraints: nullspace_basis is canonical
+            # order and any spanning set of the constraints: the basis
+            # `_nullspace` reads off is canonical
             for S, cap in caps_for_column[k - 1].items():
                 if cap >= k:  # k columns have rank at most k
                     continue
@@ -789,22 +896,20 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
                     raise InternalInvariantError(
                         f"partial matrix broke a rank cap at column {k}"
                     )
-                constraints.extend(extra)
-            basis = nullspace_basis(constraints, n)
+                for row in extra:
+                    _add_row(pivots, row)
+            basis = _nullspace(pivots, n)
+            den = lcm(*(x.denominator for b in basis for x in b))
+            scaled = [[x.numerator * (den // x.denominator) for x in b] for b in basis]
             accepted = None
             if basis:
                 for _attempt in range(MAX_COLUMN_TRIES):
-                    draw = [
-                        Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
-                        for _ in basis
-                    ]
-                    col = [
-                        sum((c * b[r] for c, b in zip(draw, basis)), Fraction(0))
-                        for r in range(n)
-                    ]
+                    draw = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in basis]
+                    col = [sum(c * b[r] for c, b in zip(draw, scaled)) for r in range(n)]
                     trial = cols + [col]
+                    # scaling a column keeps a minor's zero test
                     if all(
-                        _det([_integer_row(c[r - 1] for c in trial) for r in rows]) != 0
+                        _det([[c[r - 1] for c in trial] for r in rows]) != 0
                         for rows in (u[:k], v[:k])
                     ):
                         accepted = col
@@ -813,8 +918,9 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
                 last_failure = k
                 break
             cols.append(accepted)
+            dens.append(den)
         else:
-            flag = Flag([[cols[c][r] for c in range(n)] for r in range(n)])
+            flag = Flag([[Fraction(col[r], d) for col, d in zip(cols, dens)] for r in range(n)])
             if member_T_plucker(u, v, flag, open_cell=True):
                 return flag
             last_failure = n

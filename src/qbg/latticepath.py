@@ -30,8 +30,7 @@ slices `u[:k]` and no prefix sets are built.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import le, or_
+from operator import le
 from typing import Iterable
 
 from .errors import PreconditionError
@@ -135,7 +134,12 @@ def _prefix_paths(u: Perm, v: Perm) -> list[Reading]:
 
 def _prefix_masks(w: Perm) -> list[int]:
     """The k-prefix sets of w, k = 1..n-1, as `value_mask` bitmasks."""
-    return list(accumulate((1 << (x - 1) for x in w[:-1]), or_))
+    masks = []
+    S = 0
+    for x in w[:-1]:
+        S |= 1 << (x - 1)
+        masks.append(S)
+    return masks
 
 
 # one entry per n; the callers bound n at 7, where the table holds 3,430 pairs

@@ -13,9 +13,12 @@ the depths of `latticepath._pair_table`, whose valid shifts `tilted` and
 each greedy stage once per (word, k, v_k); `flat-count` decides
 find_flat's shift, the flat test and the ledger size once per column
 state; `tilted` decides each prefix criterion per column state
-(u_k, v_k, S); `samepath` counts walks per (vertex, length, weight); and
-`stratify` names each stratum by its `tiltedorder.interval_nodes` int.
-Every route still decides every instance.
+(u_k, v_k, S); `samepath` counts walks per (vertex, length, weight);
+`stratify` names each stratum by its `tiltedorder.interval_nodes` int;
+and `equivalence` and `fixedpoints` run the membership routes on all
+coordinate flags at once (`exactgeom._FlagFamily`), one bitset per pair,
+with `fixedpoints` comparing it to the interval read off the BFS layers
+as a bitset.  Every route still decides every instance.
 
 Each suite records what fails in a `_Findings` and returns its body, which
 prints the full counts.  `run_suite` checks n and the sample count against
@@ -325,6 +328,27 @@ def _sorting_table(paths: dict[int, frozenset[int]], n: int) -> dict[int, frozen
     return sorting
 
 
+def _distance_layers(dist: list[list[int]]) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The BFS layers as bitsets over the vertices: per vertex i, d -> the w
+    with d(i, w) = d, and d -> the w with d(w, i) = d."""
+    from_u: list[dict[int, int]] = [{} for _ in dist]
+    to_v: list[dict[int, int]] = [{} for _ in dist]
+    for i, row in enumerate(dist):
+        for k, d in enumerate(row):
+            from_u[i][d] = from_u[i].get(d, 0) | 1 << k
+            to_v[k][d] = to_v[k].get(d, 0) | 1 << i
+    return from_u, to_v
+
+
+def _interval_bits(from_u: dict[int, int], to_v: dict[int, int], total: int) -> int:
+    """The w on a shortest u -> v path, as a bitset: the OR over d of
+    {d(u, w) = d} AND {d(w, v) = total - d}, from u's and v's layers."""
+    out = 0
+    for d, near in from_u.items():
+        out |= near & to_v.get(total - d, 0)
+    return out
+
+
 def suite_tilted(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     The three membership criteria agree on every (u, v, w) triple: the BFS
@@ -358,17 +382,10 @@ def suite_tilted(n: int, seed: int, samples: int, found: _Findings) -> str:
                     all_out |= held
         failing[key] = exists_out, all_out
     dist = [g.distance_vector_from(u) for u in vertices]
-    from_u: list[dict[int, int]] = [{} for _ in vertices]  # d -> the w with d(u, w) = d
-    to_v: list[dict[int, int]] = [{} for _ in vertices]  # d -> the w with d(w, v) = d
-    for i, row in enumerate(dist):
-        for k, d in enumerate(row):
-            from_u[i][d] = from_u[i].get(d, 0) | 1 << k
-            to_v[k][d] = to_v[k].get(d, 0) | 1 << i
+    from_u, to_v = _distance_layers(dist)
     for i, u in enumerate(vertices):
         for j, v in enumerate(vertices):
-            by_length = 0
-            for d, near in from_u[i].items():
-                by_length |= near & to_v[j].get(dist[i][j] - d, 0)
+            by_length = _interval_bits(from_u[i], to_v[j], dist[i][j])
             by_exists = by_all = everyone
             for A, B in zip(prefixes[i], prefixes[j]):
                 exists_out, all_out = failing[A << n | B]
@@ -464,22 +481,23 @@ def suite_flat_count(n: int, seed: int, samples: int, found: _Findings) -> str:
 
 
 def suite_fixedpoints(n: int, seed: int, samples: int, found: _Findings) -> str:
-    """Coordinate flags sit in exactly the varieties of intervals containing them."""
+    """Coordinate flags sit in exactly the varieties of intervals containing
+    them.  Per pair (u, v) two bitsets over all w are compared: the interval
+    from the BFS layers, and the multi-Plucker route on every coordinate
+    flag at once."""
     g = build_graph(n)
-    dist = [g.distance_vector_from(u) for u in g.vertices]
-    flags = [exactgeom.permutation_flag(w) for w in g.vertices]
-    checked = 0
-    for i, u in enumerate(g.vertices):
-        du = dist[i]
-        for j, v in enumerate(g.vertices):
-            total = du[j]
-            for k, w in enumerate(g.vertices):
-                checked += 1
-                in_interval = du[k] + dist[k][j] == total
-                member = exactgeom.member_T_plucker(u, v, flags[k])
-                if member != in_interval:
-                    found.fail(lambda: f"fixed point split on {_tuple_text(u, v, w)}")
-    return f"{checked} triples, {found.failures} violations"
+    vertices = g.vertices
+    dist = [g.distance_vector_from(u) for u in vertices]
+    from_u, to_v = _distance_layers(dist)
+    family = exactgeom._FlagFamily([exactgeom.permutation_flag(w) for w in vertices])
+    for i, u in enumerate(vertices):
+        for j, v in enumerate(vertices):
+            split = _interval_bits(from_u[i], to_v[j], dist[i][j]) ^ family.plucker(u, v)
+            while split:
+                w = vertices[(split & -split).bit_length() - 1]
+                found.fail(lambda: f"fixed point split on {_tuple_text(u, v, w)}")
+                split &= split - 1
+    return f"{len(vertices) ** 3} triples, {found.failures} violations"
 
 
 def _draw_pairs(
@@ -511,7 +529,9 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
     """
     The rank, per-column, and multi-Plucker membership routes agree (open
     and closed) on sampled, generic, and coordinate flags, for every shift
-    sequence valid for the pair.
+    sequence valid for the pair.  The sampled and generic flags go through
+    the per-flag routes; the coordinate flags through the routes' family
+    form, one bitset per route with a bit per flag.
     """
     fixed = [((4, 3, 2, 1), (3, 1, 4, 2))] if n == 4 else []
     fixed += [(identity(n), longest_element(n)), (identity(n), identity(n))]
@@ -519,6 +539,8 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
     rng = random.Random(seed + 1)
     flags_used = checks = 0
     coordinate = [exactgeom.permutation_flag(w) for w in all_permutations(n)]
+    family = exactgeom._FlagFamily(coordinate)
+    cells = (False, True)
     for idx, (u, v) in enumerate(pairs):
         shift_seqs = _all_shift_sequences(u, v)
         flags: list[exactgeom.Flag] = []
@@ -528,13 +550,13 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
             except SamplingError as exc:
                 found.fail(lambda: f"sampler failed for {_tuple_text(u, v)}: {exc}")
         flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
-        flags.extend(coordinate)
-        flags_used += len(flags)
+        flags_used += len(flags) + len(coordinate)
         references = [
             (F, open_cell, exactgeom.member_T_plucker(u, v, F, open_cell))
             for F in flags
-            for open_cell in (False, True)
+            for open_cell in cells
         ]
+        by_plucker = [family.plucker(u, v, open_cell) for open_cell in cells]
         # shift sequence outermost, so each (u, v, a) plan is built once
         for a in shift_seqs:
             for F, open_cell, reference in references:
@@ -544,6 +566,18 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
                 if not by_rank == by_grass == reference:
                     found.fail(lambda: f"memberships split on {_tuple_text(u, v)}, "
                                f"a={a}, open={open_cell}")
+            checks += 2 * len(coordinate)
+            splits = [
+                (family.rank(u, v, a, open_cell) ^ reference)
+                | (family.grassmann(u, v, a, open_cell) ^ reference)
+                for open_cell, reference in zip(cells, by_plucker)
+            ]
+            if any(splits):  # the per-flag order: flag by flag, closed then open
+                for bit in range(len(coordinate)):
+                    for open_cell, split in zip(cells, splits):
+                        if split >> bit & 1:
+                            found.fail(lambda: f"memberships split on {_tuple_text(u, v)}, "
+                                       f"a={a}, open={open_cell}")
     return (f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, "
             f"{found.failures} disagreements")
 
@@ -700,8 +734,9 @@ LIMITS = {
     "rotation": (2, qbgraph.MAX_GRAPH_N),  # S_1 has no roots; n = 8 took 11 s
     "tilted": (1, 6),  # (n!)^3 triples, 1.3 x 10^11 at n = 7
     "flat-count": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
-    "fixedpoints": (1, 5),  # (n!)^3 member_T_plucker calls, about 17 min at n = 6
-    "equivalence": (1, 6),  # n! coordinate flags per pair and sequence, about 2 h at n = 7
+    "fixedpoints": (1, 6),  # (n!)^2 bitsets of n! flags: 24-29 s at n = 6, 49x the pairs at 7
+    # n! coordinate flags per pair and sequence, 3,730 sequences a pair at n = 7: 90-108 s there
+    "equivalence": (1, 7),
     # the subinterval pairs of (id, w0): 98,407 in 13 s and 63 MB at n = 6;
     # 3,550,919 at n = 7, where the cost is unmeasured
     "stratify": (1, 6),

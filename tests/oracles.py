@@ -5,14 +5,22 @@ their tests, and the library does not ship them.
 """
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from qbg.errors import PreconditionError
-from qbg.exactgeom import Flag, Matrix, Pivots, _add_row, _check_plan, _slot
+from qbg import exactgeom
+from qbg.diagrams import find_flat
+from qbg.errors import InternalInvariantError, PreconditionError, SamplingError
+from qbg.exactgeom import (
+    MAX_COLUMN_TRIES, MAX_RESTARTS, SAMPLE_BOUND, Flag, Matrix, Pivots, _add_row, _check_plan,
+    _check_table_n, _det, _integer_row, _nullspace, _slot, member_T_plucker, nullspace_basis,
+)
 from qbg.latticepath import _check_perms, _walk, shifted_interval
 from qbg.permcore import (
-    Perm, Root, apply_transposition, cyclic_set, is_reflection_ordering, prefix_set, value_mask,
+    Perm, Root, apply_transposition, cyclic_set, format_permutation, is_reflection_ordering,
+    prefix_set, value_mask,
 )
 from qbg.qbgraph import (
     QbgEdge, QExponent, QuantumBruhatGraph, _check_vertices, edge_weight, exponent_add,
@@ -296,3 +304,110 @@ def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[tuple[int, 
                 running[S] = cap
         suffix[j - 1] = {S: cap for S, cap in running.items() if cap < len(S)}
     return suffix
+
+
+# ---------------------------------------------------------------------------
+# The sampler on Fraction columns
+#
+# exactgeom's sampler keeps each column as integers over one denominator;
+# this is the same draw on Fraction columns, eliminated as rationals, and
+# the two must give the same matrix.
+
+
+def _cap_constraints(
+    cols: list[list[Fraction]], S: int, cap: int, n: int
+) -> list[list[Fraction]] | None:
+    """
+    Keep rank(rows of the mask S, built columns + new column) at most cap.
+    If the built columns already sit at the cap, the new column's
+    restriction must stay inside their restricted span, a linear condition;
+    below the cap the new column is unconstrained; above it, the partial
+    matrix is already bad.
+    """
+    rows_idx = [r for r in range(n) if S >> r & 1]
+    pivots: Pivots = []
+    for col in cols:
+        _add_row(pivots, _integer_row(col[r] for r in rows_idx))
+    rank = len(pivots)
+    if rank > cap:
+        return None
+    if rank < cap:
+        return []
+    out = []
+    for lam in _nullspace(pivots, len(rows_idx)):
+        coeffs = [Fraction(0)] * n
+        for m, r in enumerate(rows_idx):
+            coeffs[r] = lam[m]
+        out.append(coeffs)
+    return out
+
+
+def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
+    """
+    A random rational flag in the open stratum of (u, v), built column by
+    column with exact rational elimination.  Column k must respect every
+    projection-rank cap the level windows impose (which makes all the
+    off-window Plucker coordinates of its level vanish, plus everything
+    deeper levels force on it, since the column lies inside every later
+    space of the flag); the caps are linear in the column once earlier
+    columns are fixed.  A random point of the solution space is drawn,
+    redrawn until the chart coordinates of the column are nonzero, and
+    the finished flag is re-verified through the Plucker membership route,
+    so n is bounded like a flag: n <= MAX_TABLE_N, checked first.
+    """
+    n = len(u)
+    if len(v) != n:
+        raise PreconditionError("permutations must have the same size")
+    _check_table_n(n)
+    a = find_flat(u, v)
+    caps_for_column = exactgeom._sampler_caps(u, v, a)
+    rng = random.Random(seed)
+    last_failure = n
+    for _ in range(MAX_RESTARTS):
+        cols: list[list[Fraction]] = []
+        for k in range(1, n + 1):
+            constraints: list[list[Fraction]] = []
+            # the solution space, and with it the draw, is the same in any
+            # order of the constraints: nullspace_basis is canonical
+            for S, cap in caps_for_column[k - 1].items():
+                if cap >= k:  # k columns have rank at most k
+                    continue
+                extra = _cap_constraints(cols, S, cap, n)
+                if extra is None:
+                    raise InternalInvariantError(
+                        f"partial matrix broke a rank cap at column {k}"
+                    )
+                constraints.extend(extra)
+            basis = nullspace_basis(constraints, n)
+            accepted = None
+            if basis:
+                for _attempt in range(MAX_COLUMN_TRIES):
+                    draw = [
+                        Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
+                        for _ in basis
+                    ]
+                    col = [
+                        sum((c * b[r] for c, b in zip(draw, basis)), Fraction(0))
+                        for r in range(n)
+                    ]
+                    trial = cols + [col]
+                    if all(
+                        _det([_integer_row(c[r - 1] for c in trial) for r in rows]) != 0
+                        for rows in (u[:k], v[:k])
+                    ):
+                        accepted = col
+                        break
+            if accepted is None:
+                last_failure = k
+                break
+            cols.append(accepted)
+        else:
+            flag = Flag([[cols[c][r] for c in range(n)] for r in range(n)])
+            if member_T_plucker(u, v, flag, open_cell=True):
+                return flag
+            last_failure = n
+    raise SamplingError(
+        f"could not sample the open stratum of ({format_permutation(u)}, "
+        f"{format_permutation(v)}); column {last_failure} kept failing",
+        column=last_failure,
+    )

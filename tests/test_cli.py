@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -277,6 +278,22 @@ class TestStratify:
         code, out, _ = run(capsys, "stratify", "--matrix", str(path), "--u", "4321", "--v", "3142")
         assert code == 0
         assert "x=4321 y=3142" in out
+
+    # sha256 of the file `qbg sample --out` writes for each (u, v, seed), as
+    # written by the sampler on Fraction columns: the sampled bytes must not drift
+    @pytest.mark.parametrize("u, v, seed, digest", [
+        ("52413", "41532", 12, "424ee8545cde4edfb4ed7f9dffed61d59a9ebfdb3fa64bbb4bd48c35ac878b3e"),
+        ("431652", "265134", 31,
+         "f46fe54972da376e365b7686f35bf7b5a8dcd69bd5d05116b2a658d5e96f1420"),
+        ("3716254", "5273641", 47,
+         "dc559ceaa41638802c7b24d3db57facad50e8ab7a784a21ca77cc67c444b154b"),
+    ])
+    def test_sample_file_bytes_are_pinned(self, capsys, tmp_path, u, v, seed, digest):
+        path = tmp_path / "s.mat"
+        argv = ["sample", "--u", u, "--v", v, "--seed", str(seed), "--out", str(path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_non_member_reported(self, capsys, tmp_path):
         path = tmp_path / "g.mat"

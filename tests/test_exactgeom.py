@@ -10,7 +10,7 @@ import pytest
 
 from qbg import exactgeom
 from qbg.diagrams import equations, find_flat
-from qbg.errors import ParseError, PreconditionError, ResourceLimitError
+from qbg.errors import ParseError, PreconditionError, ResourceLimitError, SamplingError
 from qbg.exactgeom import (
     MAX_TABLE_N,
     Flag,
@@ -828,3 +828,110 @@ def test_seeded_samples_locate_their_own_stratum(u, v, seed):
     F = sample_in_open_stratum(u, v, seed)
     assert stratum(u, v, F) == (u, v)
     _assert_jump_rows_agree(F)
+
+
+# ---------------------------------------------------------------------------
+# The routes on a family of flags against the per-flag routes
+
+
+def _family_flags(n):
+    """Every coordinate flag of size n, then generic and sampled ones."""
+    return [permutation_flag(w) for w in all_permutations(n)] + _oracle_flags(n)[0]
+
+
+def _assert_family_matches_the_routes(family, flags, u, v, sequences):
+    def bits(route, *args):
+        return sum(route(*args, F, open_cell) << i for i, F in enumerate(flags))
+
+    for open_cell in (False, True):
+        assert family.plucker(u, v, open_cell) == bits(member_T_plucker, u, v)
+        for a in sequences:
+            assert family.rank(u, v, a, open_cell) == bits(member_T_rank, u, v, a)
+            assert family.grassmann(u, v, a, open_cell) == bits(member_T_grassmann, u, v, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_family_routes_match_the_per_flag_routes_on_every_pair(n):
+    flags = _family_flags(n)
+    family = exactgeom._FlagFamily(flags)
+    assert family.everyone == (1 << len(flags)) - 1
+    perms = list(all_permutations(n))
+    for u in perms:
+        for v in perms:
+            _assert_family_matches_the_routes(family, flags, u, v, list(_shift_sequences(u, v)))
+
+
+def test_family_routes_match_the_per_flag_routes_on_seeded_pairs_n5():
+    flags = _family_flags(5)
+    family = exactgeom._FlagFamily(flags)
+    rng = random.Random(95)
+    pairs = _oracle_flags(5)[1] + [
+        (tuple(rng.sample(range(1, 6), 5)), tuple(rng.sample(range(1, 6), 5))) for _ in range(6)
+    ]
+    for u, v in pairs:
+        sequences = list(_shift_sequences(u, v))
+        picked = {find_flat(u, v), sequences[0], sequences[-1], rng.choice(sequences)}
+        _assert_family_matches_the_routes(family, flags, u, v, picked)
+
+
+def test_each_family_route_reads_only_its_own_table():
+    u, v, a = (4, 3, 2, 1), (3, 1, 4, 2), (4, 2, 2)
+    full = exactgeom._FlagFamily(_family_flags(4))
+    tables = ("_exactly", "_at_most", "_nonzero", "_live")
+    routes = [("rank", (a,), ("_exactly", "_at_most")), ("grassmann", (a,), ("_nonzero",)),
+              ("plucker", (), ("_live",))]
+    for name, extra, own in routes:
+        family = exactgeom._FlagFamily(_family_flags(4))
+        for table in tables:
+            if table not in own:  # a read of another route's table fails on None
+                setattr(family, table, None)
+        for open_cell in (False, True):
+            got = getattr(family, name)(u, v, *extra, open_cell)
+            assert got == getattr(full, name)(u, v, *extra, open_cell)
+
+
+def test_family_routes_refuse_pairs_of_another_size():
+    family = exactgeom._FlagFamily(_family_flags(3))
+    with pytest.raises(PreconditionError):
+        family.plucker((2, 1), (1, 2))
+    for route in (family.rank, family.grassmann):
+        with pytest.raises(PreconditionError):
+            route((2, 1), (1, 2), (1,))
+
+
+# ---------------------------------------------------------------------------
+# The sampler on integer columns against the Fraction sampler
+
+
+def _sampled(sampler, u, v, seed):
+    try:
+        return sampler(u, v, seed).matrix
+    except SamplingError as exc:
+        return str(exc), exc.column
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_sampler_matches_the_fraction_sampler_on_seeded_pairs(n):
+    rng = random.Random(110 + n)
+    for _ in range(20 if n <= 6 else 8):
+        u = tuple(rng.sample(range(1, n + 1), n))
+        v = tuple(rng.sample(range(1, n + 1), n))
+        seed = rng.randrange(10**6)
+        expected = _sampled(oracles.sample_in_open_stratum, u, v, seed)
+        assert _sampled(sample_in_open_stratum, u, v, seed) == expected
+
+
+def test_integer_kernel_spans_the_kernel():
+    rng = random.Random(7)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
+        if rows and rng.random() < 0.5:  # a dependent row
+            rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+        pivots = []
+        for row in rows:
+            exactgeom._add_row(pivots, row)
+        kernel = exactgeom._integer_kernel(pivots, ncols)
+        assert all(isinstance(x, int) for vec in kernel for x in vec)
+        assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows for vec in kernel)
+        assert len(kernel) == ncols - len(pivots) == _rank(kernel)

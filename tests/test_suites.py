@@ -455,6 +455,54 @@ def per_source_increasing(n):
     return suites.SuiteResult("increasing", n, not bad, body, bad[:10])
 
 
+def per_triple_fixedpoints(n):
+    g = suites.build_graph(n)
+    fmt = format_permutation
+    dist = [g.distance_vector_from(u) for u in g.vertices]
+    flags = [exactgeom.permutation_flag(w) for w in g.vertices]
+    bad, triples = [], 0
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            for k, w in enumerate(g.vertices):
+                triples += 1
+                in_interval = dist[i][k] + dist[k][j] == dist[i][j]
+                if exactgeom.member_T_plucker(u, v, flags[k]) != in_interval:
+                    bad.append(f"fixed point split on ({fmt(u)}, {fmt(v)}, {fmt(w)})")
+    body = f"{triples} triples, {len(bad)} violations"
+    return suites.SuiteResult("fixedpoints", n, not bad, body, bad[:10])
+
+
+def per_flag_equivalence(n, seed=0):
+    fmt = format_permutation
+    fixed = [((4, 3, 2, 1), (3, 1, 4, 2))] if n == 4 else []
+    fixed += [(tuple(range(1, n + 1)), tuple(range(n, 0, -1))), (tuple(range(1, n + 1)),) * 2]
+    pairs = suites._draw_pairs(n, seed, fixed, 50)
+    rng = random.Random(seed + 1)
+    coordinate = [exactgeom.permutation_flag(w) for w in all_permutations(n)]
+    bad, flags_used, checks = [], 0, 0
+    for idx, (u, v) in enumerate(pairs):
+        flags = []
+        for s in range(5):
+            try:
+                flags.append(exactgeom.sample_in_open_stratum(u, v, seed * 1000 + idx * 10 + s))
+            except SamplingError as exc:
+                bad.append(f"sampler failed for ({fmt(u)}, {fmt(v)}): {exc}")
+        flags.extend(exactgeom.random_flag(n, rng) for _ in range(5))
+        flags.extend(coordinate)
+        flags_used += len(flags)
+        for a in suites._all_shift_sequences(u, v):
+            for F in flags:
+                for open_cell in (False, True):
+                    checks += 1
+                    by_rank = exactgeom.member_T_rank(u, v, a, F, open_cell)
+                    by_grass = exactgeom.member_T_grassmann(u, v, a, F, open_cell)
+                    if not by_rank == by_grass == exactgeom.member_T_plucker(u, v, F, open_cell):
+                        bad.append(f"memberships split on ({fmt(u)}, {fmt(v)}), "
+                                   f"a={a}, open={open_cell}")
+    body = f"{len(pairs)} pairs, {flags_used} flags, {checks} checks, {len(bad)} disagreements"
+    return suites.SuiteResult("equivalence", n, not bad, body, bad[:10])
+
+
 REFERENCES = {
     "samepath": stack_samepath,
     "tilted": criterion_tilted,
@@ -462,9 +510,12 @@ REFERENCES = {
     "bfp": per_pair_bfp,
     "flat-count": per_pair_flat_count,
     "increasing": per_source_increasing,
+    "fixedpoints": per_triple_fixedpoints,
+    "equivalence": per_flag_equivalence,
 }
 REFERENCE_SIZES = {
     "samepath": 4, "tilted": 4, "distance": 5, "bfp": 5, "flat-count": 5, "increasing": 4,
+    "fixedpoints": 4, "equivalence": 4,
 }
 
 
@@ -627,6 +678,51 @@ def test_a_broken_greedy_stage_fails_bfp_as_in_the_per_pair_suite(monkeypatch, c
     if change is drop_the_last_step:
         pairs = factorial(n) ** 2
         assert result.body == f"{pairs} pairs, {pairs - factorial(n)} violations"
+
+
+def loosen_the_first_rank_bound(plan):
+    """The rank plan with its first bound one higher: a window of one row
+    may then have rank one more than the route allows."""
+    def loosened(u, v, a, n):
+        slots, bounds = plan(u, v, a, n)
+        return slots, bytes([bounds[0] + 1]) + bounds[1:]
+    return loosened
+
+
+def drop_the_node_of_one(nodes):
+    """admissible_nodes without the node {1}: every w with w(1) = 1 leaves
+    every interval it was in."""
+    return lambda u, v: nodes(u, v) & ~(1 << 1)
+
+
+@pytest.mark.parametrize("name, kernel, change, n", [
+    ("equivalence", "_rank_plan", loosen_the_first_rank_bound, 3),
+    ("equivalence", "_rank_plan", loosen_the_first_rank_bound, 4),
+    ("fixedpoints", "admissible_nodes", drop_the_node_of_one, 3),
+    ("fixedpoints", "admissible_nodes", drop_the_node_of_one, 4),
+])
+def test_a_broken_membership_kernel_fails_as_in_the_per_flag_suite(
+    monkeypatch, name, kernel, change, n
+):
+    """The family routes and the per-flag routes read the same patched
+    kernel; they count the same failures and list them in the same order."""
+    monkeypatch.setattr(exactgeom, kernel, change(getattr(exactgeom, kernel)))
+    with time_limit(60):
+        result, reference = suites.run_suite(name, n), REFERENCES[name](n)
+    assert not result.ok
+    assert result.report() == reference.report()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_interval_bits_match_the_per_triple_length_identity(n):
+    g = qbgraph.build_graph(n)
+    dist = [g.distance_vector_from(u) for u in g.vertices]
+    from_u, to_v = suites._distance_layers(dist)
+    size = len(g.vertices)
+    for i in range(size):
+        for j in range(size):
+            expected = sum(1 << k for k in range(size) if dist[i][k] + dist[k][j] == dist[i][j])
+            assert suites._interval_bits(from_u[i], to_v[j], dist[i][j]) == expected
 
 
 def test_flat_count_at_n6_decides_column_states_not_pairs():
