@@ -9,8 +9,7 @@ first k columns, and P_I is the minor on rows I and the first |I| columns.
 All exact work runs on a column-scaled integer copy of each flag, and the
 sampler keeps each column it builds as integers over one denominator;
 rationals reappear only at the API boundary (`Flag.plucker`,
-`nullspace_basis`, sampled matrices) and in the canonical kernel basis the
-sampler draws from, once per column, with the same values exact rational
+`nullspace_basis`, sampled matrices), with the same values exact rational
 elimination gives.  A flag is finished when it is made: its constructor
 builds the table of all its 2^n minors P_I, each by Laplace expansion
 from the minors one row smaller; its live set, the row sets on a chain of
@@ -39,8 +38,9 @@ plan against its own table only.
 Sets of values or rows are value masks (`permcore.value_mask`), the index
 of the minor table and the live set: the plans, the sampler's caps and
 `stratum` work on masks, and each shifted Gale window, listed by the
-brute-force `latticepath.shifted_interval`, is turned into masks once.  A
-permutation's prefix sets are read off `latticepath._prefix_masks`.
+brute-force `latticepath.shifted_interval` (unchecked, as the plans have
+checked (u, v, a)), is turned into masks once.  A permutation's prefix
+sets are read off `latticepath._prefix_masks`.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ from .errors import (
     ResourceLimitError,
     SamplingError,
 )
-from .latticepath import _gale_leq, _prefix_masks, shift_leq, shifted_interval
+from .latticepath import _gale_leq, _prefix_masks, _shifted_interval_cached, shift_leq
 from .permcore import Perm, _excerpt, format_permutation, validate_permutation, value_mask
 from .tiltedorder import admissible_nodes
 
@@ -140,39 +140,52 @@ def _integer_row(row: Iterable[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _nullspace(pivots: Pivots, ncols: int) -> list[list[Fraction]]:
+def _free_columns(pivots: Pivots, ncols: int) -> list[int]:
+    """The columns without a pivot, in order."""
+    pivot_cols = {col for col, _ in pivots}
+    return [c for c in range(ncols) if c not in pivot_cols]
+
+
+def _integer_kernel(pivots: Pivots, ncols: int) -> list[list[int]]:
     """
-    The canonical basis of the kernel of the pivot rows' span: reduce them
-    to the (unique) reduced row echelon form, then one basis vector per
-    free column, with a 1 there and minus that column of the RREF at the
-    pivot columns.
+    Integer vectors spanning the kernel of the pivot rows' span: one per
+    free column, 1 there and 0 at the other free columns, solved by back
+    substitution from the rightmost pivot column (each pivot row vanishes
+    left of its own), the vector scaled up whenever a division is inexact.
+    Every scale is positive, so each vector is the only kernel vector with
+    1 at its free column and 0 at the others, times the positive integer it
+    holds there: over that entry, the vectors are the canonical basis that
+    the reduced row echelon form gives.
     """
-    reduced: dict[int, list[Fraction]] = {}
-    for col, prow in sorted(pivots, key=lambda piv: piv[0], reverse=True):
-        row = [Fraction(x, prow[col]) for x in prow]
-        for c, other in reduced.items():
-            f = row[c]
-            if f:
-                row = [x - f * y for x, y in zip(row, other)]
-        reduced[col] = row
+    order = sorted(pivots, key=lambda piv: piv[0], reverse=True)
     basis = []
-    for free in range(ncols):
-        if free in reduced:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col, row in reduced.items():
-            vec[col] = -row[free]
+    for free in _free_columns(pivots, ncols):
+        vec = [0] * ncols
+        vec[free] = 1
+        for col, prow in order:
+            total, p = sum(x * y for x, y in zip(prow, vec)), prow[col]
+            scale = abs(p) // gcd(total, p)
+            if scale != 1:
+                vec = [x * scale for x in vec]
+                total *= scale
+            vec[col] = -total // p
         basis.append(vec)
     return basis
 
 
 def nullspace_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """A basis of {x : Rx = 0}, read off the reduced row echelon form."""
+    """The canonical basis of {x : Rx = 0}, the one the reduced row echelon
+    form gives: per free column, 1 there and 0 at the other free columns.
+    Every row must have ncols entries."""
     pivots: Pivots = []
     for row in rows:
-        _add_row(pivots, _integer_row(row))
-    return _nullspace(pivots, ncols)
+        ints = _integer_row(row)
+        if len(ints) != ncols:
+            raise PreconditionError(f"rows must have {ncols} entries, got {len(ints)}")
+        _add_row(pivots, ints)
+    kernel = _integer_kernel(pivots, ncols)
+    ends = [vec[f] for f, vec in zip(_free_columns(pivots, ncols), kernel)]
+    return [[Fraction(x, d) for x in vec] for d, vec in zip(ends, kernel)]
 
 
 def _slot(k: int, start: int, length: int, n: int) -> int:
@@ -490,8 +503,10 @@ def _check_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> None:
 
 def _window_masks(u: Perm, v: Perm, k: int, r: int) -> frozenset[int]:
     """The level-k shifted Gale window, the k-sets K with u[:k] <=_r K <=_r
-    v[:k], as value masks; `latticepath.shifted_interval` lists it."""
-    return frozenset(map(value_mask, shifted_interval(u[:k], v[:k], r, len(u))))
+    v[:k], as value masks.  `latticepath.shifted_interval` lists it; its
+    checks are skipped, as the plan or `find_flat` has made them."""
+    window = _shifted_interval_cached(frozenset(u[:k]), frozenset(v[:k]), r, len(u))
+    return frozenset(map(value_mask, window))
 
 
 def _scan(k: int, cut: int, n: int, backward: bool) -> Iterator[tuple[int, int]]:
@@ -780,32 +795,6 @@ def all_equations_vanish(F: Flag, es: EquationSet) -> bool:
     return all(equation_vanishes(F, eq) for eq in es.equations)
 
 
-def _integer_kernel(pivots: Pivots, ncols: int) -> list[list[int]]:
-    """
-    Integer vectors spanning the kernel of the pivot rows' span: one per
-    free column, 1 there and 0 at the other free columns, solved by back
-    substitution from the rightmost pivot column (each pivot row vanishes
-    left of its own), the vector scaled up whenever a division is inexact.
-    """
-    pivot_cols = {col for col, _ in pivots}
-    order = sorted(pivots, key=lambda piv: piv[0], reverse=True)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for col, prow in order:
-            total, p = sum(x * y for x, y in zip(prow, vec)), prow[col]
-            scale = abs(p) // gcd(total, p)
-            if scale != 1:
-                vec = [x * scale for x in vec]
-                total *= scale
-            vec[col] = -total // p
-        basis.append(vec)
-    return basis
-
-
 def _cap_constraints(cols: list[list[int]], S: int, cap: int, n: int) -> list[list[int]] | None:
     """
     Keep rank(rows of the mask S, built columns + new column) at most cap.
@@ -833,6 +822,7 @@ def _cap_constraints(cols: list[list[int]], S: int, cap: int, n: int) -> list[li
     return out
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[int, int]]:
     """
     Projection-rank caps for the column sampler.  A space whose Plucker
@@ -843,7 +833,8 @@ def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[int, int]]:
     space of the flag), so column k obeys, for each S, the minimum cap
     over levels j >= k: one running list over all S, folded from level
     n - 1 down.  Entry k-1 of the returned list maps S to that minimum;
-    vacuous caps (>= |S|) are dropped.
+    vacuous caps (>= |S|) are dropped.  Planned once per (u, v, a), like
+    the membership plans; the list is shared and only read.
     """
     n = len(u)
     running = [S.bit_count() for S in range(1 << n)]
@@ -865,18 +856,19 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     deeper levels force on it, since the column lies inside every later
     space of the flag); the caps are linear in the column once earlier
     columns are fixed.  A random point of the solution space is drawn on
-    its canonical basis, scaled to integers, redrawn until the chart
-    coordinates of the column are nonzero, and kept as integers over the
-    basis' denominator; the finished flag is re-verified through the
-    Plucker membership route, so n is bounded like a flag: n <=
-    MAX_TABLE_N, checked first.
+    its canonical basis (`_integer_kernel`'s vectors, scaled to integers
+    over one denominator), redrawn until the chart coordinates of the
+    column are nonzero, and kept as integers over that denominator, so no
+    Fraction is made before the finished flag.  That flag is re-verified
+    through the Plucker membership route, so n is bounded like a flag:
+    n <= MAX_TABLE_N, checked first.
     """
     n = len(u)
     if len(v) != n:
         raise PreconditionError("permutations must have the same size")
     _check_table_n(n)
     a = find_flat(u, v)
-    caps_for_column = _sampler_caps(u, v, a)
+    caps_for_column = _sampler_caps(tuple(u), tuple(v), a)
     rng = random.Random(seed)
     last_failure = n
     for _ in range(MAX_RESTARTS):
@@ -885,9 +877,6 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
         dens: list[int] = []
         for k in range(1, n + 1):
             pivots: Pivots = []
-            # the solution space, and with it the draw, is the same in any
-            # order and any spanning set of the constraints: the basis
-            # `_nullspace` reads off is canonical
             for S, cap in caps_for_column[k - 1].items():
                 if cap >= k:  # k columns have rank at most k
                     continue
@@ -898,9 +887,14 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
                     )
                 for row in extra:
                     _add_row(pivots, row)
-            basis = _nullspace(pivots, n)
-            den = lcm(*(x.denominator for b in basis for x in b))
-            scaled = [[x.numerator * (den // x.denominator) for x in b] for b in basis]
+            # the draw is made on the canonical basis of the solution space,
+            # the same in any order and any spanning set of the constraints:
+            # each kernel vector b over its entry d at its free column, all
+            # over den, the lcm of the reduced denominators d / gcd(b)
+            basis = _integer_kernel(pivots, n)
+            ends = [b[f] for f, b in zip(_free_columns(pivots, n), basis)]
+            den = lcm(*(d // gcd(*b) for d, b in zip(ends, basis)))
+            scaled = [[x * den // d for x in b] for d, b in zip(ends, basis)]
             accepted = None
             if basis:
                 for _attempt in range(MAX_COLUMN_TRIES):

@@ -21,11 +21,12 @@ any pairing it gives the path of (A, B).  `_pair_table(n)` reads every
 pair of equal-size proper subsets of [n] once; no other module walks one.
 
 Public functions validate their input once.  The `_`-prefixed kernels
-(`_walk`, `_prefix_paths`, `_prefix_masks`, `_pair_table`, `_gale_leq`)
-check nothing; they are called, here and from the other layers, only on
-input that a public function has already checked.  `_gale_leq` takes any
-iterables of distinct in-range values of equal count, so it reads prefix
-slices `u[:k]` and no prefix sets are built.
+(`_walk`, `_prefix_paths`, `_prefix_masks`, `_pair_table`, `_gale_leq`,
+`_shifted_interval_cached`) check nothing; they are called, here and
+from the other layers, only on input that a public function has already
+checked.  `_gale_leq` takes any iterables of distinct in-range values of
+equal count, so it reads prefix slices `u[:k]` and no prefix sets are
+built.
 """
 from __future__ import annotations
 
@@ -195,7 +196,8 @@ def shifted_interval(
     of k-subsets.  Deliberately unclever; this is an oracle.
     """
     A, B = _check_pair(a_set, b_set, n)
-    if not shifted_gale_leq(A, B, r, n):
+    _check_shift(r, n)
+    if not _gale_leq(A, B, r, n):
         raise PreconditionError(f"sets are not comparable under shift r={r}")
     return _shifted_interval_cached(A, B, r, n)
 

@@ -15,7 +15,7 @@ from qbg.diagrams import find_flat
 from qbg.errors import InternalInvariantError, PreconditionError, SamplingError
 from qbg.exactgeom import (
     MAX_COLUMN_TRIES, MAX_RESTARTS, SAMPLE_BOUND, Flag, Matrix, Pivots, _add_row, _check_plan,
-    _check_table_n, _det, _integer_row, _nullspace, _slot, member_T_plucker, nullspace_basis,
+    _check_table_n, _det, _integer_row, _slot, member_T_plucker, nullspace_basis,
 )
 from qbg.latticepath import _check_perms, _walk, shifted_interval
 from qbg.permcore import (
@@ -312,6 +312,33 @@ def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[tuple[int, 
 # exactgeom's sampler keeps each column as integers over one denominator;
 # this is the same draw on Fraction columns, eliminated as rationals, and
 # the two must give the same matrix.
+
+
+def _nullspace(pivots: Pivots, ncols: int) -> list[list[Fraction]]:
+    """
+    The canonical basis of the kernel of the pivot rows' span: reduce them
+    to the (unique) reduced row echelon form, then one basis vector per
+    free column, with a 1 there and minus that column of the RREF at the
+    pivot columns.
+    """
+    reduced: dict[int, list[Fraction]] = {}
+    for col, prow in sorted(pivots, key=lambda piv: piv[0], reverse=True):
+        row = [Fraction(x, prow[col]) for x in prow]
+        for c, other in reduced.items():
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, other)]
+        reduced[col] = row
+    basis = []
+    for free in range(ncols):
+        if free in reduced:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for col, row in reduced.items():
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
 
 
 def _cap_constraints(
