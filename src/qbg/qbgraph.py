@@ -14,7 +14,8 @@ BFS from u; the weight sets take it from their caller.
 
 The edge set is derived twice, by code that shares nothing: `_edge_exps`
 applies the length rule to one root, and `build_graph` runs `_out_edges`,
-one scan per position; the tests pin the two against each other.
+one scan per position, which writes each vertex's finished adjacency row
+of neighbour indices; the tests pin the two against each other.
 
 Label-increasing paths (Brenti-Fomin-Postnikov: one per pair and
 reflection ordering, a shortest one) are enumerated, not assumed unique:
@@ -27,7 +28,7 @@ import json
 from collections import deque
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, ParseError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, prefix_paths
@@ -37,8 +38,9 @@ from .permcore import (
 )
 
 QExponent = tuple[int, ...]
-#: One row per vertex: (neighbour index, root, exps), sorted by neighbour.
-Adjacency = tuple[tuple[tuple[int, Root, QExponent], ...], ...]
+#: One vertex's out-edges as (neighbour index, root, exps), sorted by neighbour.
+Row = tuple[tuple[int, Root, QExponent], ...]
+Adjacency = tuple[Row, ...]
 
 #: Largest n for which a full graph is built (5040 vertices, 56,196 edges).
 MAX_GRAPH_N = 7
@@ -134,14 +136,16 @@ def _root_exps(n: int) -> tuple[QExponent, tuple[tuple, ...]]:
     return zero_exponent(n), tuple(map(tuple, rows))
 
 
-def _out_edges(w: Perm, n: int) -> Iterator[tuple[Perm, Root, QExponent]]:
-    """Every edge w -> w t as (w t, t, exps), with no length count: for each
-    position i, one walk over j = i+1..n keeps the least value above w_i so
-    far (n + 1 before any) and the least value so far (w_i before any).
-    (i, j) is an up edge when w_i < w_j < that least value above, and a down
-    edge when no value above w_i came before and w_j < the least value."""
+def _out_edges(w: Perm, n: int, index: Mapping[Perm, int]) -> Row:
+    """The adjacency row of w: every edge w -> w t as (index[w t], t, exps),
+    sorted by neighbour index, with no length count.  For each position i,
+    one walk over j = i+1..n keeps the least value above w_i so far (n + 1
+    before any) and the least value so far (w_i before any).  (i, j) is an
+    up edge when w_i < w_j < that least value above, and a down edge when no
+    value above w_i came before and w_j < the least value."""
     zero, roots = _root_exps(n)
     word = list(w)
+    out = []
     for i, a in enumerate(w):
         above, least, row = n + 1, a, roots[i]
         for j in range(i + 1, n):
@@ -153,8 +157,10 @@ def _out_edges(w: Perm, n: int) -> Iterator[tuple[Perm, Root, QExponent]]:
             else:
                 continue
             word[i], word[j] = b, a
-            yield tuple(word), row[j][0], exps
+            out.append((index[tuple(word)], row[j][0], exps))
             word[i], word[j] = a, b
+    out.sort()  # the neighbours are distinct, so only they are compared
+    return tuple(out)
 
 
 class QuantumBruhatGraph:
@@ -163,17 +169,33 @@ class QuantumBruhatGraph:
     order and `index` maps each to its position.  Adjacency is one index
     array: out_adj[i] holds (j, root, exps) for every edge i -> j, sorted
     by neighbour index; `_geodesic_marks` finds shortest walks on it.
-    QbgEdge values are made only on demand (all_edges).
+    QbgEdge values are made only on demand (all_edges).  `build_graph`
+    writes the rows straight from its scan; this constructor takes any
+    edge list on S_n, n in 1..MAX_GRAPH_N, and keeps repeated targets in
+    their given order.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[Perm, Perm, Root, QExponent]]):
+        index = self._list_vertices(n)
+        out: list[list] = [[] for _ in self.vertices]
+        for edge in edges:
+            try:
+                source, target, root, exps = edge
+                out[index[source]].append((index[target], root, exps))
+            # ValueError: not four fields; TypeError: unhashable, e.g. a list
+            except (KeyError, TypeError, ValueError):
+                raise PreconditionError(f"{_excerpt(repr(edge))} is not an edge (source, target, "
+                                        f"root, exps) between vertices of S_{n}") from None
+        self.out_adj: Adjacency = tuple(tuple(sorted(r, key=itemgetter(0))) for r in out)
+
+    def _list_vertices(self, n: int) -> dict[Perm, int]:
+        """Check n, then set n, the vertices and their index, and return the
+        index: the setup `build_graph` shares with the constructor."""
+        _check_graph_n(n)
         self.n = n
         self.vertices: tuple[Perm, ...] = tuple(all_permutations(n))
         self.index: dict[Perm, int] = {w: i for i, w in enumerate(self.vertices)}
-        out: list[list] = [[] for _ in self.vertices]
-        for source, target, root, exps in edges:
-            out[self.index[source]].append((self.index[target], root, exps))
-        self.out_adj: Adjacency = tuple(tuple(sorted(r, key=itemgetter(0))) for r in out)
+        return self.index
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.out_adj)
@@ -203,16 +225,19 @@ class QuantumBruhatGraph:
 
 def build_graph(n: int) -> QuantumBruhatGraph:
     """
-    The full quantum Bruhat graph on S_n, from one `_out_edges` scan per
-    vertex.  Edges share one object per root and per distinct exponent
-    tuple (at most C(n,2) + 1 of them), those of `_root_exps(n)`.
+    The full quantum Bruhat graph on S_n: one `_out_edges` scan per vertex
+    writes that vertex's row of neighbour indices, already sorted.  Edges
+    share one object per root and per distinct exponent tuple (at most
+    C(n,2) + 1 of them), those of `_root_exps(n)`.
 
     >>> g = build_graph(3)
     >>> g.edge_count()
     15
     """
-    _check_graph_n(n)
-    return QuantumBruhatGraph(n, ((w, *e) for w in all_permutations(n) for e in _out_edges(w, n)))
+    g = QuantumBruhatGraph.__new__(QuantumBruhatGraph)
+    index = g._list_vertices(n)
+    g.out_adj = tuple(_out_edges(w, n, index) for w in g.vertices)
+    return g
 
 
 def _check_graph_n(n: int) -> None:
@@ -448,6 +473,7 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
     README ({"n", "vertices", "edges": [{"source","target","root","exps"}]}).
     Each vertex label and each distinct monomial is formatted once.
     """
+    _check_format(fmt)
     labels = [format_permutation(w) for w in g.vertices]
     if fmt == "dot":
         weights: dict[QExponent, str] = {}
@@ -458,13 +484,17 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
                 lines.append(edge_dot(source, labels[j], weight))
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        quoted = list(map(json.dumps, labels))
-        edges = [edge_record(source, quoted[j], root, exps)
-                 for source, row in zip(quoted, g.out_adj) for j, root, exps in row]
-        return (f'{{\n  "edges": {_json_list(edges)},\n  "n": {json.dumps(g.n)},\n'
-                f'  "vertices": {_json_list([f"    {q}" for q in quoted])}\n}}\n')
-    raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")
+    quoted = list(map(json.dumps, labels))
+    edges = [edge_record(source, quoted[j], root, exps)
+             for source, row in zip(quoted, g.out_adj) for j, root, exps in row]
+    return (f'{{\n  "edges": {_json_list(edges)},\n  "n": {json.dumps(g.n)},\n'
+            f'  "vertices": {_json_list([f"    {q}" for q in quoted])}\n}}\n')
+
+
+def _check_format(fmt: str) -> None:
+    """Refuse an export format other than dot or json, before any work."""
+    if fmt not in ("dot", "json"):
+        raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")
 
 
 def graph_from_json(text: str) -> QuantumBruhatGraph:

@@ -25,7 +25,7 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .latticepath import _check_perms, _gale_leq, _pair_table, _prefix_masks, _prefix_paths
 from .permcore import Perm, format_permutation
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record, monomial_str
-from .qbgraph import _check_vertices, _geodesic_marks, _json_list
+from .qbgraph import _check_format, _check_vertices, _geodesic_marks, _json_list
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -176,6 +176,7 @@ def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
 
 def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
     """DOT (rank-grouped) or JSON rendering of the interval's diagram in g."""
+    _check_format(fmt)
     edges = cover_edges(g, ti.rank)
     members = sorted(ti.members)
     labels = {w: format_permutation(w) for w in members}
@@ -189,12 +190,10 @@ def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
         )
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        quoted = {w: json.dumps(labels[w]) for w in members}
-        ranks = [f'    {{\n      "perm": {quoted[w]},\n      "rank": {ti.rank[w]}\n    }}'
-                 for w in members]
-        records = [edge_record(quoted[e.source], quoted[e.target], e.root, e.exps) for e in edges]
-        return (f'{{\n  "bottom": {quoted[ti.bottom]},\n  "edges": {_json_list(records)},\n'
-                f'  "length": {ti.length},\n  "members": {_json_list(ranks)},\n'
-                f'  "top": {quoted[ti.top]}\n}}\n')
-    raise PreconditionError(f"unknown format {fmt!r} (expected dot or json)")
+    quoted = {w: json.dumps(labels[w]) for w in members}
+    ranks = [f'    {{\n      "perm": {quoted[w]},\n      "rank": {ti.rank[w]}\n    }}'
+             for w in members]
+    records = [edge_record(quoted[e.source], quoted[e.target], e.root, e.exps) for e in edges]
+    return (f'{{\n  "bottom": {quoted[ti.bottom]},\n  "edges": {_json_list(records)},\n'
+            f'  "length": {ti.length},\n  "members": {_json_list(ranks)},\n'
+            f'  "top": {quoted[ti.top]}\n}}\n')

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import deque
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from qbg import qbgraph
+from qbg import qbgraph, tiltedorder
 from qbg.errors import InternalInvariantError, ParseError, PreconditionError, ResourceLimitError
 from qbg.permcore import (
     all_permutations,
@@ -192,6 +193,28 @@ class TestBuildGraph:
                 indicator = tuple(1 if i <= p < j else 0 for p in range(1, n))
                 assert e.exps in (zero_exponent(n), indicator)
 
+    @pytest.mark.parametrize("n, error", [(0, PreconditionError), (8, ResourceLimitError)])
+    def test_constructor_checks_n_before_listing_vertices(self, monkeypatch, n, error):
+        def refused(n):
+            raise AssertionError(f"vertices of S_{n} listed")
+
+        monkeypatch.setattr(qbgraph, "all_permutations", refused)
+        with pytest.raises(error):
+            qbgraph.QuantumBruhatGraph(n, [])
+
+    @pytest.mark.parametrize("edge", [
+        ((1, 2, 3), (1, 2, 4), (2, 3), (0, 0)),
+        ((1, 2), (2, 1), (1, 2), (0, 0)),
+        ([1, 2, 3], (1, 3, 2), (2, 3), (0, 0)),
+        ((1, 2, 3), tuple(range(100)), (2, 3), (0, 0)),
+        ((1, 2, 3),),
+        5,
+    ])
+    def test_constructor_refuses_what_is_not_an_edge_of_the_group(self, edge):
+        with pytest.raises(PreconditionError, match=r"is not an edge .* of S_3$") as exc:
+            qbgraph.QuantumBruhatGraph(3, [edge])
+        assert len(str(exc.value)) < 150
+
     def test_trivial_group(self):
         g = build_graph(1)
         assert g.vertices == ((1,),)
@@ -219,6 +242,13 @@ def length_rule_edges(n):
     }
 
 
+class SelfIndex(dict):
+    """A vertex index for sizes with no graph: each key is its own index."""
+
+    def __missing__(self, key):
+        return key
+
+
 class TestScan:
     """The per-position scan that builds the graph against the length rule."""
 
@@ -227,14 +257,30 @@ class TestScan:
         edges = {(e.source, e.target, e.root, e.exps) for e in build_graph(n).all_edges()}
         assert edges == length_rule_edges(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_adjacency_matches_the_length_rule(self, n):
+        # the whole index array, row order included, not only the edge set
+        g = build_graph(n)
+        rows = [[] for _ in g.vertices]
+        for source, target, root, exps in length_rule_edges(n):
+            rows[g.index[source]].append((g.index[target], root, exps))
+        assert g.out_adj == tuple(tuple(sorted(row)) for row in rows)
+
     def test_n7_edge_count(self):
         assert build_graph(7).edge_count() == 56196
 
+    def test_n7_adjacency_digest(self):
+        # sha256 of repr(out_adj) as the per-edge builder, which looked up
+        # both endpoints of every edge and sorted each row by key, wrote it
+        digest = "951e6de671b9b4f92f01b0cf92e89cbcae72b4832b66470099202bc506429b33"
+        assert hashlib.sha256(repr(build_graph(7).out_adj).encode()).hexdigest() == digest
+
     @given(st.integers(8, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_scan_matches_the_length_rule_beyond_the_graph(self, word):
-        # no graph is built at these sizes: the scan is checked vertex by vertex
+        # no graph is built at these sizes: the scan is checked vertex by
+        # vertex, through an index that maps each neighbour to itself
         w, n = tuple(word), len(word)
-        scanned = {t: (target, exps) for target, t, exps in qbgraph._out_edges(w, n)}
+        scanned = {t: (target, exps) for target, t, exps in qbgraph._out_edges(w, n, SelfIndex())}
         counted = {
             t: (apply_transposition(w, t), exps)
             for t in all_roots(n)
@@ -554,14 +600,35 @@ class TestExport:
         recovered = {(e.source, e.target, e.root, e.exps) for e in g2.all_edges()}
         assert original == recovered
 
-    @pytest.mark.parametrize("n", [1, 6])
-    def test_json_roundtrip_at_the_size_ends(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_json_roundtrip_keeps_the_adjacency(self, n):
         g = build_graph(n)
         assert graph_from_json(export_graph(g, "json")).out_adj == g.out_adj
 
     def test_unknown_format(self):
         with pytest.raises(PreconditionError):
             export_graph(build_graph(2), "xml")
+
+    def test_unknown_format_refused_before_any_label_is_written(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return format_permutation(w)
+
+        def no_covers(g, rank):
+            raise AssertionError("cover edges computed for a refused format")
+
+        for module in (qbgraph, tiltedorder):
+            monkeypatch.setattr(module, "format_permutation", counted)
+        monkeypatch.setattr(tiltedorder, "cover_edges", no_covers)
+        g = build_graph(7)
+        ti = interval(g.vertices[0], g.vertices[-1], g)
+        with pytest.raises(PreconditionError, match="unknown format 'xml'"):
+            export_graph(g, "xml")
+        with pytest.raises(PreconditionError, match="unknown format 'xml'"):
+            hasse_export(ti, g, "xml")
+        assert calls == []
 
 
 def json_export_with(change):
