@@ -55,6 +55,9 @@ def _perm_pair(u_text: str, v_text: str, n_flag: int | None) -> tuple[Perm, Perm
     # each explicit permutation is parsed once; --n sizes the shorthands only when both are
     explicit = {t: parse_permutation(t) for t in texts if t.strip().lower() not in _ALIASES}
     sizes = [len(w) for w in explicit.values()] or [n_flag]
+    clash = [size for size in sizes if n_flag is not None and size != n_flag]
+    if clash:
+        raise UsageError(f"--n {n_flag} contradicts a permutation of size {clash[0]}")
     if sizes[0] is not None and max(sizes) > MAX_CLI_N:
         raise ResourceLimitError(
             f"permutations are bounded at n <= {MAX_CLI_N}, got n = {max(sizes)}"

@@ -30,7 +30,7 @@ import json
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError
-from .latticepath import _gale_leq, check_shift_sequence, prefix_paths, shift_leq
+from .latticepath import _check_perms, _gale_leq, check_shift_sequence, prefix_paths, shift_leq
 from .permcore import (
     Perm,
     cyclic_contains,
@@ -184,6 +184,7 @@ def _ledger_column(u: Perm, v: Perm, k: int, r: int, n: int) -> list[PluckerEqua
 
 def coatom_positions(v: Perm, x: Perm) -> tuple[int, int]:
     """The (p, q) with x = v t_{pq}; errors unless exactly two entries differ."""
+    v, x = _check_perms(v, x)
     diff = [p for p in range(1, len(v) + 1) if v[p - 1] != x[p - 1]]
     if len(diff) != 2:
         raise PreconditionError(

@@ -37,10 +37,10 @@ plan against its own table only.
 
 Sets of values or rows are value masks (`permcore.value_mask`), the index
 of the minor table and the live set: the plans, the sampler's caps and
-`stratum` work on masks, and each shifted Gale window, listed by the
-brute-force `latticepath.shifted_interval` (unchecked, as the plans have
-checked (u, v, a)), is turned into masks once.  A permutation's prefix
-sets are read off `latticepath._prefix_masks`.
+`stratum` work on masks.  Each shifted Gale window is listed once by the
+brute-force `latticepath.shifted_interval` and kept as masks in one
+bounded cache, `_window_masks`.  A permutation's prefix sets are read off
+`latticepath._prefix_masks`.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ from .errors import (
     ResourceLimitError,
     SamplingError,
 )
-from .latticepath import _gale_leq, _prefix_masks, _shifted_interval_cached, shift_leq
+from .latticepath import _gale_leq, _prefix_masks, shift_leq, shifted_interval
 from .permcore import Perm, _excerpt, format_permutation, validate_permutation, value_mask
 from .tiltedorder import admissible_nodes
 
@@ -501,12 +501,13 @@ def _check_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> None:
         raise PreconditionError("u is not below v under the supplied shift sequence")
 
 
-def _window_masks(u: Perm, v: Perm, k: int, r: int) -> frozenset[int]:
-    """The level-k shifted Gale window, the k-sets K with u[:k] <=_r K <=_r
-    v[:k], as value masks.  `latticepath.shifted_interval` lists it; its
-    checks are skipped, as the plan or `find_flat` has made them."""
-    window = _shifted_interval_cached(frozenset(u[:k]), frozenset(v[:k]), r, len(u))
-    return frozenset(map(value_mask, window))
+# one entry per (A, B, r, n); `verify` holds 140 to 561 of them, the sampler
+# 167 after 30 samples at n = 7
+@lru_cache(maxsize=1024)
+def _window_masks(A: frozenset[int], B: frozenset[int], r: int, n: int) -> frozenset[int]:
+    """The shifted Gale window of (A, B, r), the sets K with A <=_r K <=_r
+    B, as value masks; listed by the brute-force `shifted_interval`."""
+    return frozenset(map(value_mask, shifted_interval(A, B, r, n)))
 
 
 def _scan(k: int, cut: int, n: int, backward: bool) -> Iterator[tuple[int, int]]:
@@ -552,7 +553,7 @@ def _grassmann_plan(
     Gale window of (u[:k], v[:k], a_k); and the masks of the endpoint sets
     u[:k], v[:k] of every column."""
     _check_plan(u, v, a, n)
-    windows = [_window_masks(u, v, k, a[k - 1]) for k in range(1, n)]
+    windows = [_window_masks(frozenset(u[:k]), frozenset(v[:k]), a[k - 1], n) for k in range(1, n)]
     off = tuple(K for K in range(1, (1 << n) - 1) if K not in windows[K.bit_count() - 1])
     return off, tuple(M for ends in zip(_prefix_masks(u), _prefix_masks(v)) for M in ends)
 
@@ -840,7 +841,7 @@ def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[int, int]]:
     running = [S.bit_count() for S in range(1 << n)]
     caps: list[dict[int, int]] = [{} for _ in range(n)]
     for j in range(n - 1, 0, -1):
-        window = _window_masks(u, v, j, a[j - 1])
+        window = _window_masks(frozenset(u[:j]), frozenset(v[:j]), a[j - 1], n)
         for S in range(1, 1 << n):
             running[S] = min(running[S], max((K & S).bit_count() for K in window))
         caps[j - 1] = {S: cap for S, cap in enumerate(running) if cap < S.bit_count()}

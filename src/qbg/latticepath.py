@@ -21,16 +21,17 @@ any pairing it gives the path of (A, B).  `_pair_table(n)` reads every
 pair of equal-size proper subsets of [n] once; no other module walks one.
 
 Public functions validate their input once.  The `_`-prefixed kernels
-(`_walk`, `_prefix_paths`, `_prefix_masks`, `_pair_table`, `_gale_leq`,
-`_shifted_interval_cached`) check nothing; they are called, here and
-from the other layers, only on input that a public function has already
-checked.  `_gale_leq` takes any iterables of distinct in-range values of
-equal count, so it reads prefix slices `u[:k]` and no prefix sets are
-built.
+(`_walk`, `_prefix_paths`, `_prefix_masks`, `_pair_table`, `_gale_leq`)
+check nothing; they are called, here and from the other layers, only on
+input that a public function has already checked.  `_gale_leq` takes any
+iterables of distinct in-range values of equal count, so it reads prefix
+slices `u[:k]` and no prefix sets are built.  `shifted_interval` is a
+checked, uncached brute-force oracle.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from operator import le
 from typing import Iterable
 
@@ -199,19 +200,9 @@ def shifted_interval(
     _check_shift(r, n)
     if not _gale_leq(A, B, r, n):
         raise PreconditionError(f"sets are not comparable under shift r={r}")
-    return _shifted_interval_cached(A, B, r, n)
-
-
-# one entry per (A, B, r, n); `verify` holds 140 to 348 of them, the sampler
-# 167 after 30 samples at n = 7
-@lru_cache(maxsize=1024)
-def _shifted_interval_cached(A: ValueSet, B: ValueSet, r: int, n: int) -> frozenset[ValueSet]:
-    from itertools import combinations
-
-    k = len(A)
     return frozenset(
         frozenset(K)
-        for K in combinations(range(1, n + 1), k)
+        for K in combinations(range(1, n + 1), len(A))
         if _gale_leq(A, K, r, n) and _gale_leq(K, B, r, n)
     )
 

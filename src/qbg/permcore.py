@@ -29,14 +29,9 @@ Perm = tuple[int, ...]
 Root = tuple[int, int]
 
 
-def is_permutation_word(word: Sequence[int]) -> bool:
-    """True iff word lists each of 1..n exactly once, n = len(word) >= 1."""
-    n = len(word)
-    return n >= 1 and sorted(word) == list(range(1, n + 1))
-
-
 def validate_permutation(w: Sequence[int]) -> Perm:
-    if not is_permutation_word(w):
+    """w as a tuple, once it lists each of 1..n exactly once, n = len(w) >= 1."""
+    if not w or sorted(w) != list(range(1, len(w) + 1)):
         raise PreconditionError(f"not a permutation of 1..{len(w)}: {tuple(w)}")
     return tuple(w)
 
@@ -115,6 +110,14 @@ def coxeter_length(w: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
+def _check_root(t: Root, n: int) -> Root:
+    """t as a root (i, j) of S_n: a pair of ints with 1 <= i < j <= n."""
+    i, j = t if isinstance(t, (tuple, list)) and len(t) == 2 else (None, None)
+    if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n):
+        raise PreconditionError(f"root {_excerpt(repr(t))} is not a pair 1 <= i < j <= {n}")
+    return i, j
+
+
 def apply_transposition(w: Perm, t: Root) -> Perm:
     """
     Right multiplication w * t_{ij}: exchange the entries at positions i, j.
@@ -122,9 +125,7 @@ def apply_transposition(w: Perm, t: Root) -> Perm:
     >>> apply_transposition((3, 2, 1), (1, 3))
     (1, 2, 3)
     """
-    i, j = t
-    if not (1 <= i < j <= len(w)):
-        raise PreconditionError(f"root ({i},{j}) out of range for n={len(w)}")
+    i, j = _check_root(t, len(w))
     word = list(w)
     word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
     return tuple(word)

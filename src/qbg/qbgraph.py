@@ -33,8 +33,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import InternalInvariantError, ParseError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, prefix_paths
 from .permcore import (
-    Perm, Root, all_permutations, all_roots, apply_transposition, coxeter_length,
-    _excerpt, format_permutation, is_reflection_ordering, parse_permutation, validate_permutation,
+    Perm, Root, _check_root, _excerpt, all_permutations, all_roots, apply_transposition,
+    coxeter_length, format_permutation, is_reflection_ordering, parse_permutation,
+    validate_permutation,
 )
 
 QExponent = tuple[int, ...]
@@ -104,10 +105,7 @@ def edge_weight(w: Perm, t: Root) -> QExponent | None:
     True
     """
     n = len(validate_permutation(w))
-    i, j = t
-    if not 1 <= i < j <= n:
-        raise PreconditionError(f"root ({i},{j}) out of range for n={n}")
-    return _edge_exps(w, t, n)
+    return _edge_exps(w, _check_root(t, n), n)
 
 
 def _edge_exps(w: Perm, t: Root, n: int) -> QExponent | None:

@@ -14,7 +14,8 @@ each greedy stage once per (word, k, v_k); `flat-count` decides
 find_flat's shift, the flat test and the ledger size once per column
 state; `tilted` decides each prefix criterion per column state
 (u_k, v_k, S); `samepath` counts walks per (vertex, length, weight);
-`stratify` names each stratum by its `tiltedorder.interval_nodes` int;
+`stratify` names each stratum by its `tiltedorder.interval_nodes` int and
+tests each nested pair's open cell in the pass that names it;
 and `equivalence` and `fixedpoints` run the membership routes on all
 coordinate flags at once (`exactgeom._FlagFamily`), one bitset per pair,
 with `fixedpoints` comparing it to the interval read off the BFS layers
@@ -582,23 +583,28 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
             f"{found.failures} disagreements")
 
 
-Classes = list[tuple[int, list[tuple[Perm, Perm]]]]
+Classes = list[tuple[int, list[tuple[Perm, Perm]], int]]
 
 
-def _subinterval_classes(u: Perm, v: Perm) -> Classes:
+def _subinterval_classes(u: Perm, v: Perm, F: exactgeom.Flag) -> Classes:
     """
     Subintervals of [u, v] grouped by their `tiltedorder.interval_nodes`
-    (one int per member set), ordered by their first (x, y) pair.  A
+    (one int per member set), in the order of their first (x, y) pair.  A
     subinterval is a geodesically nested pair: x and y on a common shortest
     u -> v path in that order (member-set containment alone is weaker and
     would break the disjointness being tested).  For x in [u, v] those y
-    are exactly [x, v], by the triangle inequality.
+    are exactly [x, v], by the triangle inequality.  Each pair's open cell
+    is tested on F as it is named, while its admissible nodes are cached; a
+    class's `seen` has bit 0 set if a rep fails and bit 1 if one passes.
     """
-    classes: dict[int, list[tuple[Perm, Perm]]] = {}
+    reps: dict[int, list[tuple[Perm, Perm]]] = {}
+    seen: dict[int, int] = {}
     for x in sorted(tiltedorder.interval_member_set(u, v)):
         for y in sorted(tiltedorder.interval_member_set(x, v)):
-            classes.setdefault(tiltedorder.interval_nodes(x, y), []).append((x, y))
-    return sorted(classes.items(), key=lambda kv: kv[1][0])
+            nodes = tiltedorder.interval_nodes(x, y)
+            reps.setdefault(nodes, []).append((x, y))
+            seen[nodes] = seen.get(nodes, 0) | 1 << exactgeom.member_T_plucker(x, y, F, True)
+    return [(nodes, pairs, seen[nodes]) for nodes, pairs in reps.items()]
 
 
 def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None:
@@ -624,16 +630,14 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None
         found.fail(lambda: f"ledger does not vanish on a {_tuple_text(u, v)} sample")
 
 
-def _disjointness(u: Perm, v: Perm, classes: Classes, F: exactgeom.Flag, found: _Findings) -> None:
-    hits = []
-    for nodes, reps in classes:
-        outcomes = {exactgeom.member_T_plucker(x, y, F, True) for x, y in reps}
-        if len(outcomes) > 1:
+def _disjointness(u: Perm, v: Perm, classes: Classes, found: _Findings) -> None:
+    hits = 0
+    for _, _, seen in classes:
+        if seen == 3:
             found.note(f"open test splits within one member set under {_tuple_text(u, v)}")
-        if True in outcomes:
-            hits.append(nodes)
-    if len(hits) != 1:
-        found.fail(lambda: f"flag passes {len(hits)} open strata inside "
+        hits += seen >> 1
+    if hits != 1:
+        found.fail(lambda: f"flag passes {hits} open strata inside "
                    f"{_tuple_text(u, v)}, expected 1")
 
 
@@ -654,11 +658,11 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
             continue
         stratified += 1
         _stratify_one(u, v, F, found)
-        classes = _subinterval_classes(u, v)
-        _disjointness(u, v, classes, F, found)
+        classes = _subinterval_classes(u, v, F)
+        _disjointness(u, v, classes, found)
         # a flag sampled on the boundary must land in its own substratum
         whole = tiltedorder.interval_nodes(u, v)
-        proper = [reps[0] for nodes, reps in classes if nodes != whole]
+        proper = [reps[0] for nodes, reps, _ in classes if nodes != whole]
         if proper:
             x, y = proper[len(proper) // 2]
             try:
@@ -675,7 +679,7 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
             if tiltedorder.interval_nodes(label.x, label.y) != tiltedorder.interval_nodes(x, y):
                 found.fail(lambda: f"boundary flag of {_tuple_text(u, v)} located in the "
                            "wrong stratum")
-            _disjointness(x, y, _subinterval_classes(x, y), G, found)
+            _disjointness(x, y, _subinterval_classes(x, y, G), found)
     return f"{stratified} sampled flags, {found.failures} violations"
 
 
@@ -737,8 +741,8 @@ LIMITS = {
     "fixedpoints": (1, 6),  # (n!)^2 bitsets of n! flags: 24-29 s at n = 6, 49x the pairs at 7
     # n! coordinate flags per pair and sequence, 3,730 sequences a pair at n = 7: 90-108 s there
     "equivalence": (1, 7),
-    # the subinterval pairs of (id, w0): 98,407 in 13 s and 63 MB at n = 6;
-    # 3,550,919 at n = 7, where the cost is unmeasured
+    # the subinterval pairs of (id, w0): 98,407, the whole suite 4.5-4.9 s and
+    # 66 MB at n = 6; 3,550,919 at n = 7, where the cost is unmeasured
     "stratify": (1, 6),
     "plucker": (3, exactgeom.MAX_TABLE_N),  # no incidence relation below 3; flags above 7
 }

@@ -148,6 +148,25 @@ def test_sizes_below_one_refused_before_work(capsys, args, n):
     assert err == f"usage error: --n must be at least 1, got --n {n}\n"
 
 
+@pytest.mark.parametrize("args, size", [
+    (["interval", "123", "321"], 3),
+    (["diagram", "4321", "w0"], 4),
+    (["sample", "--u", "id", "--v", "321"], 3),
+    (["stratify", "--matrix", "no-such-matrix-file", "--u", "123", "--v", "321"], 3),
+])
+def test_an_n_that_contradicts_an_explicit_permutation_is_refused_before_work(
+    capsys, args, size
+):
+    """Once --n 9 printed the n = 3 interval; stratify now refuses it before
+    it opens the matrix file, which does not exist."""
+    code, out, err = run(capsys, *args, "--n", "9")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --n 9 contradicts a permutation of size {size}\n"
+    if args[0] != "stratify":
+        code, out, _ = run(capsys, *args, "--n", str(size))
+        assert code == 0 and out
+
+
 class TestInterval:
     def test_members(self, capsys):
         code, out, _ = run(capsys, "interval", "132", "321")

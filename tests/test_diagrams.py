@@ -263,6 +263,16 @@ class TestCoatomLedger:
         with pytest.raises(PreconditionError):
             coatom_positions(self.v, self.v)
 
+    @pytest.mark.parametrize("v, x", [
+        ((1, 2), (2, 1, 3)),  # once read as the coatom (1, 2)
+        ((1, 2, 3), (1, 2)),  # once an IndexError
+        ((1, 1, 3), (1, 3, 1)),
+        ((1, 2, 4), (2, 1, 4)),
+    ])
+    def test_positions_reject_bad_permutations(self, v, x):
+        with pytest.raises(PreconditionError):
+            coatom_positions(v, x)
+
     def test_count_law(self):
         es = equations_with_x(self.u, self.v, self.a, self.x)
         assert len(es) == comb(6, 2) - graph_distance(self.u, self.v)

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from qbg import exactgeom
+from qbg import exactgeom, suites
 from qbg.diagrams import equations, find_flat
 from qbg.errors import ParseError, PreconditionError, ResourceLimitError, SamplingError
 from qbg.exactgeom import (
@@ -36,7 +36,7 @@ from qbg.exactgeom import (
     sample_in_open_stratum,
     stratum,
 )
-from qbg.latticepath import prefix_paths, valid_shifts
+from qbg.latticepath import prefix_paths, shifted_interval, valid_shifts
 from qbg.permcore import (
     all_permutations,
     cyclic_set,
@@ -808,6 +808,31 @@ def test_mask_builders_match_the_set_builders_on_seeded_pairs(n):
         for a in {find_flat(u, v), sequences[0], rng.choice(sequences)}:
             _assert_builders_agree(u, v, a)
         _assert_jump_rows_agree(random_flag(n, rng))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_window_masks_match_the_brute_force_window(n):
+    for k in range(n + 1):
+        subsets = [frozenset(K) for K in combinations(range(1, n + 1), k)]
+        for A, B in product(subsets, repeat=2):
+            for r in valid_shifts(A, B, n):
+                window = {value_mask(K) for K in shifted_interval(A, B, r, n)}
+                assert exactgeom._window_masks(A, B, r, n) == window
+
+
+def test_equivalence_lists_each_window_once(monkeypatch):
+    for cached in (exactgeom._window_masks, exactgeom._grassmann_plan,
+                   exactgeom._rank_plan, exactgeom._sampler_caps):
+        cached.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shifted_interval(*args)
+
+    monkeypatch.setattr(exactgeom, "shifted_interval", counted)
+    assert suites.run_suite("equivalence", 4).ok
+    assert calls and len(calls) == len(set(calls))
 
 
 # (u, v, seed) at n = 5..7: each open-stratum sample is located in its own stratum

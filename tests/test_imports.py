@@ -47,7 +47,7 @@ def test_every_cache_is_bounded():
                     found.append(f"{path.stem}.{node.name}")
                     assert cached.cache_parameters()["maxsize"] is not None, found[-1]
     assert "tiltedorder.interval_member_set" in found
-    assert "latticepath._shifted_interval_cached" in found
+    assert "exactgeom._window_masks" in found
 
 
 def test_exactgeom_reads_value_sets_as_masks():

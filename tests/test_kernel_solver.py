@@ -94,11 +94,19 @@ def test_sampler_caps_are_planned_once_per_pair():
 
 
 def test_plans_read_the_windows_without_checking_them_again(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a plan checked a window's sets again")
-
-    monkeypatch.setattr(latticepath, "_check_pair", refuse)
+    """Each window's sets are checked once, when `shifted_interval` lists it
+    into the window cache; the Grassmann plan and the caps read it there."""
     u, v = parse_permutation("263145"), parse_permutation("465123")
     a = find_flat(u, v)
+    checked = []
+    check = latticepath._check_pair
+
+    def counted(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(latticepath, "_check_pair", counted)
+    exactgeom._window_masks.cache_clear()
     exactgeom._grassmann_plan.__wrapped__(u, v, a, len(u))
     exactgeom._sampler_caps.__wrapped__(u, v, a)
+    assert len(checked) == len(u) - 1

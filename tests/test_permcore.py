@@ -90,6 +90,14 @@ class TestLengthAndTranspositions:
         with pytest.raises(PreconditionError):
             apply_transposition((1, 2), (1, 3))
 
+    @pytest.mark.parametrize(
+        "t", [(1, 2, 3), 5, (1,), "12", (1, "3"), (1.0, 3.0), tuple(range(9999))]
+    )
+    def test_root_that_is_not_a_pair_of_ints(self, t):
+        with pytest.raises(PreconditionError, match="is not a pair") as info:
+            apply_transposition((1, 2, 3), t)
+        assert len(str(info.value)) < 120
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_length_changes_by_odd_amount(self, n):
         for w in all_permutations(n):

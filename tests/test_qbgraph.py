@@ -145,6 +145,14 @@ class TestEdgeWeight:
         with pytest.raises(PreconditionError):
             edge_weight((1, 2, 3), t)
 
+    @pytest.mark.parametrize(
+        "t", [(1, 2, 3), 5, (1,), "12", (1, "3"), (1.0, 3.0), tuple(range(9999))]
+    )
+    def test_root_that_is_not_a_pair_of_ints(self, t):
+        with pytest.raises(PreconditionError, match="is not a pair") as info:
+            edge_weight((1, 2, 3), t)
+        assert len(str(info.value)) < 120
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cyclic_criterion_agrees(self, n):
         # edge exists iff every value between the swapped positions lies

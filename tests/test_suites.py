@@ -807,13 +807,17 @@ def pairwise_subinterval_classes(u, v):
     return sorted(classes.items(), key=lambda kv: kv[1][0])
 
 
-def assert_classes_match_the_pairwise_oracle(u, v):
+def assert_classes_match_the_pairwise_oracle(u, v, F):
     """The same classes in the same order, each named by its node set where
-    the oracle names it by its member set."""
-    classes, expected = suites._subinterval_classes(u, v), pairwise_subinterval_classes(u, v)
-    assert [reps for _, reps in classes] == [reps for _, reps in expected]
-    for (_, reps), (member_set, _) in zip(classes, expected):
+    the oracle names it by its member set; up to n = 4, each class's `seen`
+    bits are read off the open test of F on every rep."""
+    classes = suites._subinterval_classes(u, v, F)
+    expected = pairwise_subinterval_classes(u, v)
+    assert [reps for _, reps, _ in classes] == [reps for _, reps in expected]
+    for (_, reps, seen), (member_set, _) in zip(classes, expected):
         assert tiltedorder.interval_member_set(*reps[0]) == member_set
+        if len(u) <= 4:
+            assert seen == sum({1 << exactgeom.member_T_plucker(x, y, F, True) for x, y in reps})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -822,7 +826,9 @@ def test_subinterval_classes_match_the_pairwise_length_identity(n):
     with time_limit(60):
         for u in perms:
             for v in perms:
-                assert_classes_match_the_pairwise_oracle(u, v)
+                F = exactgeom.sample_in_open_stratum(u, v, 7)
+                assert_classes_match_the_pairwise_oracle(u, v, F)
+                assert_classes_match_the_pairwise_oracle(u, v, exactgeom.permutation_flag(u))
 
 
 def test_subinterval_classes_match_the_pairwise_length_identity_on_seeded_pairs_n5():
@@ -831,7 +837,7 @@ def test_subinterval_classes_match_the_pairwise_length_identity_on_seeded_pairs_
     with time_limit(120):
         for _ in range(100):
             u, v = rng.choice(perms), rng.choice(perms)
-            assert_classes_match_the_pairwise_oracle(u, v)
+            assert_classes_match_the_pairwise_oracle(u, v, exactgeom.permutation_flag(u))
 
 
 def test_stratify_names_strata_by_node_sets_not_member_sets():
@@ -852,10 +858,21 @@ def test_stratify_names_strata_by_node_sets_not_member_sets():
     assert peak < 5_000_000
 
 
+def test_stratify_at_n6_tests_each_nested_pair_while_it_is_named():
+    """About 117,000 nested pairs: testing their open cells in a second pass,
+    after the 4,096 cached node sets had turned over, made 230,880 of them
+    and took about 7 s (2-CPU host)."""
+    tiltedorder.admissible_nodes.cache_clear()
+    with time_limit(20):
+        assert suites.run_suite("stratify", 6).ok
+    assert tiltedorder.admissible_nodes.cache_info().misses <= 120_000
+
+
 def test_subinterval_classes_use_no_graph_distance(monkeypatch):
     def refuse(u, v):
         raise AssertionError("graph_distance called")
 
+    F = exactgeom.permutation_flag((1, 2, 3, 4))
     monkeypatch.setattr(qbgraph, "prefix_paths", refuse)
-    classes = suites._subinterval_classes((1, 2, 3, 4), (4, 3, 2, 1))
-    assert sum(len(reps) for _, reps in classes) > 24
+    classes = suites._subinterval_classes((1, 2, 3, 4), (4, 3, 2, 1), F)
+    assert sum(len(reps) for _, reps, _ in classes) > 24
