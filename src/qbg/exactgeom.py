@@ -1,22 +1,22 @@
 """
 Exact-rational flags, Plucker coordinates, and tilted Richardson membership.
 
-Everything here is exact: matrices are tuples of tuples of Fraction, zero
-tests are literal equality, and no floating point appears anywhere.  A
-flag is an invertible n x n matrix; its k-th space is the span of the
-first k columns, and P_I is the minor on rows I and the first |I| columns.
+Everything here is exact: zero tests are literal equality, and no floating
+point appears anywhere.  A flag is an invertible n x n matrix of ints and
+Fractions; its k-th space is the span of the first k columns, and P_I is
+the minor on rows I and the first |I| columns.
 
-All exact work runs on a column-scaled integer copy of each flag, and the
-sampler keeps each column it builds as integers over one denominator;
-rationals reappear only at the API boundary (`Flag.plucker`,
-`nullspace_basis`, sampled matrices), with the same values exact rational
-elimination gives.  A flag is finished when it is made: its constructor
-builds the table of all its 2^n minors P_I, each by Laplace expansion
-from the minors one row smaller; its live set, the row sets on a chain of
-nonzero minors from the empty set to [n]; and the rank of every cyclic
-row window on every column prefix.  Those window ranks and every other
-rank, determinant and nullspace come from one fraction-free integer
-elimination kernel (Bareiss).
+A flag keeps a column-scaled integer copy of its matrix, read off each
+entry's numerator and denominator, and is finished when it is made: the
+table of all its 2^n minors P_I (times the column scales), each by Laplace
+expansion from the minors one row smaller; its live set, the row sets on a
+chain of nonzero minors from the empty set to [n]; and the rank of every
+cyclic row window on every column prefix.  Every rank, determinant and
+nullspace comes from one fraction-free integer elimination kernel
+(Bareiss); the sampler keeps each column it builds as integers over one
+denominator, and the incidence relations compare integer sums of minors.
+Fractions appear only at the API boundary (`Flag.matrix`, `Flag.plucker`
+and the signed coordinates, `nullspace_basis`, a sampled flag's entries).
 
 Membership of a flag in the (open) tilted Richardson variety of a pair
 (u, v) is decided three provably equivalent ways: rank bounds on cyclic
@@ -25,21 +25,18 @@ vanishing of the multi-Plucker coordinates P_w for w outside [u, v].  P_w
 is the product of the minors on the prefix sets of w, so the last one is
 a check on chains of the subset lattice: every live row set must be an
 admissible prefix set of [u, v] (`tiltedorder.admissible_nodes`).  The
-implementations share nothing on purpose: the rank route reads only
-window ranks, the per-column route only the minors P_I, and the
-multi-Plucker route only the live set, and their agreement is part of the
-verification suites.  What the first two read of (u, v, a) is planned
-once per (u, v, a, n) in a bounded cache.  A `_FlagFamily` runs the three
-routes on a list of flags at once, each answer a bitset with one bit per
-flag: it turns the window ranks, the nonzero minors and the live sets of
-its flags into three separate tables of bitsets, and each route reads its
-plan against its own table only.
+routes share nothing on purpose, and their agreement is part of the
+verification suites: the rank route reads only window ranks, the
+per-column route only the minors P_I, and the multi-Plucker route only
+the live set.  The first two are checked and planned once per (u, v, a,
+n), in one bounded cache, `_plans`.  A `_FlagFamily` runs the three
+routes on a list of flags at once, one bit per flag in each answer, each
+route reading its plan against its own table of bitsets.
 
 Sets of values or rows are value masks (`permcore.value_mask`), the index
-of the minor table and the live set: the plans, the sampler's caps and
-`stratum` work on masks.  Each shifted Gale window is listed once by the
-brute-force `latticepath.shifted_interval` and kept as masks in one
-bounded cache, `_window_masks`.  A permutation's prefix sets are read off
+of the minor table and the live set.  Each shifted Gale window is listed
+once by the brute-force `latticepath.shifted_interval` and kept as masks
+in one bounded cache, `_window_masks`; prefix sets are read off
 `latticepath._prefix_masks`.
 """
 from __future__ import annotations
@@ -50,8 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import mul, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter, le, mul, or_
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .diagrams import EquationSet, PluckerEquation, find_flat, signed_sorted_insert
 from .errors import (
@@ -195,37 +192,26 @@ def _slot(k: int, start: int, length: int, n: int) -> int:
 
 
 def _window_table(rows: Sequence[Sequence[int]]) -> bytes:
-    """
-    Rank of every cyclic row window on the first k columns, for every k,
-    at `_slot(k, start, length, n)`.  One incremental elimination per
-    start row gives all lengths and all k at once.
-    """
+    """Rank of every cyclic row window on the first k columns, for every k,
+    at `_slot(k, start, length, n)`: one incremental elimination per start
+    row gives all lengths and all k at once."""
     n = len(rows)
-    table = [0] * ((n + 1) * n * (n + 1))
-    for start in range(1, n + 1):
+    table = bytearray((n + 1) * n * (n + 1))
+    for start in range(n):
         pivots: Pivots = []
         ranks = [0] * (n + 1)
         for length in range(1, n + 1):
-            col = _add_row(pivots, rows[(start + length - 2) % n])
+            col = _add_row(pivots, rows[(start + length - 1) % n])
             if col is not None:
                 for k in range(col + 1, n + 1):
                     ranks[k] += 1
-            for k in range(n + 1):
-                table[_slot(k, start, length, n)] = ranks[k]
+            # the slots of one window on k = 0..n columns, n(n + 1) apart
+            table[start * (n + 1) + length::n * (n + 1)] = bytes(ranks)
     return bytes(table)
 
 
 # ---------------------------------------------------------------------------
 # Matrices and the text format
-
-
-def matrix_from_rows(rows: Iterable[Iterable[object]]) -> Matrix:
-    """The rows as Fractions; entries must be exact, an int or a Fraction."""
-    rows = [tuple(row) for row in rows]
-    bad = [x for row in rows for x in row if not isinstance(x, (int, Fraction))]
-    if bad:
-        raise PreconditionError(f"matrix entries must be int or Fraction, got {bad[0]!r}")
-    return tuple(tuple(map(Fraction, row)) for row in rows)
 
 
 #: A matrix entry: an optionally signed run of ASCII digits, optionally
@@ -315,14 +301,10 @@ def _check_table_n(n: int) -> None:
 
 class Flag:
     """
-    An invertible exact-rational matrix of size n <= MAX_TABLE_N.
-    Immutable once built, and finished when built: the constructor makes
-    the integer table of all its minors, the live set and the table of
-    cyclic window ranks, so no read fills anything in.
-
-    The exact work runs on a column-scaled integer copy of the matrix: each
-    column is multiplied by the lcm of its denominators.  That keeps every
-    space of the flag, every rank, and multiplies each P_I by the product
+    An invertible exact-rational matrix of size n <= MAX_TABLE_N, immutable
+    and finished when built (see the module notes).  Each column is kept
+    multiplied by the lcm of its denominators, its scale.  That keeps every
+    space of the flag and every rank, and multiplies each P_I by the product
     of the first |I| scales, which `plucker` divides back out.
     """
 
@@ -331,12 +313,14 @@ class Flag:
         if n == 0 or any(len(row) != n for row in matrix):
             raise PreconditionError("flag matrices must be square and nonempty")
         _check_table_n(n)
-        self.matrix: Matrix = matrix_from_rows(matrix)
+        bad = [x for row in matrix for x in row if not isinstance(x, (int, Fraction))]
+        if bad:
+            raise PreconditionError(f"matrix entries must be int or Fraction, got {bad[0]!r}")
         self.n = n
-        scales = [lcm(*(x.denominator for x in col)) for col in zip(*self.matrix)]
+        scales = [lcm(*(x.denominator for x in col)) for col in zip(*matrix)]
         self._rows = tuple(
             tuple(x.numerator * (s // x.denominator) for x, s in zip(row, scales))
-            for row in self.matrix
+            for row in matrix
         )
         self._scale = tuple(accumulate(scales, mul, initial=1))
         self._minors = _minor_table(self._rows)
@@ -350,15 +334,25 @@ class Flag:
         self._live = sum(1 << S for S, minor in enumerate(self._minors) if minor)
         self._windows = _window_table(self._rows)
 
-    def plucker(self, values: Iterable[int]) -> Fraction:
-        """P_I: minor on the distinct rows I (sorted) and the first |I| columns; P_{} = 1."""
-        rows = list(values)
+    @property
+    def matrix(self) -> Matrix:
+        """The matrix as Fractions: each integer column over its scale."""
+        scales = [b // a for a, b in zip(self._scale, self._scale[1:])]
+        return tuple(tuple(map(Fraction, row, scales)) for row in self._rows)
+
+    def _minor(self, rows: Collection[int]) -> int:
+        """P_I times the product of the first |I| column scales, I the rows."""
         if rows and not (1 <= min(rows) and max(rows) <= self.n):
             raise PreconditionError(f"row set {sorted(set(rows))} out of range 1..{self.n}")
         mask = value_mask(rows)
         if mask.bit_count() != len(rows):
             raise PreconditionError(f"row list {_excerpt(str(rows))} repeats a row")
-        return Fraction(self._minors[mask], self._scale[len(rows)])
+        return self._minors[mask]
+
+    def plucker(self, values: Iterable[int]) -> Fraction:
+        """P_I: minor on the distinct rows I (sorted) and the first |I| columns; P_{} = 1."""
+        rows = list(values)
+        return Fraction(self._minor(rows), self._scale[len(rows)])
 
     def plucker_perm(self, w: Perm) -> Fraction:
         """P_w: the product of the prefix coordinates of w, a permutation of size n."""
@@ -366,13 +360,8 @@ class Flag:
         n = self.n
         if len(w) != n:
             raise PreconditionError(f"P_w needs a permutation of size {n}, got {len(w)}")
-        minors = self._minors
-        out = 1
-        for S in _prefix_masks(w):
-            out *= minors[S]
-            if out == 0:
-                return Fraction(0)
-        return Fraction(out, prod(self._scale[1:n]))
+        numerator = prod(map(self._minors.__getitem__, _prefix_masks(w)))
+        return Fraction(numerator, prod(self._scale[1:n]))
 
     def window_rank(self, start: int, length: int, k: int) -> int:
         """Rank of the `length` rows cyclically from row `start` (start,
@@ -409,37 +398,62 @@ def random_flag(n: int, seed: int | random.Random) -> Flag:
 # ---------------------------------------------------------------------------
 # Signed coordinates and the incidence relations
 #
-# Every sign comes from diagrams.signed_sorted_insert, the rule the ledgers use.
+# Every sign comes from diagrams.signed_sorted_insert, the rule the ledgers
+# use, applied to the flag's integer minors: P_K is minor[K] / scale[|K|].
+
+
+def _signed_minor(F: Flag, I: frozenset[int], drop: int | None, add: int | None) -> int:
+    """
+    P_{(I - drop) + add} times the scale of its row count: drop `drop` from
+    sorted I, with the sign (-1)^(k - position), then append `add`, zero
+    when it is already there; either index may be None.
+    """
+    sign = 1
+    if drop is not None:
+        if drop not in I:
+            raise PreconditionError(f"index {drop} is not in {sorted(I)}")
+        I = I - {drop}
+        sign = signed_sorted_insert(I, drop)[1]
+    if add is not None:
+        if add in I:
+            return 0
+        I, flip = signed_sorted_insert(I, add)
+        sign *= flip
+    return sign * F._minor(I)
+
+
+def _over_scale(F: Flag, minor: int, k: int) -> Fraction:
+    """A signed minor on k rows as its coordinate; k is not read for a zero."""
+    return Fraction(minor, F._scale[k]) if minor else Fraction(0)
 
 
 def plucker_plus(F: Flag, J: Iterable[int], i: int) -> Fraction:
     """P_{J + i}: append i to the sorted list of J; zero when i is in J."""
     J = frozenset(J)
-    if i in J:
-        return Fraction(0)
-    subset, sign = signed_sorted_insert(J, i)
-    return sign * F.plucker(subset)
-
-
-def _drop(I: Iterable[int], i: int) -> tuple[frozenset[int], int]:
-    """I - i and the sign that moves i to the end of sorted I."""
-    I = frozenset(I)
-    if i not in I:
-        raise PreconditionError(f"index {i} is not in {sorted(I)}")
-    rest = I - {i}
-    return rest, signed_sorted_insert(rest, i)[1]
+    return _over_scale(F, _signed_minor(F, J, None, i), len(J) + 1)
 
 
 def plucker_minus(F: Flag, I: Iterable[int], i: int) -> Fraction:
     """P_{I - i}: drop i from sorted I, with the sign (-1)^(k - position)."""
-    rest, sign = _drop(I, i)
-    return sign * F.plucker(rest)
+    I = frozenset(I)
+    return _over_scale(F, _signed_minor(F, I, i, None), len(I) - 1)
 
 
 def plucker_minus_plus(F: Flag, I: Iterable[int], i: int, j: int) -> Fraction:
     """P_{(I - i) + j}."""
-    rest, sign = _drop(I, i)
-    return sign * plucker_plus(F, rest, j)
+    I = frozenset(I)
+    return _over_scale(F, _signed_minor(F, I, i, j), len(I))
+
+
+def _incidence_sum(F: Flag, I: frozenset[int], J: frozenset[int], j: int | None = None) -> int:
+    """
+    sum_{i in I} P_{(I - i) + j} P_{J + i}, j None for P_{I - i} P_{J + i},
+    on the integer minors.  Each relation below is homogeneous: every term
+    on both sides has the one positive denominator scale[|I|] scale[|J|]
+    (product rule), scale[|I| - 1] scale[|J| + 1] (sum rule) or scale[|I|]
+    scale[|J| + 1] (exchange rule), so comparing integer sums is exact.
+    """
+    return sum(_signed_minor(F, I, i, j) * _signed_minor(F, J, None, i) for i in I)
 
 
 def incidence_product_rule_holds(F: Flag, I: Iterable[int], J: Iterable[int]) -> bool:
@@ -447,9 +461,7 @@ def incidence_product_rule_holds(F: Flag, I: Iterable[int], J: Iterable[int]) ->
     I_set, J_set = frozenset(I), frozenset(J)
     if len(I_set) != len(J_set) + 1:
         raise PreconditionError("product rule needs |I| = |J| + 1")
-    lhs = F.plucker(I_set) * F.plucker(J_set)
-    rhs = sum(plucker_minus(F, I_set, i) * plucker_plus(F, J_set, i) for i in I_set)
-    return lhs == rhs
+    return F._minor(I_set) * F._minor(J_set) == _incidence_sum(F, I_set, J_set)
 
 
 def incidence_sum_rule_holds(F: Flag, I: Iterable[int], J: Iterable[int]) -> bool:
@@ -457,12 +469,10 @@ def incidence_sum_rule_holds(F: Flag, I: Iterable[int], J: Iterable[int]) -> boo
     I_set, J_set = frozenset(I), frozenset(J)
     if len(I_set) - len(J_set) < 2:
         raise PreconditionError("sum rule needs |I| - |J| >= 2")
-    return sum(plucker_minus(F, I_set, i) * plucker_plus(F, J_set, i) for i in I_set) == 0
+    return _incidence_sum(F, I_set, J_set) == 0
 
 
-def incidence_exchange_rule_holds(
-    F: Flag, I: Iterable[int], J: Iterable[int], j: int
-) -> bool:
+def incidence_exchange_rule_holds(F: Flag, I: Iterable[int], J: Iterable[int], j: int) -> bool:
     """
     P_I P_{J+j} = sum_{i in I} P_{I-i+j} P_{J+i} for |I| - |J| >= 2 and
     j not in J.  (The sign convention here is the one actual minors obey:
@@ -474,31 +484,21 @@ def incidence_exchange_rule_holds(
         raise PreconditionError("exchange rule needs |I| - |J| >= 2")
     if j in J_set:
         raise PreconditionError("exchange rule needs j outside J")
-    lhs = F.plucker(I_set) * plucker_plus(F, J_set, j)
-    rhs = sum(
-        plucker_minus_plus(F, I_set, i, j) * plucker_plus(F, J_set, i) for i in I_set
-    )
-    return lhs == rhs
+    lhs = F._minor(I_set) * _signed_minor(F, J_set, None, j)
+    return lhs == _incidence_sum(F, I_set, J_set, j)
 
 
 # ---------------------------------------------------------------------------
 # The three membership definitions
 #
-# What a route reads of (u, v, a) does not depend on the flag, so it is
-# worked out once per (u, v, a, n) and kept in a bounded cache.  A failed
-# precondition raises inside the cached function and is never stored, so a
-# bad shift sequence, or a pair of another size than the flag, raises on
-# every call.
+# What the rank and the per-column route read of (u, v, a) does not depend
+# on the flag: `_plans` checks (u, v, a) and plans both once per (u, v, a, n)
+# in one bounded cache.  A failed check is never stored, so a bad shift
+# sequence, or a pair of another size than the flag, raises on every call.
 
-#: (u, v, a, n) plans kept per route: every shift sequence of a pair fits at n <= 4.
+#: Entries of `_plans`, one per (u, v, a, n), and of `_sampler_caps`, one
+#: per (u, v, a): every shift sequence of a pair fits at n <= 4.
 PLAN_CACHE_SIZE = 64
-
-
-def _check_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> None:
-    if len(u) != n or len(v) != n:
-        raise PreconditionError("permutations must match the flag's size")
-    if not shift_leq(u, v, a):
-        raise PreconditionError("u is not below v under the supplied shift sequence")
 
 
 # one entry per (A, B, r, n); `verify` holds 140 to 561 of them, the sampler
@@ -522,17 +522,13 @@ def _scan(k: int, cut: int, n: int, backward: bool) -> Iterator[tuple[int, int]]
             yield _slot(k, cut, length, n), (cut + length - 2) % n + 1
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rank_plan(
-    u: Perm, v: Perm, a: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], bytes]:
+def _rank_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> tuple[tuple, tuple, Callable]:
     """
-    The windows of the rank route as positions in a flag's window table,
-    with their bounds: on column i, each window scanned forward from the
-    cut a_i may have rank at most |u[:i] & window|, and each window scanned
-    backward from it at most |v[:i] & window|.
+    The windows of the rank route as slots in a flag's window table, their
+    bounds, and a getter of those slots: on column i, each window scanned
+    forward from the cut a_i may have rank at most |u[:i] & window|, and
+    each window scanned backward from it at most |v[:i] & window|.
     """
-    _check_plan(u, v, a, n)
     slots: list[int] = []
     bounds: list[int] = []
     for i, refs in enumerate(zip(_prefix_masks(u), _prefix_masks(v)), start=1):
@@ -542,35 +538,38 @@ def _rank_plan(
                 window |= 1 << (row - 1)
                 slots.append(slot)
                 bounds.append((ref & window).bit_count())
-    return tuple(slots), bytes(bounds)
+    # at n = 1 there is no slot, and itemgetter needs at least one
+    return tuple(slots), tuple(bounds), itemgetter(*slots) if slots else lambda ranks: ()
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _grassmann_plan(
-    u: Perm, v: Perm, a: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _grassmann_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
     """For every column k, the masks of the k-subsets outside the shifted
     Gale window of (u[:k], v[:k], a_k); and the masks of the endpoint sets
     u[:k], v[:k] of every column."""
-    _check_plan(u, v, a, n)
     windows = [_window_masks(frozenset(u[:k]), frozenset(v[:k]), a[k - 1], n) for k in range(1, n)]
     off = tuple(K for K in range(1, (1 << n) - 1) if K not in windows[K.bit_count() - 1])
     return off, tuple(M for ends in zip(_prefix_masks(u), _prefix_masks(v)) for M in ends)
 
 
-def member_T_rank(
-    u: Perm, v: Perm, a: tuple[int, ...], F: Flag, open_cell: bool = False
-) -> bool:
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plans(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
+    """The rank and the Grassmann plan of (u, v, a) on n rows, checked once."""
+    if len(u) != n or len(v) != n:
+        raise PreconditionError("permutations must match the flag's size")
+    if not shift_leq(u, v, a):
+        raise PreconditionError("u is not below v under the supplied shift sequence")
+    return _rank_plan(u, v, a, n), _grassmann_plan(u, v, a, n)
+
+
+def member_T_rank(u: Perm, v: Perm, a: tuple[int, ...], F: Flag, open_cell: bool = False) -> bool:
     """
     Rank-window route: for every column i and window endpoint j, the rows
     cyclically at or after the cut a_i satisfy the bound from u and the
     rows before it the bound from v (equalities for the open cell).
     """
-    slots, bounds = _rank_plan(tuple(u), tuple(v), tuple(a), F.n)
-    ranks = F._windows
-    if open_cell:
-        return all(ranks[s] == b for s, b in zip(slots, bounds))
-    return all(ranks[s] <= b for s, b in zip(slots, bounds))
+    (_, bounds, get), _ = _plans(tuple(u), tuple(v), tuple(a), F.n)
+    got = get(F._windows)
+    return got == bounds if open_cell else all(map(le, got, bounds))
 
 
 def member_T_grassmann(
@@ -582,7 +581,7 @@ def member_T_grassmann(
     the shifted Gale interval vanishes; the open cell also needs the two
     endpoint coordinates nonzero.
     """
-    off, ends = _grassmann_plan(tuple(u), tuple(v), tuple(a), F.n)
+    _, (off, ends) = _plans(tuple(u), tuple(v), tuple(a), F.n)
     minors = F._minors
     if any(minors[K] for K in off):
         return False
@@ -640,7 +639,7 @@ class _FlagFamily:
 
     def rank(self, u: Perm, v: Perm, a: tuple[int, ...], open_cell: bool = False) -> int:
         """`member_T_rank` on every flag: the AND over the plan's slots."""
-        slots, bounds = _rank_plan(tuple(u), tuple(v), tuple(a), self.n)
+        (slots, bounds, _), _ = _plans(tuple(u), tuple(v), tuple(a), self.n)
         table = self._exactly if open_cell else self._at_most
         out = self.everyone
         for s, b in zip(slots, bounds):
@@ -650,7 +649,7 @@ class _FlagFamily:
     def grassmann(self, u: Perm, v: Perm, a: tuple[int, ...], open_cell: bool = False) -> int:
         """`member_T_grassmann` on every flag: no off-window P_K nonzero, and
         for the open cell the endpoint coordinates nonzero."""
-        off, ends = _grassmann_plan(tuple(u), tuple(v), tuple(a), self.n)
+        _, (off, ends) = _plans(tuple(u), tuple(v), tuple(a), self.n)
         nonzero = self._nonzero
         out = self.everyone
         for K in off:

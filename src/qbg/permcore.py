@@ -32,7 +32,7 @@ Root = tuple[int, int]
 def validate_permutation(w: Sequence[int]) -> Perm:
     """w as a tuple, once it lists each of 1..n exactly once, n = len(w) >= 1."""
     if not w or sorted(w) != list(range(1, len(w) + 1)):
-        raise PreconditionError(f"not a permutation of 1..{len(w)}: {tuple(w)}")
+        raise PreconditionError(f"not a permutation of 1..{len(w)}: {_excerpt(repr(tuple(w)))}")
     return tuple(w)
 
 

@@ -739,7 +739,7 @@ LIMITS = {
     "tilted": (1, 6),  # (n!)^3 triples, 1.3 x 10^11 at n = 7
     "flat-count": (1, qbgraph.MAX_GRAPH_N),  # builds the graph on S_n
     "fixedpoints": (1, 6),  # (n!)^2 bitsets of n! flags: 24-29 s at n = 6, 49x the pairs at 7
-    # n! coordinate flags per pair and sequence, 3,730 sequences a pair at n = 7: 90-108 s there
+    # n! coordinate flags per pair and sequence, 3,730 sequences a pair at n = 7: 48-52 s there
     "equivalence": (1, 7),
     # the subinterval pairs of (id, w0): 98,407, the whole suite 4.5-4.9 s and
     # 66 MB at n = 6; 3,550,919 at n = 7, where the cost is unmeasured

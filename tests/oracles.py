@@ -14,7 +14,7 @@ from qbg import exactgeom
 from qbg.diagrams import find_flat
 from qbg.errors import InternalInvariantError, PreconditionError, SamplingError
 from qbg.exactgeom import (
-    MAX_COLUMN_TRIES, MAX_RESTARTS, SAMPLE_BOUND, Flag, Matrix, Pivots, _add_row, _check_plan,
+    MAX_COLUMN_TRIES, MAX_RESTARTS, SAMPLE_BOUND, Flag, Matrix, Pivots, _add_row,
     _check_table_n, _det, _integer_row, _slot, member_T_plucker, nullspace_basis,
 )
 from qbg.latticepath import _check_perms, _walk, shifted_interval
@@ -200,7 +200,7 @@ def chi_set(values: Iterable[int], n: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # The membership plans, the sampler caps and the rank-jump sets on value
 # sets.  These are the library's builders as they were before they moved
-# to value masks, kept unchanged (less their plan cache) as the reference
+# to value masks, kept unchanged (less their plan cache and its check) as the reference
 # the mask builders must agree with.
 
 
@@ -213,7 +213,6 @@ def _rank_plan(
     from the cut a_i through j may have rank at most |u[i] & window|, and
     the rows from j up to the cut at most |v[i] & window|.
     """
-    _check_plan(u, v, a, n)
     slots: list[int] = []
     bounds: list[int] = []
     for i in range(1, n):
@@ -235,7 +234,6 @@ def _grassmann_plan(
     """For every column k, the masks of the k-subsets outside the shifted
     Gale window of (u[k], v[k], a_k); and the masks of the endpoint sets
     u[k], v[k] of every column."""
-    _check_plan(u, v, a, n)
     off: list[int] = []
     ends: list[int] = []
     for k in range(1, n):

@@ -22,7 +22,6 @@ from qbg.exactgeom import (
     incidence_exchange_rule_holds,
     incidence_product_rule_holds,
     incidence_sum_rule_holds,
-    matrix_from_rows,
     member_T_grassmann,
     member_T_plucker,
     member_T_rank,
@@ -54,7 +53,7 @@ from oracles import _rank, chi_rotate, chi_set, rank_region
 
 class TestMatrixFormat:
     def test_roundtrip(self):
-        m = matrix_from_rows([[1, Fraction(3, 4)], [Fraction(-2), 5]])
+        m = Flag([[1, Fraction(3, 4)], [Fraction(-2), 5]]).matrix
         assert parse_matrix(format_matrix(m)) == m
 
     def test_parse_example(self):
@@ -122,9 +121,29 @@ class TestFlag:
         with pytest.raises(PreconditionError, match="int or Fraction"):
             Flag([[bad, 0], [0, 1]])
 
+    @pytest.mark.parametrize("rows", [
+        [[Fraction(1, 2), 0], [0, 2.0]],
+        [[1, Fraction(1, 3)], [0.5, 1]],
+    ])
+    def test_a_float_anywhere_is_refused(self, rows):
+        with pytest.raises(PreconditionError, match="int or Fraction"):
+            Flag(rows)
+
+    def test_matrix_rebuilt_from_the_integer_rows_round_trips(self):
+        rng = random.Random(7)
+        flags = [random_flag(4, rng), permutation_flag((2, 4, 1, 3)), _rational_flag(rng, 5),
+                 sample_in_open_stratum(parse_permutation("263145"), parse_permutation("465123"))]
+        flags.append(Flag([[1, Fraction(3, 4)], [Fraction(-2, 6), 5]]))
+        for F in flags:
+            m = F.matrix
+            assert all(type(x) is Fraction for row in m for x in row)
+            assert Flag(m).matrix == m
+            assert format_matrix(Flag(m).matrix) == format_matrix(m)
+        assert flags[-1].matrix == ((1, Fraction(3, 4)), (Fraction(-1, 3), 5))
+
     def test_singular_rejected(self):
         with pytest.raises(PreconditionError):
-            Flag(matrix_from_rows([[1, 2], [2, 4]]))
+            Flag([[1, 2], [2, 4]])
 
     def test_empty_plucker(self):
         F = random_flag(3, 0)
@@ -173,6 +192,101 @@ class TestIncidenceRelations:
             j = rng.choice([x for x in range(1, n + 1) if x not in J])
             assert incidence_sum_rule_holds(F, I, J)
             assert incidence_exchange_rule_holds(F, I, J, j)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_integer_minors_agree_with_the_fraction_coordinates(self, n):
+        # the rational flags carry column scales other than 1
+        rng = random.Random(300 + n)
+        flags = [random_flag(n, rng), _rational_flag(rng, n)]
+        for seed in range(2):
+            u, v = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            flags.append(sample_in_open_stratum(u, v, seed))
+        assert any(F._scale[-1] > 1 for F in flags)
+        for F in flags:
+            for rule, I, J, j in _random_relations(rng, n, 40):
+                assert RULES[rule](F, I, J, j) and _by_fractions(F, rule, I, J, j)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a_changed_minor_breaks_both_evaluations_together(self, n):
+        F = _rational_flag(random.Random(n), n)
+        F._minors = list(F._minors)
+        F._minors[value_mask({1, n})] += 1
+        verdicts = []
+        for rule, I, J, j in _every_relation(n):
+            verdict = RULES[rule](F, I, J, j)
+            assert verdict == _by_fractions(F, rule, I, J, j)
+            verdicts.append((rule, verdict))
+        assert {rule for rule, verdict in verdicts if not verdict} == set(RULES)
+
+    @pytest.mark.parametrize("call", [
+        lambda F: incidence_product_rule_holds(F, [1, 5], [2]),
+        lambda F: incidence_product_rule_holds(F, [0, 1], [2]),
+        lambda F: incidence_product_rule_holds(F, [1, 2], [5]),
+        lambda F: incidence_sum_rule_holds(F, [1, 2, 5], [3]),
+        lambda F: incidence_sum_rule_holds(F, [1, 2, 3], [0]),
+        lambda F: incidence_exchange_rule_holds(F, [1, 2, 3], [4], 5),
+        lambda F: incidence_exchange_rule_holds(F, [1, 2, 3], [4], 0),
+        lambda F: incidence_exchange_rule_holds(F, [1, 2, 7], [4], 3),
+        lambda F: plucker_plus(F, [1, 2], 5),
+        lambda F: plucker_minus(F, [1, 5], 1),
+        lambda F: plucker_minus(F, [1, 2], 3),
+        lambda F: plucker_minus_plus(F, [1, 2], 1, 5),
+    ])
+    def test_rows_and_indices_out_of_range_are_refused(self, call):
+        with pytest.raises(PreconditionError):
+            call(random_flag(4, 2))
+
+
+RULES = {
+    "product": lambda F, I, J, j: incidence_product_rule_holds(F, I, J),
+    "sum": lambda F, I, J, j: incidence_sum_rule_holds(F, I, J),
+    "exchange": incidence_exchange_rule_holds,
+}
+
+
+def _by_fractions(F, rule, I, J, j):
+    """The same relation in Fractions, from the public signed coordinates."""
+    I, J = frozenset(I), frozenset(J)
+    if rule == "exchange":
+        lhs = F.plucker(I) * plucker_plus(F, J, j)
+        return lhs == sum(plucker_minus_plus(F, I, i, j) * plucker_plus(F, J, i) for i in I)
+    rhs = sum(plucker_minus(F, I, i) * plucker_plus(F, J, i) for i in I)
+    return (F.plucker(I) * F.plucker(J) if rule == "product" else 0) == rhs
+
+
+def _random_relations(rng, n, count):
+    """`count` random instances of each relation on [n], as the plucker suite draws them."""
+    universe = range(1, n + 1)
+    for _ in range(count):
+        k = rng.randint(2, n - 1)
+        yield "product", rng.sample(universe, k), rng.sample(universe, k - 1), None
+        if n >= 4:
+            r = rng.randint(3, n - 1)
+            I, J = rng.sample(universe, r), rng.sample(universe, rng.randint(1, r - 2))
+            j = rng.choice([x for x in universe if x not in J])
+            yield "sum", I, J, None
+            yield "exchange", I, J, j
+
+
+def _every_relation(n):
+    subsets = [K for k in range(n + 1) for K in combinations(range(1, n + 1), k)]
+    for I, J in product(subsets, repeat=2):
+        if len(I) == len(J) + 1:
+            yield "product", I, J, None
+        elif len(I) - len(J) >= 2:
+            yield "sum", I, J, None
+            for j in range(1, n + 1):
+                if j not in J:
+                    yield "exchange", I, J, j
+
+
+def _rational_flag(rng, n):
+    """A flag on a random rational matrix (see `_random_rows`)."""
+    while True:
+        try:
+            return Flag(_random_rows(rng, n, n, rational=True))
+        except PreconditionError:
+            continue
 
 
 def _sequence_coordinate(F, seq):
@@ -512,7 +626,7 @@ class TestIntegerKernel:
         while len(flags) < 8:
             n = rng.randint(2, 5)
             try:
-                flags.append(Flag(matrix_from_rows(_random_rows(rng, n, n, rational=True))))
+                flags.append(Flag(_random_rows(rng, n, n, rational=True)))
             except PreconditionError:
                 continue
         for F in flags:
@@ -765,10 +879,12 @@ def _shift_sequences(u, v):
 
 def _assert_builders_agree(u, v, a):
     n = len(u)
-    slots, bounds = exactgeom._rank_plan(u, v, a, n)
+    slots, bounds, get = exactgeom._rank_plan(u, v, a, n)
     ref_slots, ref_bounds = oracles._rank_plan(u, v, a, n)
     assert len(slots) == len(ref_slots)
     assert set(zip(slots, bounds)) == set(zip(ref_slots, ref_bounds))
+    table = bytes(i % 251 for i in range((n + 1) * n * (n + 1)))
+    assert get(table) == tuple(table[s] for s in slots)
     off, ends = exactgeom._grassmann_plan(u, v, a, n)
     ref_off, ref_ends = oracles._grassmann_plan(u, v, a, n)
     assert sorted(off) == sorted(ref_off) and ends == ref_ends
@@ -821,8 +937,7 @@ def test_window_masks_match_the_brute_force_window(n):
 
 
 def test_equivalence_lists_each_window_once(monkeypatch):
-    for cached in (exactgeom._window_masks, exactgeom._grassmann_plan,
-                   exactgeom._rank_plan, exactgeom._sampler_caps):
+    for cached in (exactgeom._window_masks, exactgeom._plans, exactgeom._sampler_caps):
         cached.cache_clear()
     calls = []
 

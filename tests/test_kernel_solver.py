@@ -69,7 +69,7 @@ def test_nullspace_basis_refuses_rows_of_another_length(rows, ncols):
 
 def test_sampler_makes_fractions_only_for_the_finished_flag(monkeypatch):
     # one draw that needs no restart: n^2 entries over their denominators,
-    # and n^2 more as the Flag constructor takes them in
+    # which the Flag constructor reads as they are
     made = []
     make = Fraction.__new__
 
@@ -82,7 +82,7 @@ def test_sampler_makes_fractions_only_for_the_finished_flag(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     sample_in_open_stratum(u, v, 0)
     monkeypatch.undo()
-    assert len(made) == 2 * 5**2
+    assert len(made) == 5**2
 
 
 def test_sampler_caps_are_planned_once_per_pair():
@@ -91,6 +91,23 @@ def test_sampler_caps_are_planned_once_per_pair():
     assert suites.run_suite("equivalence", 4).ok
     info = exactgeom._sampler_caps.cache_info()
     assert (info.misses, info.hits) == (50, 200)
+
+
+def test_each_plan_checks_its_shift_sequence_once(monkeypatch):
+    # the rank and the per-column route read one plan per (u, v, a), checked once
+    calls = []
+    check = exactgeom.shift_leq
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(exactgeom, "shift_leq", counted)
+    exactgeom._plans.cache_clear()
+    assert suites.run_suite("equivalence", 4).ok
+    info = exactgeom._plans.cache_info()
+    assert info.misses > 0 and info.hits > 0
+    assert len(calls) == info.misses
 
 
 def test_plans_read_the_windows_without_checking_them_again(monkeypatch):
@@ -107,6 +124,6 @@ def test_plans_read_the_windows_without_checking_them_again(monkeypatch):
 
     monkeypatch.setattr(latticepath, "_check_pair", counted)
     exactgeom._window_masks.cache_clear()
-    exactgeom._grassmann_plan.__wrapped__(u, v, a, len(u))
+    exactgeom._grassmann_plan(u, v, a, len(u))
     exactgeom._sampler_caps.__wrapped__(u, v, a)
     assert len(checked) == len(u) - 1

@@ -20,6 +20,8 @@ from qbg.permcore import (
     reflection_ordering,
 )
 
+from qbg.qbgraph import edge_weight
+
 from oracles import inverse, shifted_less
 
 
@@ -96,6 +98,12 @@ class TestLengthAndTranspositions:
     def test_root_that_is_not_a_pair_of_ints(self, t):
         with pytest.raises(PreconditionError, match="is not a pair") as info:
             apply_transposition((1, 2, 3), t)
+        assert len(str(info.value)) < 120
+
+    @pytest.mark.parametrize("w", [(1,) * 20000, tuple(range(2, 9999))])
+    def test_long_non_permutation_is_quoted_in_part(self, w):
+        with pytest.raises(PreconditionError, match="not a permutation of") as info:
+            edge_weight(w, (1, 2))
         assert len(str(info.value)) < 120
 
     @pytest.mark.parametrize("n", [2, 3, 4])
