@@ -11,6 +11,7 @@ from .errors import ParseError, QbgError, ResourceLimitError, SamplingError
 from .permcore import (
     Perm,
     _excerpt,
+    coxeter_length,
     format_permutation,
     identity,
     longest_element,
@@ -77,14 +78,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     u, v = _perm_pair(args.u, args.v, None)
-    if args.mode in ("formula", "both"):
-        ell = qbgraph.graph_distance(u, v)
-        weight = qbgraph.formula_weight(u, v)
     if args.mode in ("oracle", "both"):
-        g = qbgraph.build_graph(len(u))
-        ell_o, weight_o = qbgraph.oracle_distance(g, u, v)
-        if args.mode == "oracle":
-            ell, weight = ell_o, weight_o
+        # the graph checks n <= MAX_GRAPH_N before the formula is computed
+        ell_o, weight_o = qbgraph.oracle_distance(qbgraph._graph_on_demand(len(u)), u, v)
+    if args.mode == "oracle":
+        ell, weight = ell_o, weight_o
+    else:
+        weight = qbgraph.formula_weight(u, v)
+        # graph_distance's closed form, on the weight already in hand
+        ell = coxeter_length(v) - coxeter_length(u) + 2 * sum(weight)
     line = f"ell={ell} weight={qbgraph.monomial_str(weight)}"
     if args.mode == "both":
         agree = "yes" if (ell, weight) == (ell_o, weight_o) else "no"
@@ -101,7 +103,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_interval(args: argparse.Namespace) -> int:
     u, v = _perm_pair(args.u, args.v, args.n)
-    g = qbgraph.build_graph(len(u))
+    g = qbgraph._graph_on_demand(len(u))
     ti = tiltedorder.interval(u, v, g)
     if args.hasse:
         _emit(tiltedorder.hasse_export(ti, g, args.format), args.out)

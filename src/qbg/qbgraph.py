@@ -10,12 +10,16 @@ a pair of permutations are provided: breadth-first search on the built
 graph (the oracle) and the closed-form prefix-depth formula, which needs
 no graph at all.  The built graph stores each edge once, and every question
 about shortest u -> v walks (the oracle, intervals, weight sets) reads one
-BFS from u; the weight sets take it from their caller.
+BFS from u; the weight sets take it from their caller.  The oracle and
+intervals stop that BFS once v is reached, so on a graph whose rows are
+scanned on first read (`_graph_on_demand`, what the one-query commands
+use) they scan only the rows of vertices nearer to u than v.
 
 The edge set is derived twice, by code that shares nothing: `_edge_exps`
-applies the length rule to one root, and `build_graph` runs `_out_edges`,
-one scan per position, which writes each vertex's finished adjacency row
-of neighbour indices; the tests pin the two against each other.
+applies the length rule to one root, and `_out_edges`, one scan per
+position, writes each vertex's finished adjacency row of neighbour
+indices, for every vertex in `build_graph` and for each row on its first
+read in `_graph_on_demand`; the tests pin the two against each other.
 
 Label-increasing paths (Brenti-Fomin-Postnikov: one per pair and
 reflection ordering, a shortest one) are enumerated, not assumed unique:
@@ -45,6 +49,8 @@ Adjacency = tuple[Row, ...]
 
 #: Largest n for which a full graph is built (5040 vertices, 56,196 edges).
 MAX_GRAPH_N = 7
+
+_neighbour = itemgetter(0)  # of an out-edge (neighbour index, root, exps)
 
 
 def zero_exponent(n: int) -> QExponent:
@@ -161,16 +167,42 @@ def _out_edges(w: Perm, n: int, index: Mapping[Perm, int]) -> Row:
     return tuple(out)
 
 
+class _Rows(dict):
+    """
+    The `out_adj` of a graph whose rows are scanned on first read: row x is
+    `_out_edges(vertices[x], n, index)`, stored when x is first indexed.  A
+    row is a pure function of x, so two threads that fill one row write
+    equal tuples.  Iterating fills and yields every row in index order, as
+    iterating a built graph's tuple does, so no reader that walks all rows
+    sees a part-filled graph.  It holds the graph's vertices and index,
+    never the graph: a reference back would make a cycle, and each graph
+    would then wait for the cyclic garbage collector.
+    """
+    __slots__ = ("_vertices", "_n", "_index")
+
+    def __init__(self, vertices: tuple[Perm, ...], n: int, index: dict[Perm, int]):
+        super().__init__()
+        self._vertices, self._n, self._index = vertices, n, index
+
+    def __missing__(self, x: int) -> Row:
+        row = self[x] = _out_edges(self._vertices[x], self._n, self._index)
+        return row
+
+    def __iter__(self) -> Iterator[Row]:
+        return map(self.__getitem__, range(len(self._vertices)))
+
+
 class QuantumBruhatGraph:
     """
-    Immutable after construction.  Vertices are all of S_n in lexicographic
-    order and `index` maps each to its position.  Adjacency is one index
-    array: out_adj[i] holds (j, root, exps) for every edge i -> j, sorted
-    by neighbour index; `_geodesic_marks` finds shortest walks on it.
-    QbgEdge values are made only on demand (all_edges).  `build_graph`
-    writes the rows straight from its scan; this constructor takes any
-    edge list on S_n, n in 1..MAX_GRAPH_N, and keeps repeated targets in
-    their given order.
+    Immutable after construction, apart from rows filled on first read.
+    Vertices are all of S_n in lexicographic order and `index` maps each to
+    its position.  Adjacency is one index array: out_adj[i] holds
+    (j, root, exps) for every edge i -> j, sorted by neighbour index;
+    `_geodesic_marks` finds shortest walks on it.  QbgEdge values are made
+    only on demand (all_edges).  `build_graph` writes the rows straight
+    from its scan, and `_graph_on_demand` scans each row when it is first
+    read; this constructor takes any edge list on S_n, n in
+    1..MAX_GRAPH_N, and keeps repeated targets in their given order.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[Perm, Perm, Root, QExponent]]):
@@ -208,17 +240,7 @@ class QuantumBruhatGraph:
     def distance_vector_from(self, u: Perm) -> list[int]:
         """BFS distances from u, indexed by vertex index (-1: unreachable)."""
         _check_vertices(self, u)
-        start = self.index[u]
-        dist = [-1] * len(self.vertices)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _, _ in self.out_adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+        return _bfs(self, self.index[u])
 
 
 def build_graph(n: int) -> QuantumBruhatGraph:
@@ -238,6 +260,20 @@ def build_graph(n: int) -> QuantumBruhatGraph:
     return g
 
 
+def _graph_on_demand(n: int) -> QuantumBruhatGraph:
+    """
+    The quantum Bruhat graph on S_n with each row scanned by `_out_edges`
+    when it is first read, for one query that reads few rows: the oracle
+    or `interval` from u reads only rows nearer to u than v.  Equal to
+    `build_graph(n)` under every reader; n is checked before any vertex is
+    listed.
+    """
+    g = QuantumBruhatGraph.__new__(QuantumBruhatGraph)
+    index = g._list_vertices(n)
+    g.out_adj = _Rows(g.vertices, n, index)
+    return g
+
+
 def _check_graph_n(n: int) -> None:
     if n < 1:
         raise PreconditionError(f"graphs are built for n >= 1, got n = {n}")
@@ -253,21 +289,55 @@ def _check_vertices(g: QuantumBruhatGraph, *perms: Perm) -> None:
             raise PreconditionError(f"{w} is not a vertex of the graph on S_{g.n}") from None
 
 
+def _bfs(g: QuantumBruhatGraph, start: int, end: int | None = None) -> list[int]:
+    """
+    BFS distances from vertex index `start`, indexed by vertex index (-1:
+    not reached).  With an `end`, the search stops as soon as `end` is
+    reached.  Every layer nearer than `end`'s is complete by then, and
+    those are all that `_geodesic_marks` reads, so the rows of vertices at
+    `end`'s distance or beyond are never read.  An unreachable `end` is
+    left at -1.
+    """
+    rows = g.out_adj
+    dist = [-1] * len(g.vertices)
+    dist[start] = 0
+    if start == end:
+        return dist
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        step = dist[x] + 1
+        for y, _, _ in rows[x]:
+            if dist[y] < 0:
+                dist[y] = step
+                if y == end:
+                    return dist
+                queue.append(y)
+    return dist
+
+
 def _geodesic_marks(g: QuantumBruhatGraph, dist: list[int], end: int) -> list[bool]:
     """
     Which vertices lie on a shortest walk from the source to vertex index
-    `end`, given the source's BFS distances `dist`.  Worked back from the
-    far end over out-edges: x is marked when an out-neighbour one step
-    further from the source is marked.
+    `end`, given the source's BFS distances `dist`, complete at least for
+    every vertex nearer than `end`.  Worked back from the far end over
+    out-edges, one BFS layer at a time: x is marked when an out-neighbour
+    is among the marked vertices one layer further from the source.
     """
     total = dist[end]
     if total < 0:
         raise InternalInvariantError("graph is not strongly connected")
+    layers: list[list[int]] = [[] for _ in range(total)]
+    for x, d in enumerate(dist):
+        if 0 <= d < total:
+            layers[d].append(x)
     marks = [False] * len(dist)
     marks[end] = True
-    nearer = sorted((x for x, d in enumerate(dist) if 0 <= d < total), key=dist.__getitem__)
-    for x in reversed(nearer):
-        marks[x] = any(marks[y] and dist[y] == dist[x] + 1 for y, _, _ in g.out_adj[x])
+    rows, ahead = g.out_adj, {end}
+    for layer in reversed(layers):
+        ahead = {x for x in layer if not ahead.isdisjoint(map(_neighbour, rows[x]))}
+        for x in ahead:
+            marks[x] = True
     return marks
 
 
@@ -278,10 +348,11 @@ def oracle_distance(g: QuantumBruhatGraph, u: Perm, v: Perm) -> tuple[int, QExpo
     one (by successor one-line notation): each step takes the first
     out-neighbour one step further from u that is on a shortest walk to v.
     All shortest paths share one weight, tested separately, not assumed.
+    The BFS stops once v is reached.
     """
-    dist = g.distance_vector_from(u)
-    _check_vertices(g, v)
+    _check_vertices(g, u, v)
     end = g.index[v]
+    dist = _bfs(g, g.index[u], end)
     marks = _geodesic_marks(g, dist, end)
     length = dist[end]
     exps = zero_exponent(g.n)

@@ -25,7 +25,7 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .latticepath import _check_perms, _gale_leq, _pair_table, _prefix_masks, _prefix_paths
 from .permcore import Perm, format_permutation
 from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record, monomial_str
-from .qbgraph import _check_format, _check_vertices, _geodesic_marks, _json_list
+from .qbgraph import _bfs, _check_format, _check_vertices, _geodesic_marks, _json_list
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -149,10 +149,12 @@ class TiltedInterval(NamedTuple):
 
 def interval(u: Perm, v: Perm, g: QuantumBruhatGraph) -> TiltedInterval:
     """[u, v] computed from the graph, with rank(w) = l(u, w): the vertices
-    on a shortest u -> v walk, read off one BFS from u."""
-    dist_from_u = g.distance_vector_from(u)
-    _check_vertices(g, v)
-    on_walk = _geodesic_marks(g, dist_from_u, g.index[v])
+    on a shortest u -> v walk, read off one BFS from u that stops once v
+    is reached."""
+    _check_vertices(g, u, v)
+    end = g.index[v]
+    dist_from_u = _bfs(g, g.index[u], end)
+    on_walk = _geodesic_marks(g, dist_from_u, end)
     rank = {w: d for w, d, on in zip(g.vertices, dist_from_u, on_walk) if on}
     return TiltedInterval(u, v, frozenset(rank), rank)
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qbg import cli
+from qbg import cli, qbgraph
 from qbg.cli import MAX_CLI_N, MAX_MATRIX_BYTES, main
 from qbg.errors import ResourceLimitError
 from qbg.exactgeom import (
@@ -106,6 +106,60 @@ class TestDist:
         code, _, _ = run(capsys, *args)
         assert code == 0
         assert seen == parsed
+
+    @pytest.mark.parametrize("mode, calls", [([], 1), (["--both"], 1), (["--oracle"], 0)])
+    def test_the_formula_is_computed_once(self, capsys, monkeypatch, mode, calls):
+        formula, seen = qbgraph.formula_weight, []
+
+        def counted(u, v):
+            seen.append((u, v))
+            return formula(u, v)
+
+        monkeypatch.setattr(qbgraph, "formula_weight", counted)
+        code, out, _ = run(capsys, "dist", "7364152", "2513746", *mode)
+        assert code == 0
+        assert out.startswith("ell=7 weight=q1*q2*q3^2*q4^2*q5*q6")
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("mode", ["--both", "--oracle"])
+    def test_graph_bound_refused_before_the_formula(self, capsys, monkeypatch, mode):
+        def no_formula(u, v):
+            raise AssertionError("the formula ran before the graph bound was checked")
+
+        monkeypatch.setattr(qbgraph, "formula_weight", no_formula)
+        code, out, err = run(capsys, "dist", "12345678", "87654321", mode)
+        assert (code, out) == (2, "")
+        assert "bounded at n <= 7" in err
+
+
+# a pair at distance 1, and one at distance 7 whose nearer vertices are 2,258 of 5,040
+@pytest.mark.parametrize("u_text, v_text", [("1234567", "2134567"), ("7364152", "2513746")])
+@pytest.mark.parametrize("command, reads_v", [
+    (["interval"], False),
+    (["interval", "--hasse", "--format", "json"], True),
+    (["dist", "--both"], False),
+    (["dist", "--oracle"], False),
+])
+def test_a_graph_query_scans_only_rows_nearer_than_v(capsys, monkeypatch, u_text, v_text,
+                                                      command, reads_v):
+    """`interval` and the BFS oracle scan the rows of the vertices nearer to
+    u than v, each once; the Hasse diagram also reads v's row."""
+    u, v = parse_permutation(u_text), parse_permutation(v_text)
+    built = qbgraph.build_graph(7)
+    dist = built.distance_vector_from(u)
+    d = dist[built.index[v]]
+    nearer = [w for w, e in zip(built.vertices, dist) if e < d]
+    scan, scanned = qbgraph._out_edges, []
+
+    def counted(w, n, index):
+        scanned.append(w)
+        return scan(w, n, index)
+
+    monkeypatch.setattr(qbgraph, "_out_edges", counted)
+    code, out, _ = run(capsys, command[0], u_text, v_text, *command[1:])
+    assert code == 0 and out
+    assert sorted(scanned) == sorted(nearer + [v] * reads_v)
+    assert len(scanned) < len(built.vertices) // 2
 
 
 class TestGraph:

@@ -1,6 +1,10 @@
+import gc
 import hashlib
 import json
 import random
+import sys
+import threading
+import weakref
 from collections import deque
 from math import comb
 
@@ -367,6 +371,116 @@ class TestRepresentation:
             with pytest.raises(InternalInvariantError, match="not strongly connected"):
                 route(g, (1, 3, 2), (1, 2, 3))
 
+    def test_an_end_the_bfs_runs_out_before_is_refused(self):
+        """The BFS from 123 reaches 132, 312 and 321 and runs out of vertices
+        without finding 213."""
+        edges = [((1, 2, 3), (1, 3, 2), (2, 3), (0, 0)), ((1, 3, 2), (3, 1, 2), (1, 2), (0, 0)),
+                 ((3, 1, 2), (3, 2, 1), (2, 3), (0, 0)), ((3, 2, 1), (1, 2, 3), (1, 3), (1, 1))]
+        g = qbgraph.QuantumBruhatGraph(3, edges)
+        for route in (oracle_distance, lambda g, u, v: interval(u, v, g)):
+            with pytest.raises(InternalInvariantError, match="not strongly connected"):
+                route(g, (1, 2, 3), (2, 1, 3))
+
+
+# every pair for n <= 5, seeded pairs at n = 6 and 7
+ON_DEMAND_SIZES = [(1, None), (2, None), (3, None), (4, None), (5, None), (6, 60), (7, 12)]
+
+
+def _queries(g, u, v):
+    ti = interval(u, v, g)
+    return ti, oracle_distance(g, u, v), hasse_export(ti, g, "dot"), hasse_export(ti, g, "json")
+
+
+class TestRowsOnDemand:
+    """A graph whose rows are scanned on first read answers every query as
+    the built graph does, and a query from u to v reads only the rows of
+    vertices nearer to u than v."""
+
+    @pytest.mark.parametrize("n, count", ON_DEMAND_SIZES)
+    def test_queries_match_the_built_graph(self, n, count):
+        built = build_graph(n)
+        for u, v in _pairs(built, count):
+            assert _queries(qbgraph._graph_on_demand(n), u, v) == _queries(built, u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_iterating_readers_never_see_a_part_filled_graph(self, n):
+        built = build_graph(n)
+        g = qbgraph._graph_on_demand(n)
+        interval(g.vertices[0], g.vertices[min(1, n - 1)], g)  # fills one row
+        ordering = reflection_ordering(next(iter(reduced_words_of_longest(n))))
+        assert g.edge_count() == built.edge_count()
+        assert list(g.all_edges()) == list(built.all_edges())
+        for fmt in ("dot", "json"):
+            assert export_graph(g, fmt) == export_graph(built, fmt)
+        assert list(increasing_path_lengths(g, ordering)) == list(
+            increasing_path_lengths(built, ordering))
+        assert tuple(g.out_adj) == built.out_adj
+
+    def test_a_query_reads_only_the_rows_nearer_than_its_end(self, monkeypatch):
+        built = build_graph(7)
+        scan, scanned = qbgraph._out_edges, []
+
+        def counted(w, n, index):
+            scanned.append(w)
+            return scan(w, n, index)
+
+        monkeypatch.setattr(qbgraph, "_out_edges", counted)
+        near = ((1, 2, 3, 4, 5, 6, 7), (2, 1, 3, 4, 5, 6, 7))
+        pairs = [(near[0], near[0]), near, *_pairs(built, 12)]
+        for u, v in pairs:
+            dist = built.distance_vector_from(u)
+            d = dist[built.index[v]]
+            nearer = {w for w, e in zip(built.vertices, dist) if e < d}
+            for route in (oracle_distance, lambda g, u, v: interval(u, v, g)):
+                scanned.clear()
+                route(qbgraph._graph_on_demand(7), u, v)
+                assert sorted(scanned) == sorted(nearer)  # each row once, and only those
+        assert len(nearer) < len(built.vertices)
+        scanned.clear()
+        interval(*near, qbgraph._graph_on_demand(7))
+        assert scanned == [near[0]]  # a near pair reads one row of 5,040
+
+    def test_a_graph_is_freed_without_the_cyclic_collector(self):
+        """The row store holds no reference back to its graph, so dropping
+        the last reference frees the graph at once, rows and all."""
+        gc.disable()
+        try:
+            g = qbgraph._graph_on_demand(5)
+            interval((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), g)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_threads_filling_one_graph_agree(self):
+        built = build_graph(6)
+        pairs = _pairs(built, 20)
+        expected = [interval(u, v, built) for u, v in pairs]
+        shared = qbgraph._graph_on_demand(6)
+        barrier = threading.Barrier(6, timeout=60)
+        results = [None] * 6
+
+        def worker(i):
+            barrier.wait()
+            order = pairs[::-1] if i % 2 else pairs
+            found = {(u, v): interval(u, v, shared) for u, v in order}
+            results[i] = [found[pair] for pair in pairs]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == expected for r in results)
+        assert tuple(shared.out_adj) == built.out_adj
+
 
 class TestDistances:
     def test_oracle_example(self):
@@ -385,6 +499,19 @@ class TestDistances:
         for u, v in [(bad, (2, 1, 3)), ((2, 1, 3), bad)]:
             with pytest.raises(PreconditionError, match="not a vertex"):
                 oracle_distance(g, u, v)
+
+    @pytest.mark.parametrize("bad", [(1, 2), [1, 2, 3]])
+    def test_both_endpoints_are_checked_before_the_bfs(self, monkeypatch, bad):
+        def no_bfs(*args):
+            raise AssertionError("the BFS ran before the endpoints were checked")
+
+        monkeypatch.setattr(qbgraph, "_bfs", no_bfs)
+        monkeypatch.setattr(tiltedorder, "_bfs", no_bfs)
+        g = build_graph(3)
+        for u, v in [(bad, (2, 1, 3)), ((2, 1, 3), bad)]:
+            for route in (oracle_distance, lambda g, u, v: interval(u, v, g)):
+                with pytest.raises(PreconditionError, match="not a vertex"):
+                    route(g, u, v)
 
     def test_weight_sets_find_the_source_by_its_distance(self):
         """Unreachable vertices carry distance -1 and sort before the source,
