@@ -1,5 +1,13 @@
 """Command-line front end.  Subcommands: dist, graph, interval, diagram,
-stratify, sample, verify.  All reports are deterministic given --seed."""
+stratify, sample, verify.  All reports are deterministic given --seed.
+
+One table, `_COMMANDS`, holds each subcommand's help line and the function
+that adds its arguments and handler.  When the first argument names a
+command, `main` builds that command's parser alone (`qbg dist`, as the full
+tree would name it), so a run pays for its own options only.  The full tree
+of `build_parser()` is built from the same table, and is kept for what
+argparse reports at the top level: `qbg -h`, a missing or unknown command,
+and arguments the command leaves unrecognised."""
 from __future__ import annotations
 
 import argparse
@@ -77,7 +85,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    u, v = _perm_pair(args.u, args.v, None)
+    u, v = _perm_pair(args.u, args.v, args.n)
     if args.mode in ("oracle", "both"):
         # the graph checks n <= MAX_GRAPH_N before the formula is computed
         ell_o, weight_o = qbgraph.oracle_distance(qbgraph._graph_on_demand(len(u)), u, v)
@@ -206,29 +214,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qbg",
-        description="Quantum Bruhat graph computations and tilted Richardson geometry",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="minimal path length and weight between two permutations")
+def _dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("u")
     p.add_argument("v")
+    p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--formula", dest="mode", action="store_const", const="formula")
     mode.add_argument("--oracle", dest="mode", action="store_const", const="oracle")
     mode.add_argument("--both", dest="mode", action="store_const", const="both")
     p.set_defaults(mode="formula", func=cmd_dist)
 
-    p = sub.add_parser("graph", help="export the full graph")
+
+def _graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("interval", help="members of a tilted Bruhat interval")
+
+def _interval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
@@ -237,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_interval)
 
-    p = sub.add_parser("diagram", help="tilted Rothe diagrams and their equations")
+
+def _diagram_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
@@ -247,14 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagram)
 
-    p = sub.add_parser("stratify", help="locate the stratum containing a flag")
+
+def _stratify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
     p.set_defaults(func=cmd_stratify)
 
-    p = sub.add_parser("sample", help="sample a flag in an open stratum")
+
+def _sample_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
@@ -262,19 +269,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", help="run a named invariant suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=5)
     p.set_defaults(func=cmd_verify)
 
+
+#: Each subcommand's help line and the function that adds its arguments and
+#: handler, in the order `qbg -h` lists them.  Both parsers read this table.
+_COMMANDS = {
+    "dist": ("minimal path length and weight between two permutations", _dist_args),
+    "graph": ("export the full graph", _graph_args),
+    "interval": ("members of a tilted Bruhat interval", _interval_args),
+    "diagram": ("tilted Rothe diagrams and their equations", _diagram_args),
+    "stratify": ("locate the stratum containing a flag", _stratify_args),
+    "sample": ("sample a flag in an open stratum", _sample_args),
+    "verify": ("run a named invariant suite", _verify_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qbg",
+        description="Quantum Bruhat graph computations and tilted Richardson geometry",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone; fall back to the full
+    tree, which prints the top-level usage and errors, when argv names no
+    command or leaves arguments unrecognised."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        parser = argparse.ArgumentParser(prog=f"qbg {argv[0]}")
+        entry[1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except UsageError as exc:

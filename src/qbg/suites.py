@@ -23,7 +23,7 @@ as a bitset.  Every route still decides every instance.
 
 Each suite records what fails in a `_Findings` and returns its body, which
 prints the full counts.  `run_suite` checks n and the sample count against
-`LIMITS` and `MAX_SAMPLES` before it calls the suite, and alone decides the
+`LIMITS`, 0 and `MAX_SAMPLES` before it calls the suite, and alone decides the
 SuiteResult: PASS when nothing failed, and as details the first five notes
 and then the first ten failure messages, so a failing run holds at most
 fifteen strings at any n.
@@ -764,6 +764,8 @@ def run_suite(name: str, n: int | None = None, seed: int = 0, samples: int = 5) 
         raise PreconditionError(f"suite {name} needs n >= {least}, got {n}")
     if n > most:
         raise ResourceLimitError(f"suite {name} is bounded at n <= {most}")
+    if samples < 0:
+        raise PreconditionError(f"suites need samples >= 0, got {samples}")
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"suites are bounded at samples <= {MAX_SAMPLES}, got {samples}")
     found = _Findings()

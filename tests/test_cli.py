@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -491,3 +493,85 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--suite", "stratify", "--n", "3", "--seed", "1")
         _, second, _ = run(capsys, "verify", "--suite", "stratify", "--n", "3", "--seed", "1")
         assert first == second
+
+
+def test_dist_n_sizes_the_shorthands(capsys):
+    assert run(capsys, "dist", "id", "w0", "--n", "3") == (0, "ell=3 weight=1\n", "")
+    code, out, err = run(capsys, "dist", "123", "w0", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --n 4 contradicts a permutation of size 3\n"
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "321"],
+    *([name, "-h"] for name in
+      ("dist", "graph", "interval", "diagram", "stratify", "sample", "verify")),
+    ["dist", "312"],
+    ["dist", "312", "231", "extra"],
+    ["dist", "312", "231", "--zzz"],
+    ["dist", "312", "231", "--oracle", "--both"],
+    ["dist", "312", "231", "--bo"],
+    ["graph", "--n", "3", "--format", "xml"],
+    ["verify", "--suite", "distance", "--n", "x"],
+    ["dist", "--", "312", "231"],
+    ["dist", "312", "--", "231"],
+    ["interval", "132", "321", "--hasse", "--format", "json"],
+    ["diagram", "4321", "3142", "--a", "4,4,2"],
+], ids=" ".join)
+def test_one_command_parser_matches_the_full_tree(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr are those of the full tree's route."""
+    fast = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert fast == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "321", "213"],
+    ["dist", "id", "w0", "--n", "3", "--bo"],
+    ["dist", "--", "312", "231"],
+    ["graph", "--n=2", "--form", "json", "--out", "g.json"],
+    ["interval", "132", "321", "--hasse"],
+    ["diagram", "4321", "3142", "--x", "4312", "--json"],
+    ["stratify", "--matrix", "f.mat", "--u", "id", "--v", "w0", "--n", "3"],
+    ["sample", "--u", "4321", "--v", "3142", "--seed", "1", "--out", "f.mat"],
+    ["verify", "--suite", "tilted", "--samples", "0"],
+], ids=" ".join)
+def test_one_command_parser_reads_the_full_trees_namespace(argv):
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert vars(cli._parse(argv)) == full
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser(capsys, parsers_built):
+    assert run(capsys, "dist", "321", "213") == (0, "ell=2 weight=q1*q2\n", "")
+    assert parsers_built == ["qbg dist"]
+
+
+def test_the_console_script_reads_sys_argv(capsys, monkeypatch, parsers_built):
+    """The `qbg` script calls main() with no argument."""
+    monkeypatch.setattr(sys, "argv", ["qbg", "dist", "321", "213"])
+    assert main() == 0
+    assert capsys.readouterr().out == "ell=2 weight=q1*q2\n"
+    assert parsers_built == ["qbg dist"]

@@ -139,6 +139,20 @@ def test_suites_refuse_more_samples_than_the_bound(capsys, name):
     assert f"samples <= {suites.MAX_SAMPLES}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_suites_refuse_a_negative_sample_count_before_work(capsys, monkeypatch, name):
+    """--samples -7 once ran as the suite's least sample count."""
+    def no_work(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(suites.SUITES, name, (no_work, suites.SUITES[name][1]))
+    with pytest.raises(PreconditionError, match="samples >= 0, got -7"):
+        suites.run_suite(name, None, 0, -7)
+    assert main(["verify", "--suite", name, "--samples", "-7"]) == 2
+    assert capsys.readouterr().err == "error: suites need samples >= 0, got -7\n"
+    with pytest.raises(AssertionError, match="the suite ran"):
+        suites.run_suite(name, None, 0, 0)
+
 def test_every_default_size_lies_in_its_range():
     assert suites.LIMITS.keys() == suites.SUITES.keys()
     for name, (_, default_n) in suites.SUITES.items():
