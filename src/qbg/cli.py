@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from typing import Iterable
 
 from . import diagrams, exactgeom, qbgraph, suites, tiltedorder
 from .errors import ParseError, QbgError, ResourceLimitError, SamplingError
@@ -77,11 +77,16 @@ def _perm_pair(u_text: str, v_text: str, n_flag: int | None) -> tuple[Perm, Perm
     return u, v
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write the text, or its pieces in order as they come, to the file
+    `out` (UTF-8) or to stdout.  The file is opened before the first piece
+    is taken."""
+    pieces = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -104,8 +109,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    g = qbgraph.build_graph(args.n)
-    _emit(qbgraph.export_graph(g, args.format), args.out)
+    """Check n, list S_n, open the output, then write each row's piece of
+    the export as `_out_edges` scans it: no graph, row list or whole text
+    is held, and a refused n or an unwritable --out costs no scan."""
+    n = args.n
+    vertices, index = qbgraph._vertex_index(n)
+    rows = (qbgraph._out_edges(w, n, index) for w in vertices)
+    _emit(qbgraph._export_chunks(n, vertices, rows, args.format), args.out)
     return 0
 
 

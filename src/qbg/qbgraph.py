@@ -21,6 +21,12 @@ position, writes each vertex's finished adjacency row of neighbour
 indices, for every vertex in `build_graph` and for each row on its first
 read in `_graph_on_demand`; the tests pin the two against each other.
 
+The exports are written by one generator, `_export_chunks`, one piece per
+row: `export_graph` joins its pieces over a graph's rows, and the `graph`
+command writes them as `_out_edges` scans each row, keeping no graph and
+no row once it is written (a traced peak under 2 MB at n = 7, in both
+formats).
+
 Label-increasing paths (Brenti-Fomin-Postnikov: one per pair and
 reflection ordering, a shortest one) are enumerated, not assumed unique:
 `increasing_path_lengths` labels the rows once per ordering and keeps each
@@ -219,12 +225,10 @@ class QuantumBruhatGraph:
         self.out_adj: Adjacency = tuple(tuple(sorted(r, key=itemgetter(0))) for r in out)
 
     def _list_vertices(self, n: int) -> dict[Perm, int]:
-        """Check n, then set n, the vertices and their index, and return the
-        index: the setup `build_graph` shares with the constructor."""
-        _check_graph_n(n)
+        """Set n, the vertices and their index (`_vertex_index`), and return
+        the index: the setup `build_graph` shares with the constructor."""
         self.n = n
-        self.vertices: tuple[Perm, ...] = tuple(all_permutations(n))
-        self.index: dict[Perm, int] = {w: i for i, w in enumerate(self.vertices)}
+        self.vertices, self.index = _vertex_index(n)
         return self.index
 
     def edge_count(self) -> int:
@@ -272,6 +276,14 @@ def _graph_on_demand(n: int) -> QuantumBruhatGraph:
     index = g._list_vertices(n)
     g.out_adj = _Rows(g.vertices, n, index)
     return g
+
+
+def _vertex_index(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    """Check n, then list S_n in lexicographic order and map each vertex to
+    its position: the setup of every graph and of the `graph` command."""
+    _check_graph_n(n)
+    vertices = tuple(all_permutations(n))
+    return vertices, {w: i for i, w in enumerate(vertices)}
 
 
 def _check_graph_n(n: int) -> None:
@@ -535,29 +547,54 @@ def edge_record(source: str, target: str, root: Root, exps: QExponent) -> str:
             f'      "source": {source},\n      "target": {target}\n    }}')
 
 
+class _Monomials(dict):
+    """Monomial text by exponent tuple, each formatted on its first lookup."""
+    __slots__ = ()
+
+    def __missing__(self, exps: QExponent) -> str:
+        text = self[exps] = monomial_str(exps)
+        return text
+
+
 def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
     """
     DOT: one node per permutation (one-line label) and a "weight" edge
     attribute holding the monomial text.  JSON: schema documented in the
     README ({"n", "vertices", "edges": [{"source","target","root","exps"}]}).
-    Each vertex label and each distinct monomial is formatted once.
+    The text is `_export_chunks` over g's rows, joined; the `graph` command
+    writes those chunks as they come instead, with no graph built.
     """
     _check_format(fmt)
-    labels = [format_permutation(w) for w in g.vertices]
+    return "".join(_export_chunks(g.n, g.vertices, g.out_adj, fmt))
+
+
+def _export_chunks(n: int, vertices: Sequence[Perm], rows: Iterable[Row],
+                   fmt: str) -> Iterator[str]:
+    """
+    The export of the graph on S_n in `fmt` ("dot" or "json", unchecked) in
+    pieces: the header (with the vertex lines in DOT), then one piece per
+    row of `rows`, taken one at a time in vertex order and kept by no one
+    once its piece is yielded, then the footer (with the vertex list in
+    JSON).  Each vertex label and each distinct monomial is formatted once.
+    """
+    labels = [format_permutation(w) for w in vertices]
     if fmt == "dot":
-        weights: dict[QExponent, str] = {}
-        lines = ["digraph qbg {", *(f'  "{label}";' for label in labels)]
-        for source, row in zip(labels, g.out_adj):
-            for j, _, exps in row:
-                weight = weights.get(exps) or weights.setdefault(exps, monomial_str(exps))
-                lines.append(edge_dot(source, labels[j], weight))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        weights = _Monomials()
+        yield "".join(["digraph qbg {\n", *(f'  "{label}";\n' for label in labels)])
+        for source, row in zip(labels, rows):
+            yield "".join([f"{edge_dot(source, labels[j], weights[exps])}\n" for j, _, exps in row])
+        yield "}\n"
+        return
     quoted = list(map(json.dumps, labels))
-    edges = [edge_record(source, quoted[j], root, exps)
-             for source, row in zip(quoted, g.out_adj) for j, root, exps in row]
-    return (f'{{\n  "edges": {_json_list(edges)},\n  "n": {json.dumps(g.n)},\n'
-            f'  "vertices": {_json_list([f"    {q}" for q in quoted])}\n}}\n')
+    yield '{\n  "edges": '
+    sep, close = "[\n", "[]"  # the edge list's opening and closing, as `_json_list` writes them
+    for source, row in zip(quoted, rows):
+        if row:
+            yield sep + ",\n".join([edge_record(source, quoted[j], root, exps)
+                                    for j, root, exps in row])
+            sep, close = ",\n", "\n  ]"
+    yield (f'{close},\n  "n": {json.dumps(n)},\n'
+           f'  "vertices": {_json_list([f"    {q}" for q in quoted])}\n}}\n')
 
 
 def _check_format(fmt: str) -> None:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, _gale_leq, _pair_table, _prefix_masks, _prefix_paths
 from .permcore import Perm, format_permutation
-from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record, monomial_str
-from .qbgraph import _bfs, _check_format, _check_vertices, _geodesic_marks, _json_list
+from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
+from .qbgraph import _bfs, _check_format, _check_vertices, _geodesic_marks, _json_list, _Monomials
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -177,20 +177,22 @@ def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
 
 
 def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
-    """DOT (rank-grouped) or JSON rendering of the interval's diagram in g."""
+    """DOT (rank-grouped) or JSON rendering of the interval's diagram in g.
+    Each label and each distinct monomial is formatted once, and the
+    members are grouped by rank in one pass."""
     _check_format(fmt)
     edges = cover_edges(g, ti.rank)
     members = sorted(ti.members)
     labels = {w: format_permutation(w) for w in members}
     if fmt == "dot":
-        lines = ["digraph hasse {", "  rankdir=BT;"]
-        for r in range(ti.length + 1):
-            names = " ".join(f'"{labels[w]}";' for w in members if ti.rank[w] == r)
-            lines.append(f"  {{ rank=same; {names} }}")
-        lines.extend(
-            edge_dot(labels[e.source], labels[e.target], monomial_str(e.exps)) for e in edges
-        )
-        lines.append("}")
+        by_rank: list[list[str]] = [[] for _ in range(ti.length + 1)]
+        for w in members:
+            by_rank[ti.rank[w]].append(f'"{labels[w]}";')
+        weights = _Monomials()
+        lines = ["digraph hasse {", "  rankdir=BT;",
+                 *(f"  {{ rank=same; {' '.join(names)} }}" for names in by_rank),
+                 *(edge_dot(labels[e.source], labels[e.target], weights[e.exps]) for e in edges),
+                 "}"]
         return "\n".join(lines) + "\n"
     quoted = {w: json.dumps(labels[w]) for w in members}
     ranks = [f'    {{\n      "perm": {quoted[w]},\n      "rank": {ti.rank[w]}\n    }}'

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 from itertools import combinations, product
 
 import pytest
 
+from qbg import qbgraph
 from qbg.errors import InternalInvariantError, PreconditionError
 from qbg.latticepath import _pair_table, depth, shifted_gale_leq, valid_shifts
 from qbg.permcore import (
@@ -440,3 +442,40 @@ class TestHasse:
         ti = interval((1, 3, 2), (3, 2, 1), g3)
         for e in cover_edges(g3, ti.rank):
             assert edge_weight(e.source, e.root) == e.exps
+
+    # sha256 of the exports as written when each cover edge formatted its own monomial
+    @pytest.mark.parametrize("u, v, fmt, digest", [
+        ("463152", "215634", "dot",
+         "58473a7c67e36b3d1e62ba8e38732b5b2d3370593876d85512b324bbb743b272"),
+        ("463152", "215634", "json",
+         "56adf28e61fefe29423bb7fdc327c7db708da06843f99bdca3b35e9c40a09f2c"),
+        ("1234567", "7654321", "dot",
+         "9e4bbb3162a1e9f4d29b262db9a16e24c657bea9836412cdcbfa0525bcf3aa93"),
+        ("1234567", "7654321", "json",
+         "744833ae0776aa218a4bcc3158f7761a0a6d66efe9d98b8e15bad140d7c62365"),
+    ])
+    def test_exports_keep_their_pinned_bytes(self, u, v, fmt, digest):
+        u, v = parse_permutation(u), parse_permutation(v)
+        g = build_graph(len(u))
+        text = hasse_export(interval(u, v, g), g, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("u, v, distinct", [
+        ("463152", "215634", 16),
+        ("1234567", "7654321", 1),
+    ])
+    def test_dot_formats_each_distinct_monomial_once(self, monkeypatch, u, v, distinct):
+        """Once 33,984 calls for (id, w0) at n = 7, one per cover edge."""
+        u, v = parse_permutation(u), parse_permutation(v)
+        g = build_graph(len(u))
+        ti = interval(u, v, g)
+        formatted, monomial_str = [], qbgraph.monomial_str
+
+        def counted(exps):
+            formatted.append(exps)
+            return monomial_str(exps)
+
+        monkeypatch.setattr(qbgraph, "monomial_str", counted)
+        hasse_export(ti, g, "dot")
+        assert sorted(formatted) == sorted({e.exps for e in cover_edges(g, ti.rank)})
+        assert len(formatted) == distinct
