@@ -124,7 +124,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
     g = qbgraph._graph_on_demand(len(u))
     ti = tiltedorder.interval(u, v, g)
     if args.hasse:
-        _emit(tiltedorder.hasse_export(ti, g, args.format), args.out)
+        _emit(tiltedorder._hasse_chunks(ti, g, args.format), args.out)
         return 0
     lines = [f"ell={ti.length} members={len(ti.members)}"]
     for w in sorted(ti.members, key=lambda w: (ti.rank[w], w)):
@@ -224,10 +224,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _dist_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("u")
-    p.add_argument("v")
+def _pair_args(p: argparse.ArgumentParser, named: bool) -> None:
+    """u and v, as the required --u and --v when `named`, then --n."""
+    for name in ("--u", "--v") if named else ("u", "v"):
+        p.add_argument(name, **({"required": True} if named else {}))
     p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
+
+
+def _dist_args(p: argparse.ArgumentParser) -> None:
+    _pair_args(p, named=False)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--formula", dest="mode", action="store_const", const="formula")
     mode.add_argument("--oracle", dest="mode", action="store_const", const="oracle")
@@ -243,9 +248,7 @@ def _graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _interval_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
+    _pair_args(p, named=False)
     p.add_argument("--hasse", action="store_true")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out")
@@ -253,9 +256,7 @@ def _interval_args(p: argparse.ArgumentParser) -> None:
 
 
 def _diagram_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
+    _pair_args(p, named=False)
     p.add_argument("--a", default="auto", help="shift sequence k1,k2,... or auto")
     p.add_argument("--x", help="interval coatom for the rewritten ledger")
     p.add_argument("--json", action="store_true")
@@ -265,16 +266,12 @@ def _diagram_args(p: argparse.ArgumentParser) -> None:
 
 def _stratify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
+    _pair_args(p, named=True)
     p.set_defaults(func=cmd_stratify)
 
 
 def _sample_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--n", type=int, help="size when using the id/w0 shorthands")
+    _pair_args(p, named=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)

@@ -21,11 +21,11 @@ position, writes each vertex's finished adjacency row of neighbour
 indices, for every vertex in `build_graph` and for each row on its first
 read in `_graph_on_demand`; the tests pin the two against each other.
 
-The exports are written by one generator, `_export_chunks`, one piece per
-row: `export_graph` joins its pieces over a graph's rows, and the `graph`
-command writes them as `_out_edges` scans each row, keeping no graph and
-no row once it is written (a traced peak under 2 MB at n = 7, in both
-formats).
+The export formats live here alone, in one generator, `_edge_chunks`, one
+piece per row, which the graph (`_export_chunks`) and Hasse diagram
+(`tiltedorder._hasse_chunks`) exports call.  The `graph` command writes
+the pieces as `_out_edges` scans each row, keeping no graph and no row
+once it is written (a traced peak under 2 MB at n = 7, in both formats).
 
 Label-increasing paths (Brenti-Fomin-Postnikov: one per pair and
 reflection ordering, a shortest one) are enumerated, not assumed unique:
@@ -518,33 +518,26 @@ def _increasing_lengths(rows: list[list[tuple[int, int]]], source: int) -> list[
 # Export formats
 
 
-def edge_dot(source: str, target: str, weight: str) -> str:
-    """One DOT edge line from formatted labels and weight monomial text."""
-    return f'  "{source}" -> "{target}" [weight="{weight}"];'
-
-
 # The JSON exports are written as text, byte for byte what
 # json.dumps(payload, indent=2, sort_keys=True) writes, whose encoder runs
-# in pure Python when indenting.  Labels arrive as JSON string literals.
+# in pure Python when indenting.  A one-line label holds only digits and
+# commas, so its JSON string literal is its quoted DOT name "label".
 
 
 @lru_cache(maxsize=256)
 def _json_ints(values: tuple[int, ...]) -> str:
     """A list of ints as the value of a field of an edge record."""
-    return "[\n" + ",\n".join(f"        {json.dumps(x)}" for x in values) + "\n      ]" if values else "[]"
+    return "[\n" + ",\n".join(f"        {x}" for x in values) + "\n      ]" if values else "[]"
 
 
-def _json_list(items: list[str]) -> str:
-    """A top-level field's list of items already written at depth 2."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def edge_record(source: str, target: str, root: Root, exps: QExponent) -> str:
-    """One JSON edge record {"exps", "root", "source", "target"}, written as
-    an item of a top-level "edges" list; `source` and `target` are JSON
-    string literals."""
-    return (f'    {{\n      "exps": {_json_ints(exps)},\n      "root": {_json_ints(root)},\n'
-            f'      "source": {source},\n      "target": {target}\n    }}')
+def _json_items(items: Iterable[str]) -> Iterator[str]:
+    """A top-level field's list, one piece per item as it is taken, each
+    item one or more entries written at depth 2."""
+    sep = "[\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 class _Monomials(dict):
@@ -556,13 +549,31 @@ class _Monomials(dict):
         return text
 
 
+def _edge_chunks(head: str, quoted: Sequence[str] | Mapping[int, str],
+                 rows: Iterable[tuple[int, Row]], tail: str, fmt: str) -> Iterator[str]:
+    """An export in `fmt` ("dot" or "json", unchecked) in pieces: `head`,
+    the edges of each (source index, row) pair, taken as they are written,
+    and `tail`.  `quoted[x]` is the quoted label of vertex x."""
+    yield head
+    if fmt == "dot":
+        weights = _Monomials()
+        for x, row in rows:
+            yield "".join([f'  {quoted[x]} -> {quoted[j]} [weight="{weights[exps]}"];\n'
+                           for j, _, exps in row])
+    else:
+        yield from _json_items(",\n".join([
+            f'    {{\n      "exps": {_json_ints(exps)},\n      "root": {_json_ints(root)},\n'
+            f'      "source": {quoted[x]},\n      "target": {quoted[j]}\n    }}'
+            for j, root, exps in row]) for x, row in rows if row)
+    yield tail
+
+
 def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
     """
     DOT: one node per permutation (one-line label) and a "weight" edge
     attribute holding the monomial text.  JSON: schema documented in the
     README ({"n", "vertices", "edges": [{"source","target","root","exps"}]}).
-    The text is `_export_chunks` over g's rows, joined; the `graph` command
-    writes those chunks as they come instead, with no graph built.
+    The text is `_export_chunks` over g's rows, joined.
     """
     _check_format(fmt)
     return "".join(_export_chunks(g.n, g.vertices, g.out_adj, fmt))
@@ -570,31 +581,16 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
 
 def _export_chunks(n: int, vertices: Sequence[Perm], rows: Iterable[Row],
                    fmt: str) -> Iterator[str]:
-    """
-    The export of the graph on S_n in `fmt` ("dot" or "json", unchecked) in
-    pieces: the header (with the vertex lines in DOT), then one piece per
-    row of `rows`, taken one at a time in vertex order and kept by no one
-    once its piece is yielded, then the footer (with the vertex list in
-    JSON).  Each vertex label and each distinct monomial is formatted once.
-    """
-    labels = [format_permutation(w) for w in vertices]
+    """The export of the graph on S_n in pieces (`fmt` unchecked):
+    `_edge_chunks` over `rows`, in vertex order, with the vertex lines in
+    the DOT header and the vertex list in the JSON footer."""
+    quoted = [f'"{format_permutation(w)}"' for w in vertices]
     if fmt == "dot":
-        weights = _Monomials()
-        yield "".join(["digraph qbg {\n", *(f'  "{label}";\n' for label in labels)])
-        for source, row in zip(labels, rows):
-            yield "".join([f"{edge_dot(source, labels[j], weights[exps])}\n" for j, _, exps in row])
-        yield "}\n"
-        return
-    quoted = list(map(json.dumps, labels))
-    yield '{\n  "edges": '
-    sep, close = "[\n", "[]"  # the edge list's opening and closing, as `_json_list` writes them
-    for source, row in zip(quoted, rows):
-        if row:
-            yield sep + ",\n".join([edge_record(source, quoted[j], root, exps)
-                                    for j, root, exps in row])
-            sep, close = ",\n", "\n  ]"
-    yield (f'{close},\n  "n": {json.dumps(n)},\n'
-           f'  "vertices": {_json_list([f"    {q}" for q in quoted])}\n}}\n')
+        head, tail = "".join(["digraph qbg {\n", *(f"  {q};\n" for q in quoted)]), "}\n"
+    else:
+        names = "".join(_json_items(f"    {q}" for q in quoted))
+        head, tail = '{\n  "edges": ', f',\n  "n": {n},\n  "vertices": {names}\n}}\n'
+    yield from _edge_chunks(head, quoted, enumerate(rows), tail, fmt)
 
 
 def _check_format(fmt: str) -> None:

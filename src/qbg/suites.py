@@ -302,8 +302,8 @@ _FIGURE_D132_EDGES = {
 def base_poset_hasse(g: QuantumBruhatGraph, dist: list[int]) -> set[tuple[Perm, Perm]]:
     """Cover relations of the order whose base point has BFS distances
     `dist`: graph edges that step one rank further from the base."""
-    rank = dict(zip(g.vertices, dist))
-    return {(e.source, e.target) for e in tiltedorder.cover_edges(g, rank)}
+    covers = tiltedorder._cover_rows(g, dict(zip(g.vertices, dist)))
+    return {(g.vertices[x], g.vertices[j]) for x, row in covers for j, _, _ in row}
 
 
 def _weights_from(

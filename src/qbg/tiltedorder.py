@@ -14,18 +14,20 @@ pair it is a set of admissible nodes of the lattice of subsets of [n],
 read off `latticepath._pair_table`; [u, v] is the set of chains from the
 empty set to [n] through them.  `interval_nodes` keeps the nodes on such a
 chain, an int that names [u, v]; `interval_member_set` walks them, not S_n.
+
+The Hasse diagram export is written by `qbgraph._edge_chunks`, which holds
+the DOT and JSON formats alone, one piece per cover row (`_cover_rows`).
 """
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, _gale_leq, _pair_table, _prefix_masks, _prefix_paths
 from .permcore import Perm, format_permutation
-from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, edge_dot, edge_record
-from .qbgraph import _bfs, _check_format, _check_vertices, _geodesic_marks, _json_list, _Monomials
+from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, Row, _bfs, _check_format
+from .qbgraph import _check_vertices, _edge_chunks, _geodesic_marks, _json_items
 
 
 def tilted_leq(base: Perm, w: Perm, v: Perm, g: QuantumBruhatGraph) -> bool:
@@ -159,45 +161,47 @@ def interval(u: Perm, v: Perm, g: QuantumBruhatGraph) -> TiltedInterval:
     return TiltedInterval(u, v, frozenset(rank), rank)
 
 
-def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
-    """
-    Cover relations of a ranked set of vertices: the graph edges from a
-    ranked vertex to a ranked vertex one rank higher, in (source, target)
-    order.  Linear in the edges leaving the ranked vertices.
-    """
-    vertices = g.vertices
-    edges = []
+def _cover_rows(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> Iterator[tuple[int, Row]]:
+    """Cover relations of a ranked set of vertices: per ranked vertex, in
+    vertex order, its index and its row's edges into a ranked vertex one
+    rank higher.  Each row is read when its pair is taken."""
+    vertices, index = g.vertices, g.index
     for source in sorted(rank):
-        above = rank[source] + 1
-        for j, root, exps in g.out_adj[g.index[source]]:
-            target = vertices[j]
-            if rank.get(target) == above:
-                edges.append(QbgEdge(source, target, root, exps))
-    return edges
+        above, x = rank[source] + 1, index[source]
+        yield x, tuple(e for e in g.out_adj[x] if rank.get(vertices[e[0]]) == above)
+
+
+def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
+    """The edges of `_cover_rows`, in (source, target) order."""
+    vertices = g.vertices
+    return [QbgEdge(vertices[x], vertices[j], root, exps)
+            for x, row in _cover_rows(g, rank) for j, root, exps in row]
 
 
 def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:
-    """DOT (rank-grouped) or JSON rendering of the interval's diagram in g.
-    Each label and each distinct monomial is formatted once, and the
-    members are grouped by rank in one pass."""
+    """DOT (rank-grouped) or JSON text of the interval's diagram in g."""
     _check_format(fmt)
-    edges = cover_edges(g, ti.rank)
+    return "".join(_hasse_chunks(ti, g, fmt))
+
+
+def _hasse_chunks(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> Iterator[str]:
+    """`hasse_export` in pieces (`fmt` unchecked): `_edge_chunks` over the
+    cover rows, with the members by rank in the DOT header and the member
+    list in the JSON footer.  Each label is formatted once."""
     members = sorted(ti.members)
-    labels = {w: format_permutation(w) for w in members}
+    quoted = {g.index[w]: f'"{format_permutation(w)}"' for w in members}
     if fmt == "dot":
         by_rank: list[list[str]] = [[] for _ in range(ti.length + 1)]
-        for w in members:
-            by_rank[ti.rank[w]].append(f'"{labels[w]}";')
-        weights = _Monomials()
-        lines = ["digraph hasse {", "  rankdir=BT;",
-                 *(f"  {{ rank=same; {' '.join(names)} }}" for names in by_rank),
-                 *(edge_dot(labels[e.source], labels[e.target], weights[e.exps]) for e in edges),
-                 "}"]
-        return "\n".join(lines) + "\n"
-    quoted = {w: json.dumps(labels[w]) for w in members}
-    ranks = [f'    {{\n      "perm": {quoted[w]},\n      "rank": {ti.rank[w]}\n    }}'
-             for w in members]
-    records = [edge_record(quoted[e.source], quoted[e.target], e.root, e.exps) for e in edges]
-    return (f'{{\n  "bottom": {quoted[ti.bottom]},\n  "edges": {_json_list(records)},\n'
-            f'  "length": {ti.length},\n  "members": {_json_list(ranks)},\n'
-            f'  "top": {quoted[ti.top]}\n}}\n')
+        for w, name in zip(members, quoted.values()):
+            by_rank[ti.rank[w]].append(f"{name};")
+        head = "".join(["digraph hasse {\n  rankdir=BT;\n",
+                        *(f"  {{ rank=same; {' '.join(line)} }}\n" for line in by_rank)])
+        tail = "}\n"
+    else:
+        ranks = "".join(_json_items(
+            f'    {{\n      "perm": {name},\n      "rank": {ti.rank[w]}\n    }}'
+            for w, name in zip(members, quoted.values())))
+        head = f'{{\n  "bottom": {quoted[g.index[ti.bottom]]},\n  "edges": '
+        tail = (f',\n  "length": {ti.length},\n  "members": {ranks},\n'
+                f'  "top": {quoted[g.index[ti.top]]}\n}}\n')
+    yield from _edge_chunks(head, quoted, _cover_rows(g, ti.rank), tail, fmt)

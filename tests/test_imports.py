@@ -50,15 +50,27 @@ def test_every_cache_is_bounded():
     assert "exactgeom._window_masks" in found
 
 
+def _imported(module: str) -> set[str]:
+    """The modules a qbg module imports from and the names it imports."""
+    tree = ast.parse((SRC / "qbg" / f"{module}.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    return modules | {alias.name for node in imports for alias in node.names}
+
+
 def test_exactgeom_reads_value_sets_as_masks():
     # the flag indexes its tables by value mask, so the plans and the
     # sampler build no frozensets or tuples of values
-    tree = ast.parse((SRC / "qbg" / "exactgeom.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    }
+    imported = _imported("exactgeom")
     assert "value_mask" in imported
     assert imported.isdisjoint({"prefix_set", "cyclic_set", "shifted_gale_leq", "combinations"})
+
+
+def test_the_export_format_lives_in_qbgraph_alone():
+    # tiltedorder hands the Hasse diagram's header, cover rows and footer to
+    # qbgraph's one edge writer, so it needs no encoder or format helper
+    imported = _imported("tiltedorder")
+    assert "_edge_chunks" in imported
+    assert imported.isdisjoint({"json", "edge_dot", "edge_record", "_json_list", "_Monomials"})
+    qbgraph = importlib.import_module("qbg.qbgraph")
+    assert not hasattr(qbgraph, "edge_dot") and not hasattr(qbgraph, "edge_record")

@@ -752,11 +752,11 @@ class TestExport:
             return format_permutation(w)
 
         def no_covers(g, rank):
-            raise AssertionError("cover edges computed for a refused format")
+            raise AssertionError("cover rows read for a refused format")
 
         for module in (qbgraph, tiltedorder):
             monkeypatch.setattr(module, "format_permutation", counted)
-        monkeypatch.setattr(tiltedorder, "cover_edges", no_covers)
+        monkeypatch.setattr(tiltedorder, "_cover_rows", no_covers)
         g = build_graph(7)
         ti = interval(g.vertices[0], g.vertices[-1], g)
         with pytest.raises(PreconditionError, match="unknown format 'xml'"):
