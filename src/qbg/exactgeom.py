@@ -11,12 +11,16 @@ entry's numerator and denominator, and is finished when it is made: the
 table of all its 2^n minors P_I (times the column scales), each by Laplace
 expansion from the minors one row smaller; its live set, the row sets on a
 chain of nonzero minors from the empty set to [n]; and the rank of every
-cyclic row window on every column prefix.  Every rank, determinant and
-nullspace comes from one fraction-free integer elimination kernel
-(Bareiss); the sampler keeps each column it builds as integers over one
-denominator, and the incidence relations compare integer sums of minors.
+cyclic row window on every column prefix.  A window of all n rows needs
+no elimination: the matrix is invertible, so its rank on k columns is k.
+Every rank, determinant and nullspace comes from one fraction-free
+integer elimination kernel (Bareiss).  The sampler keeps each column it
+builds as integers over one denominator, carries for each rank cap's row
+mask the pivots of the built columns restricted to it, so no column is
+eliminated twice for one mask, and finishes the flag from its integer
+columns; the incidence relations compare integer sums of minors.
 Fractions appear only at the API boundary (`Flag.matrix`, `Flag.plucker`
-and the signed coordinates, `nullspace_basis`, a sampled flag's entries).
+and the signed coordinates, `nullspace_basis`).
 
 Membership of a flag in the (open) tilted Richardson variety of a pair
 (u, v) is decided three provably equivalent ways: rank bounds on cyclic
@@ -29,9 +33,11 @@ routes share nothing on purpose, and their agreement is part of the
 verification suites: the rank route reads only window ranks, the
 per-column route only the minors P_I, and the multi-Plucker route only
 the live set.  The first two are checked and planned once per (u, v, a,
-n), in one bounded cache, `_plans`.  A `_FlagFamily` runs the three
-routes on a list of flags at once, one bit per flag in each answer, each
-route reading its plan against its own table of bitsets.
+n), in one bounded cache, `_plans`; the rank plans read the slots and
+windows of every cyclic scan from one table per n, `_scan_steps`.  A
+`_FlagFamily` runs the three routes on a list of flags at once, one bit
+per flag in each answer, each route reading its plan against its own
+table of bitsets.
 
 Sets of values or rows are value masks (`permcore.value_mask`), the index
 of the minor table and the live set.  Each shifted Gale window is listed
@@ -45,7 +51,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, lcm, prod
 from operator import itemgetter, le, mul, or_
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -194,19 +200,23 @@ def _slot(k: int, start: int, length: int, n: int) -> int:
 def _window_table(rows: Sequence[Sequence[int]]) -> bytes:
     """Rank of every cyclic row window on the first k columns, for every k,
     at `_slot(k, start, length, n)`: one incremental elimination per start
-    row gives all lengths and all k at once."""
+    row gives lengths 1..n-1 and all k at once.  A window of all n rows
+    needs no elimination: a flag's matrix is invertible (its constructor
+    refuses a singular one first), so that window has rank k on k columns."""
     n = len(rows)
     table = bytearray((n + 1) * n * (n + 1))
+    full = bytes(range(n + 1))
     for start in range(n):
         pivots: Pivots = []
         ranks = [0] * (n + 1)
-        for length in range(1, n + 1):
+        # the slots of one window on k = 0..n columns, n(n + 1) apart
+        for length in range(1, n):
             col = _add_row(pivots, rows[(start + length - 1) % n])
             if col is not None:
                 for k in range(col + 1, n + 1):
                     ranks[k] += 1
-            # the slots of one window on k = 0..n columns, n(n + 1) apart
             table[start * (n + 1) + length::n * (n + 1)] = bytes(ranks)
+        table[start * (n + 1) + n::n * (n + 1)] = full
     return bytes(table)
 
 
@@ -316,14 +326,38 @@ class Flag:
         bad = [x for row in matrix for x in row if not isinstance(x, (int, Fraction))]
         if bad:
             raise PreconditionError(f"matrix entries must be int or Fraction, got {bad[0]!r}")
-        self.n = n
         scales = [lcm(*(x.denominator for x in col)) for col in zip(*matrix)]
-        self._rows = tuple(
-            tuple(x.numerator * (s // x.denominator) for x, s in zip(row, scales))
-            for row in matrix
+        self._finish(
+            tuple(
+                tuple(x.numerator * (s // x.denominator) for x, s in zip(row, scales))
+                for row in matrix
+            ),
+            scales,
         )
+
+    @classmethod
+    def _from_columns(cls, cols: Sequence[Sequence[int]], dens: Sequence[int]) -> Flag:
+        """
+        The flag of the matrix whose column c is cols[c] / dens[c], each
+        denominator positive, equal to `Flag` of those Fractions without
+        making one: the lcm of the column's reduced denominators, its scale,
+        is d // gcd(d, *col), and its integer copy is col // gcd(d, *col).
+        """
+        flag = cls.__new__(cls)
+        common = [gcd(d, *col) for col, d in zip(cols, dens)]
+        flag._finish(
+            tuple(zip(*[[x // g for x in col] for col, g in zip(cols, common)])),
+            [d // g for d, g in zip(dens, common)],
+        )
+        return flag
+
+    def _finish(self, rows: tuple[tuple[int, ...], ...], scales: Sequence[int]) -> None:
+        """Build the tables of the matrix whose column c is column c of the
+        integer rows over scales[c], or refuse it when it is singular."""
+        self.n = len(rows)
+        self._rows = rows
         self._scale = tuple(accumulate(scales, mul, initial=1))
-        self._minors = _minor_table(self._rows)
+        self._minors = _minor_table(rows)
         if self._minors[-1] == 0:
             raise PreconditionError("matrix is singular; a flag needs full rank")
         # The live row sets, as a set of nodes: those on a chain of nonzero
@@ -332,7 +366,7 @@ class Flag:
         # S - r once its last column goes, and extends to one on some S + r
         # because the first |S| + 1 columns have full rank.
         self._live = sum(1 << S for S, minor in enumerate(self._minors) if minor)
-        self._windows = _window_table(self._rows)
+        self._windows = _window_table(rows)
 
     @property
     def matrix(self) -> Matrix:
@@ -391,8 +425,10 @@ def random_flag(n: int, seed: int | random.Random) -> Flag:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     while True:
         rows = [[rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(n)] for _ in range(n)]
-        if _det(rows) != 0:
+        try:
             return Flag(rows)
+        except PreconditionError:  # the minor table found it singular: draw again
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +558,23 @@ def _scan(k: int, cut: int, n: int, backward: bool) -> Iterator[tuple[int, int]]
             yield _slot(k, cut, length, n), (cut + length - 2) % n + 1
 
 
+# one entry per n; flags stop at MAX_TABLE_N
+@lru_cache(maxsize=MAX_TABLE_N)
+def _scan_steps(n: int) -> dict[tuple[int, int, bool], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every scan of the rank route on n rows, keyed (k, cut, backward) for
+    k = 1..n-1: the slots of its steps (see `_scan`) and the masks of the
+    windows scanned so far."""
+    steps = {}
+    for k, cut, backward in product(range(1, n), range(1, n + 1), (False, True)):
+        slots, windows, window = [], [], 0
+        for slot, row in _scan(k, cut, n, backward):
+            window |= 1 << (row - 1)
+            slots.append(slot)
+            windows.append(window)
+        steps[k, cut, backward] = tuple(slots), tuple(windows)
+    return steps
+
+
 def _rank_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> tuple[tuple, tuple, Callable]:
     """
     The windows of the rank route as slots in a flag's window table, their
@@ -529,15 +582,14 @@ def _rank_plan(u: Perm, v: Perm, a: tuple[int, ...], n: int) -> tuple[tuple, tup
     forward from the cut a_i may have rank at most |u[:i] & window|, and
     each window scanned backward from it at most |v[:i] & window|.
     """
+    steps = _scan_steps(n)
     slots: list[int] = []
     bounds: list[int] = []
     for i, refs in enumerate(zip(_prefix_masks(u), _prefix_masks(v)), start=1):
         for backward, ref in zip((False, True), refs):
-            window = 0
-            for slot, row in _scan(i, a[i - 1], n, backward):
-                window |= 1 << (row - 1)
-                slots.append(slot)
-                bounds.append((ref & window).bit_count())
+            scan_slots, windows = steps[i, a[i - 1], backward]
+            slots += scan_slots
+            bounds += [(ref & window).bit_count() for window in windows]
     # at n = 1 there is no slot, and itemgetter needs at least one
     return tuple(slots), tuple(bounds), itemgetter(*slots) if slots else lambda ranks: ()
 
@@ -795,33 +847,6 @@ def all_equations_vanish(F: Flag, es: EquationSet) -> bool:
     return all(equation_vanishes(F, eq) for eq in es.equations)
 
 
-def _cap_constraints(cols: list[list[int]], S: int, cap: int, n: int) -> list[list[int]] | None:
-    """
-    Keep rank(rows of the mask S, built columns + new column) at most cap.
-    If the built columns already sit at the cap, the new column's
-    restriction must stay inside their restricted span, a linear condition
-    (integer rows spanning it; the columns may be scaled, which keeps the
-    span); below the cap the new column is unconstrained; above it, the
-    partial matrix is already bad.
-    """
-    rows_idx = [r for r in range(n) if S >> r & 1]
-    pivots: Pivots = []
-    for col in cols:
-        _add_row(pivots, [col[r] for r in rows_idx])
-    rank = len(pivots)
-    if rank > cap:
-        return None
-    if rank < cap:
-        return []
-    out = []
-    for lam in _integer_kernel(pivots, len(rows_idx)):
-        coeffs = [0] * n
-        for m, r in enumerate(rows_idx):
-            coeffs[r] = lam[m]
-        out.append(coeffs)
-    return out
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _sampler_caps(u: Perm, v: Perm, a: tuple[int, ...]) -> list[dict[int, int]]:
     """
@@ -855,13 +880,19 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     off-window Plucker coordinates of its level vanish, plus everything
     deeper levels force on it, since the column lies inside every later
     space of the flag); the caps are linear in the column once earlier
-    columns are fixed.  A random point of the solution space is drawn on
-    its canonical basis (`_integer_kernel`'s vectors, scaled to integers
-    over one denominator), redrawn until the chart coordinates of the
-    column are nonzero, and kept as integers over that denominator, so no
-    Fraction is made before the finished flag.  That flag is re-verified
-    through the Plucker membership route, so n is bounded like a flag:
-    n <= MAX_TABLE_N, checked first.
+    columns are fixed.  A cap on the rows of a mask S binds once the built
+    columns restricted to S reach it: the new column's restriction must
+    then stay in their span.  For each mask the sampler carries the pivots
+    of those restrictions, extended by one `_add_row` per column it has
+    not yet seen, so no built column is eliminated twice for one mask.  A
+    random point of the solution space is drawn on its canonical basis
+    (`_integer_kernel`'s vectors, scaled to integers over one
+    denominator), redrawn until the chart coordinates of the column are
+    nonzero, and kept as integers over that denominator; the finished
+    flag is made from those integer columns (`Flag._from_columns`), so
+    the sampler makes no Fraction.  That flag is re-verified through the
+    Plucker membership route, so n is bounded like a flag: n <=
+    MAX_TABLE_N, checked first.
     """
     n = len(u)
     if len(v) != n:
@@ -869,24 +900,41 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     _check_table_n(n)
     a = find_flat(u, v)
     caps_for_column = _sampler_caps(tuple(u), tuple(v), a)
+    # the chart minors of column k, on the rows u[:k] and v[:k]; one
+    # determinant serves both where the two row sets are equal
+    charts = [(u[:k],) if set(u[:k]) == set(v[:k]) else (u[:k], v[:k]) for k in range(n + 1)]
     rng = random.Random(seed)
     last_failure = n
     for _ in range(MAX_RESTARTS):
         # column c is cols[c] / dens[c], a column of integers over one denominator
         cols: list[list[int]] = []
         dens: list[int] = []
+        # per mask S: how many built columns its pivots hold, and the pivots
+        # of those columns restricted to the rows of S
+        carried: dict[int, tuple[int, Pivots]] = {}
         for k in range(1, n + 1):
             pivots: Pivots = []
             for S, cap in caps_for_column[k - 1].items():
                 if cap >= k:  # k columns have rank at most k
                     continue
-                extra = _cap_constraints(cols, S, cap, n)
-                if extra is None:
+                rows_idx = [r for r in range(n) if S >> r & 1]
+                done, held = carried.get(S, (0, []))
+                for col in cols[done:]:
+                    _add_row(held, [col[r] for r in rows_idx])
+                carried[S] = len(cols), held
+                if len(held) > cap:
                     raise InternalInvariantError(
                         f"partial matrix broke a rank cap at column {k}"
                     )
-                for row in extra:
-                    _add_row(pivots, row)
+                if len(held) < cap:  # below the cap the new column is free
+                    continue
+                # at the cap: each kernel vector of the restricted columns
+                # (they may be scaled, which keeps the span) is one constraint
+                for lam in _integer_kernel(held, len(rows_idx)):
+                    coeffs = [0] * n
+                    for m, r in enumerate(rows_idx):
+                        coeffs[r] = lam[m]
+                    _add_row(pivots, coeffs)
             # the draw is made on the canonical basis of the solution space,
             # the same in any order and any spanning set of the constraints:
             # each kernel vector b over its entry d at its free column, all
@@ -904,7 +952,7 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
                     # scaling a column keeps a minor's zero test
                     if all(
                         _det([[c[r - 1] for c in trial] for r in rows]) != 0
-                        for rows in (u[:k], v[:k])
+                        for rows in charts[k]
                     ):
                         accepted = col
                         break
@@ -914,7 +962,7 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
             cols.append(accepted)
             dens.append(den)
         else:
-            flag = Flag([[Fraction(col[r], d) for col, d in zip(cols, dens)] for r in range(n)])
+            flag = Flag._from_columns(cols, dens)
             if member_T_plucker(u, v, flag, open_cell=True):
                 return flag
             last_failure = n

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .latticepath import _check_perms, _gale_leq, _pair_table, _prefix_masks, _prefix_paths
 from .permcore import Perm, format_permutation
-from .qbgraph import MAX_GRAPH_N, QbgEdge, QuantumBruhatGraph, Row, _bfs, _check_format
+from .qbgraph import MAX_GRAPH_N, QuantumBruhatGraph, Row, _bfs, _check_format
 from .qbgraph import _check_vertices, _edge_chunks, _geodesic_marks, _json_items
 
 
@@ -169,13 +169,6 @@ def _cover_rows(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> Iterator[tuple[
     for source in sorted(rank):
         above, x = rank[source] + 1, index[source]
         yield x, tuple(e for e in g.out_adj[x] if rank.get(vertices[e[0]]) == above)
-
-
-def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
-    """The edges of `_cover_rows`, in (source, target) order."""
-    vertices = g.vertices
-    return [QbgEdge(vertices[x], vertices[j], root, exps)
-            for x, row in _cover_rows(g, rank) for j, root, exps in row]
 
 
 def hasse_export(ti: TiltedInterval, g: QuantumBruhatGraph, fmt: str) -> str:

@@ -26,6 +26,7 @@ from qbg.qbgraph import (
     QbgEdge, QExponent, QuantumBruhatGraph, _check_vertices, edge_weight, exponent_add,
     zero_exponent,
 )
+from qbg.tiltedorder import _cover_rows
 
 
 def inverse(w: Perm) -> Perm:
@@ -118,6 +119,17 @@ def increasing_paths_from(g: QuantumBruhatGraph, u: Perm,
 
     extend(g.index[u], -1)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Cover edges
+
+
+def cover_edges(g: QuantumBruhatGraph, rank: dict[Perm, int]) -> list[QbgEdge]:
+    """The edges of `tiltedorder._cover_rows`, in (source, target) order."""
+    vertices = g.vertices
+    return [QbgEdge(vertices[x], vertices[j], root, exps)
+            for x, row in _cover_rows(g, rank) for j, root, exps in row]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -667,6 +668,68 @@ def test_sampled_matrices_are_unchanged(key):
 
 
 # ---------------------------------------------------------------------------
+# Flags finished from integer columns, and seeded generic flags
+
+
+def _flag_state(F):
+    return F.n, F._rows, F._scale, F._minors, F._live, F._windows, F.matrix
+
+
+def test_a_flag_from_integer_columns_equals_the_flag_of_its_fractions():
+    # column c is cols[c] / dens[c]; entries that share a factor with their
+    # denominator, whole columns divisible by it, zero and negative entries
+    rng = random.Random(41)
+    seen = {"shared factor": 0, "whole column": 0, "zero": 0, "negative": 0, "singular": 0}
+    for trial in range(700):
+        n = trial % 7 + 1
+        dens = [rng.choice([1, 2, 4, 6, 12, 30, 60]) for _ in range(n)]
+        cols = [
+            [rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-9, 9) * d]) for _ in range(n)]
+            for d in dens
+        ]
+        matrix = [[Fraction(col[r], d) for col, d in zip(cols, dens)] for r in range(n)]
+        try:
+            expected = Flag(matrix)
+        except PreconditionError:
+            seen["singular"] += 1
+            with pytest.raises(PreconditionError, match="singular"):
+                Flag._from_columns(cols, dens)
+            continue
+        assert _flag_state(Flag._from_columns(cols, dens)) == _flag_state(expected)
+        divisors = [gcd(d, *col) for col, d in zip(cols, dens)]
+        seen["shared factor"] += any(1 < g < d for g, d in zip(divisors, dens))
+        seen["whole column"] += any(g == d > 1 for g, d in zip(divisors, dens))
+        seen["zero"] += any(0 in col for col in cols)
+        seen["negative"] += any(x < 0 for col in cols for x in col)
+    assert min(seen.values()) > 20, seen
+
+
+# random_flag(n, seed) for pinned seeds; (1, 159) and (2, 7709) draw a
+# singular matrix first, so they pin the redraw too
+PINNED_RANDOM_FLAGS = {
+    (1, 159): "1\n-57\n",
+    (2, 7709): "2\n88 -40\n21 81\n",
+    (3, 5): "3\n59 -35 89\n-9 76 89\n66 35 -93\n",
+    (7, 7): (
+        "7\n-18 -62 1 66 -88 -82 37\n-76 -7 49 -86 29 -46 -91\n-78 11 7 -83 -39 -77 41\n"
+        "8 -85 44 -69 -43 61 60\n49 -85 47 49 1 -88 -44\n-89 42 -66 -26 7 -64 38\n"
+        "-70 46 -22 43 74 -54 -74\n"
+    ),
+}
+
+
+def test_seeded_random_flags_are_unchanged():
+    for (n, seed), text in PINNED_RANDOM_FLAGS.items():
+        assert format_matrix(random_flag(n, seed).matrix) == text
+    assert random.Random(159).randint(-100, 100) == 0
+    rng = random.Random(3)  # one generator, two flags drawn from it in turn
+    assert [format_matrix(random_flag(4, rng).matrix) for _ in range(2)] == [
+        "4\n-40 51 39 -67\n-6 54 21 60\n48 -84 55 -97\n20 -34 41 -41\n",
+        "4\n-51 83 20 38\n40 21 1 63\n-62 -41 62 -62\n33 -1 89 -97\n",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The window table and the membership plans
 
 
@@ -1059,6 +1122,25 @@ def test_sampler_matches_the_fraction_sampler_on_seeded_pairs(n):
         seed = rng.randrange(10**6)
         expected = _sampled(oracles.sample_in_open_stratum, u, v, seed)
         assert _sampled(sample_in_open_stratum, u, v, seed) == expected
+
+
+def test_the_sampler_eliminates_each_built_column_once_per_mask(monkeypatch):
+    # with the caps planned, this sample makes 811 eliminations when every
+    # built column is eliminated again for every binding mask at every column
+    # (49 of them for the flag's tables); carrying each mask's pivots, and
+    # skipping the full-length windows, leaves fewer than 600
+    u, v = parse_permutation("1763254"), parse_permutation("3214756")
+    expected = sample_in_open_stratum(u, v, 78782).matrix
+    calls = []
+    add_row = exactgeom._add_row
+
+    def counted(pivots, row):
+        calls.append(len(row))
+        return add_row(pivots, row)
+
+    monkeypatch.setattr(exactgeom, "_add_row", counted)
+    assert sample_in_open_stratum(u, v, 78782).matrix == expected
+    assert 0 < len(calls) < 600
 
 
 def test_integer_kernel_spans_the_kernel():

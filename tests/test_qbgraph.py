@@ -38,9 +38,9 @@ from qbg.qbgraph import (
     shortest_path_weight_sets,
     zero_exponent,
 )
-from qbg.tiltedorder import cover_edges, hasse_export, interval
+from qbg.tiltedorder import hasse_export, interval
 
-from oracles import checked_greedy_path, increasing_paths_from, path_weight
+from oracles import checked_greedy_path, cover_edges, increasing_paths_from, path_weight
 
 
 class BackwardRule:

@@ -20,7 +20,6 @@ from qbg.qbgraph import QuantumBruhatGraph, build_graph, edge_weight, graph_dist
 from qbg.suites import _FIGURE_D132_EDGES, _sorting_table, base_poset_hasse
 from qbg.tiltedorder import (
     admissible_nodes,
-    cover_edges,
     hasse_export,
     interval,
     interval_member_set,
@@ -30,6 +29,7 @@ from qbg.tiltedorder import (
 )
 
 import oracles
+from oracles import cover_edges
 
 
 def bruhat_leq(u, v):
