@@ -93,7 +93,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     u, v = _perm_pair(args.u, args.v, args.n)
     if args.mode in ("oracle", "both"):
         # the graph checks n <= MAX_GRAPH_N before the formula is computed
-        ell_o, weight_o = qbgraph.oracle_distance(qbgraph._graph_on_demand(len(u)), u, v)
+        ell_o, weight_o = qbgraph.oracle_distance(qbgraph.build_graph(len(u)), u, v)
     if args.mode == "oracle":
         ell, weight = ell_o, weight_o
     else:
@@ -110,18 +110,15 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     """Check n, list S_n, open the output, then write each row's piece of
-    the export as `_out_edges` scans it: no graph, row list or whole text
-    is held, and a refused n or an unwritable --out costs no scan."""
-    n = args.n
-    vertices, index = qbgraph._vertex_index(n)
-    rows = (qbgraph._out_edges(w, n, index) for w in vertices)
-    _emit(qbgraph._export_chunks(n, vertices, rows, args.format), args.out)
+    the export as it is scanned: no row or whole text is held, and a
+    refused n or an unwritable --out costs no scan."""
+    _emit(qbgraph._export_chunks(qbgraph.build_graph(args.n), args.format), args.out)
     return 0
 
 
 def cmd_interval(args: argparse.Namespace) -> int:
     u, v = _perm_pair(args.u, args.v, args.n)
-    g = qbgraph._graph_on_demand(len(u))
+    g = qbgraph.build_graph(len(u))
     ti = tiltedorder.interval(u, v, g)
     if args.hasse:
         _emit(tiltedorder._hasse_chunks(ti, g, args.format), args.out)

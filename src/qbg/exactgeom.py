@@ -54,7 +54,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import gcd, lcm, prod
 from operator import itemgetter, le, mul, or_
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .diagrams import EquationSet, PluckerEquation, find_flat, signed_sorted_insert
 from .errors import (
@@ -546,30 +546,23 @@ def _window_masks(A: frozenset[int], B: frozenset[int], r: int, n: int) -> froze
     return frozenset(map(value_mask, shifted_interval(A, B, r, n)))
 
 
-def _scan(k: int, cut: int, n: int, backward: bool) -> Iterator[tuple[int, int]]:
-    """Scan the rows cyclically from the cut, forward cut, cut + 1, ... or
-    backward cut - 1, cut - 2, ...: each step's slot in the window table on
-    the first k columns (the scan so far is a cyclic window) and its row."""
-    for length in range(1, n + 1):
-        if backward:
-            row = (cut - 1 - length) % n + 1
-            yield _slot(k, row, length, n), row
-        else:
-            yield _slot(k, cut, length, n), (cut + length - 2) % n + 1
-
-
 # one entry per n; flags stop at MAX_TABLE_N
 @lru_cache(maxsize=MAX_TABLE_N)
 def _scan_steps(n: int) -> dict[tuple[int, int, bool], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every scan of the rank route on n rows, keyed (k, cut, backward) for
-    k = 1..n-1: the slots of its steps (see `_scan`) and the masks of the
-    windows scanned so far."""
+    k = 1..n-1.  A scan takes the rows cyclically from the cut, forward
+    cut, cut + 1, ... or backward cut - 1, cut - 2, ...; it is kept as each
+    step's slot in the window table on the first k columns (the rows so far
+    are a cyclic window) and the mask of that window, so step i adds the
+    row windows[i] & ~windows[i - 1]."""
     steps = {}
     for k, cut, backward in product(range(1, n), range(1, n + 1), (False, True)):
         slots, windows, window = [], [], 0
-        for slot, row in _scan(k, cut, n, backward):
+        for length in range(1, n + 1):
+            row = (cut - 1 - length) % n + 1 if backward else (cut + length - 2) % n + 1
+            # a backward window starts at the row just scanned, a forward one at the cut
+            slots.append(_slot(k, row if backward else cut, length, n))
             window |= 1 << (row - 1)
-            slots.append(slot)
             windows.append(window)
         steps[k, cut, backward] = tuple(slots), tuple(windows)
     return steps
@@ -740,15 +733,15 @@ class StratumLabel(NamedTuple):
 
 def _rank_jump_rows(F: Flag, k: int, cut: int, backward: bool) -> int:
     """The mask of the rows where the rank of the first k columns jumps
-    while scanning cyclically from the cut (see `_scan`)."""
+    while scanning cyclically from the cut (see `_scan_steps`)."""
+    slots, windows = _scan_steps(F.n)[k, cut, backward]
     ranks = F._windows
-    jumps = 0
-    prev = 0
-    for slot, row in _scan(k, cut, F.n, backward):
+    jumps = prev = before = 0
+    for slot, window in zip(slots, windows):
         rank = ranks[slot]
         if rank > prev:
-            jumps |= 1 << (row - 1)
-        prev = rank
+            jumps |= window & ~before
+        prev, before = rank, window
     return jumps
 
 

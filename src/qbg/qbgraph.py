@@ -8,24 +8,24 @@ tuple of its exponents, products are componentwise sums and divisibility
 is componentwise <=.  Two independent routes to the minimal weight between
 a pair of permutations are provided: breadth-first search on the built
 graph (the oracle) and the closed-form prefix-depth formula, which needs
-no graph at all.  The built graph stores each edge once, and every question
+no graph at all.  The graph stores each edge once, and every question
 about shortest u -> v walks (the oracle, intervals, weight sets) reads one
-BFS from u; the weight sets take it from their caller.  The oracle and
-intervals stop that BFS once v is reached, so on a graph whose rows are
-scanned on first read (`_graph_on_demand`, what the one-query commands
-use) they scan only the rows of vertices nearer to u than v.
+BFS from u; the weight sets take it from their caller.  `build_graph`
+scans each row when it is first read, and the oracle and intervals stop
+that BFS once v is reached, so they scan only the rows of vertices nearer
+to u than v.
 
 The edge set is derived twice, by code that shares nothing: `_edge_exps`
 applies the length rule to one root, and `_out_edges`, one scan per
-position, writes each vertex's finished adjacency row of neighbour
-indices, for every vertex in `build_graph` and for each row on its first
-read in `_graph_on_demand`; the tests pin the two against each other.
+position, writes one vertex's finished adjacency row of neighbour
+indices; the tests pin the two against each other.
 
 The export formats live here alone, in one generator, `_edge_chunks`, one
 piece per row, which the graph (`_export_chunks`) and Hasse diagram
-(`tiltedorder._hasse_chunks`) exports call.  The `graph` command writes
-the pieces as `_out_edges` scans each row, keeping no graph and no row
-once it is written (a traced peak under 2 MB at n = 7, in both formats).
+(`tiltedorder._hasse_chunks`) exports call.  A pass over the rows keeps
+none it scans, so the `graph` command, which exports a fresh graph,
+holds one row at a time (a traced peak under 2 MB at n = 7, in both
+formats).
 
 Label-increasing paths (Brenti-Fomin-Postnikov: one per pair and
 reflection ordering, a shortest one) are enumerated, not assumed unique:
@@ -175,12 +175,12 @@ def _out_edges(w: Perm, n: int, index: Mapping[Perm, int]) -> Row:
 
 class _Rows(dict):
     """
-    The `out_adj` of a graph whose rows are scanned on first read: row x is
-    `_out_edges(vertices[x], n, index)`, stored when x is first indexed.  A
-    row is a pure function of x, so two threads that fill one row write
-    equal tuples.  Iterating fills and yields every row in index order, as
-    iterating a built graph's tuple does, so no reader that walks all rows
-    sees a part-filled graph.  It holds the graph's vertices and index,
+    The `out_adj` of `build_graph`: row x is `_out_edges(vertices[x], n,
+    index)`, scanned and stored when x is first indexed.  A row is a pure
+    function of x, so two threads that fill one row write equal tuples.
+    Iterating yields every row in index order, a stored row as it is and
+    any other scanned and not stored, so a full pass reads each row once
+    and keeps none it scanned.  It holds the graph's vertices and index,
     never the graph: a reference back would make a cycle, and each graph
     would then wait for the cyclic garbage collector.
     """
@@ -195,7 +195,10 @@ class _Rows(dict):
         return row
 
     def __iter__(self) -> Iterator[Row]:
-        return map(self.__getitem__, range(len(self._vertices)))
+        n, index, stored = self._n, self._index, self.get
+        for x, w in enumerate(self._vertices):
+            row = stored(x)
+            yield _out_edges(w, n, index) if row is None else row
 
 
 class QuantumBruhatGraph:
@@ -205,15 +208,16 @@ class QuantumBruhatGraph:
     its position.  Adjacency is one index array: out_adj[i] holds
     (j, root, exps) for every edge i -> j, sorted by neighbour index;
     `_geodesic_marks` finds shortest walks on it.  QbgEdge values are made
-    only on demand (all_edges).  `build_graph` writes the rows straight
-    from its scan, and `_graph_on_demand` scans each row when it is first
-    read; this constructor takes any edge list on S_n, n in
-    1..MAX_GRAPH_N, and keeps repeated targets in their given order.
+    only on demand (all_edges).  The graph on S_n is `build_graph`'s, whose
+    rows are scanned when read; this constructor takes any edge list on
+    S_n, n in 1..MAX_GRAPH_N, holds its rows in a tuple, and keeps repeated
+    targets in their given order.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[Perm, Perm, Root, QExponent]]):
-        index = self._list_vertices(n)
-        out: list[list] = [[] for _ in self.vertices]
+        self.n = n
+        self.vertices, self.index = vertices, index = _vertex_index(n)
+        out: list[list] = [[] for _ in vertices]
         for edge in edges:
             try:
                 source, target, root, exps = edge
@@ -223,13 +227,6 @@ class QuantumBruhatGraph:
                 raise PreconditionError(f"{_excerpt(repr(edge))} is not an edge (source, target, "
                                         f"root, exps) between vertices of S_{n}") from None
         self.out_adj: Adjacency = tuple(tuple(sorted(r, key=itemgetter(0))) for r in out)
-
-    def _list_vertices(self, n: int) -> dict[Perm, int]:
-        """Set n, the vertices and their index (`_vertex_index`), and return
-        the index: the setup `build_graph` shares with the constructor."""
-        self.n = n
-        self.vertices, self.index = _vertex_index(n)
-        return self.index
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.out_adj)
@@ -249,38 +246,26 @@ class QuantumBruhatGraph:
 
 def build_graph(n: int) -> QuantumBruhatGraph:
     """
-    The full quantum Bruhat graph on S_n: one `_out_edges` scan per vertex
-    writes that vertex's row of neighbour indices, already sorted.  Edges
-    share one object per root and per distinct exponent tuple (at most
-    C(n,2) + 1 of them), those of `_root_exps(n)`.
+    The quantum Bruhat graph on S_n, n checked before any vertex is listed.
+    Its rows (`_Rows`) are scanned by `_out_edges` when read, each already
+    sorted by neighbour index; a query from u to v reads only the rows
+    nearer to u than v.  Edges share one object per root and per distinct
+    exponent tuple (at most C(n,2) + 1 of them), those of `_root_exps(n)`.
 
     >>> g = build_graph(3)
     >>> g.edge_count()
     15
     """
     g = QuantumBruhatGraph.__new__(QuantumBruhatGraph)
-    index = g._list_vertices(n)
-    g.out_adj = tuple(_out_edges(w, n, index) for w in g.vertices)
-    return g
-
-
-def _graph_on_demand(n: int) -> QuantumBruhatGraph:
-    """
-    The quantum Bruhat graph on S_n with each row scanned by `_out_edges`
-    when it is first read, for one query that reads few rows: the oracle
-    or `interval` from u reads only rows nearer to u than v.  Equal to
-    `build_graph(n)` under every reader; n is checked before any vertex is
-    listed.
-    """
-    g = QuantumBruhatGraph.__new__(QuantumBruhatGraph)
-    index = g._list_vertices(n)
-    g.out_adj = _Rows(g.vertices, n, index)
+    g.n = n
+    g.vertices, g.index = _vertex_index(n)
+    g.out_adj = _Rows(g.vertices, n, g.index)
     return g
 
 
 def _vertex_index(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
     """Check n, then list S_n in lexicographic order and map each vertex to
-    its position: the setup of every graph and of the `graph` command."""
+    its position: the setup of every graph."""
     _check_graph_n(n)
     vertices = tuple(all_permutations(n))
     return vertices, {w: i for i, w in enumerate(vertices)}
@@ -573,24 +558,23 @@ def export_graph(g: QuantumBruhatGraph, fmt: str) -> str:
     DOT: one node per permutation (one-line label) and a "weight" edge
     attribute holding the monomial text.  JSON: schema documented in the
     README ({"n", "vertices", "edges": [{"source","target","root","exps"}]}).
-    The text is `_export_chunks` over g's rows, joined.
+    The text is `_export_chunks(g, fmt)`, joined.
     """
     _check_format(fmt)
-    return "".join(_export_chunks(g.n, g.vertices, g.out_adj, fmt))
+    return "".join(_export_chunks(g, fmt))
 
 
-def _export_chunks(n: int, vertices: Sequence[Perm], rows: Iterable[Row],
-                   fmt: str) -> Iterator[str]:
-    """The export of the graph on S_n in pieces (`fmt` unchecked):
-    `_edge_chunks` over `rows`, in vertex order, with the vertex lines in
-    the DOT header and the vertex list in the JSON footer."""
-    quoted = [f'"{format_permutation(w)}"' for w in vertices]
+def _export_chunks(g: QuantumBruhatGraph, fmt: str) -> Iterator[str]:
+    """The export of g in pieces (`fmt` unchecked): `_edge_chunks` over
+    one pass of g's rows, in vertex order, with the vertex lines in the DOT
+    header and the vertex list in the JSON footer."""
+    quoted = [f'"{format_permutation(w)}"' for w in g.vertices]
     if fmt == "dot":
         head, tail = "".join(["digraph qbg {\n", *(f"  {q};\n" for q in quoted)]), "}\n"
     else:
         names = "".join(_json_items(f"    {q}" for q in quoted))
-        head, tail = '{\n  "edges": ', f',\n  "n": {n},\n  "vertices": {names}\n}}\n'
-    yield from _edge_chunks(head, quoted, enumerate(rows), tail, fmt)
+        head, tail = '{\n  "edges": ', f',\n  "n": {g.n},\n  "vertices": {names}\n}}\n'
+    yield from _edge_chunks(head, quoted, enumerate(g.out_adj), tail, fmt)
 
 
 def _check_format(fmt: str) -> None:
@@ -606,6 +590,10 @@ def graph_from_json(text: str) -> QuantumBruhatGraph:
     """
     try:
         payload = json.loads(text)
+    # ValueError: not JSON, or an int longer than Python's digit limit
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"malformed graph JSON: {exc}") from exc
+    try:
         n, items = payload["n"], payload["edges"]
         if type(n) is not int or n < 1:
             raise ParseError(f"malformed graph JSON: n {_excerpt(json.dumps(n))} "
@@ -613,7 +601,7 @@ def graph_from_json(text: str) -> QuantumBruhatGraph:
         _check_graph_n(n)
         roots = set(all_roots(n))
         edges = [_json_edge(item, n, roots) for item in items]
-    except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     return QuantumBruhatGraph(n, edges)
 

@@ -142,8 +142,9 @@ def suite_samepath(n: int, seed: int, samples: int, found: _Findings) -> str:
     g = build_graph(n)
     pairs = walks = 0
     # weights packed: a bounded walk is shorter than |S_n| + 2 steps and
-    # raises each coordinate by at most 1 per step
-    steps = [[(t, _pack(exps)) for t, _, exps in row] for row in g.out_adj]
+    # raises each coordinate by at most 1 per step; indexed, so each row is
+    # stored for the BFS runs below rather than scanned again
+    steps = [[(t, _pack(exps)) for t, _, exps in g.out_adj[x]] for x in range(len(g.vertices))]
     for u in g.vertices:
         dist = g.distance_vector_from(u)
         weight_sets = shortest_path_weight_sets(g, dist)

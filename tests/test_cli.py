@@ -208,23 +208,25 @@ class TestGraph:
         if n == 7:
             assert hashlib.sha256(expected.encode()).hexdigest() == GRAPH7_SHA256[fmt]
 
-    def test_scans_each_row_once_in_index_order_and_builds_no_graph(self, capsys, monkeypatch):
-        def no_graph(n):
-            raise AssertionError("the graph command built a graph")
-
+    def test_scans_each_row_once_in_index_order_and_keeps_none(self, capsys, monkeypatch):
+        build, graphs = qbgraph.build_graph, []
         scan, scanned = qbgraph._out_edges, []
+
+        def kept(n):
+            graphs.append(build(n))
+            return graphs[-1]
 
         def counted(w, n, index):
             scanned.append(index[w])
             return scan(w, n, index)
 
-        monkeypatch.setattr(qbgraph, "build_graph", no_graph)
-        monkeypatch.setattr(qbgraph, "_graph_on_demand", no_graph)
+        monkeypatch.setattr(qbgraph, "build_graph", kept)
         monkeypatch.setattr(qbgraph, "_out_edges", counted)
         code, out, _ = run(capsys, "graph", "--n", "7")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GRAPH7_SHA256["dot"]
         assert scanned == list(range(5040))
+        assert [list(g.out_adj.keys()) for g in graphs] == [[]]
 
     @pytest.mark.parametrize("fmt", ["dot", "json"])
     def test_the_n7_export_holds_one_row_at_a_time(self, capsys, tmp_path, fmt):

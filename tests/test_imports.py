@@ -74,3 +74,22 @@ def test_the_export_format_lives_in_qbgraph_alone():
     assert imported.isdisjoint({"json", "edge_dot", "edge_record", "_json_list", "_Monomials"})
     qbgraph = importlib.import_module("qbg.qbgraph")
     assert not hasattr(qbgraph, "edge_dot") and not hasattr(qbgraph, "edge_record")
+
+
+def _attributes_read(module: str, owner: str) -> set[str]:
+    """The attributes a qbg module reads off the name `owner`."""
+    tree = ast.parse((SRC / "qbg" / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == owner}
+
+
+def test_there_is_one_graph_on_s_n():
+    # the graph command exports the graph of build_graph, and dist and
+    # interval query it, so the CLI names no row or vertex helper of qbgraph
+    helpers = {"_out_edges", "_vertex_index", "_graph_on_demand"}
+    assert "build_graph" in _attributes_read("cli", "qbgraph")
+    assert _attributes_read("cli", "qbgraph").isdisjoint(helpers)
+    assert _imported("cli").isdisjoint(helpers)
+    qbgraph = importlib.import_module("qbg.qbgraph")
+    assert not hasattr(qbgraph, "_graph_on_demand")
+    assert not hasattr(qbgraph.QuantumBruhatGraph, "_list_vertices")

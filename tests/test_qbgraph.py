@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -276,7 +277,7 @@ class TestScan:
         rows = [[] for _ in g.vertices]
         for source, target, root, exps in length_rule_edges(n):
             rows[g.index[source]].append((g.index[target], root, exps))
-        assert g.out_adj == tuple(tuple(sorted(row)) for row in rows)
+        assert tuple(g.out_adj) == tuple(tuple(sorted(row)) for row in rows)
 
     def test_n7_edge_count(self):
         assert build_graph(7).edge_count() == 56196
@@ -285,7 +286,7 @@ class TestScan:
         # sha256 of repr(out_adj) as the per-edge builder, which looked up
         # both endpoints of every edge and sorted each row by key, wrote it
         digest = "951e6de671b9b4f92f01b0cf92e89cbcae72b4832b66470099202bc506429b33"
-        assert hashlib.sha256(repr(build_graph(7).out_adj).encode()).hexdigest() == digest
+        assert hashlib.sha256(repr(tuple(build_graph(7).out_adj)).encode()).hexdigest() == digest
 
     @given(st.integers(8, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_scan_matches_the_length_rule_beyond_the_graph(self, word):
@@ -386,38 +387,63 @@ class TestRepresentation:
 ON_DEMAND_SIZES = [(1, None), (2, None), (3, None), (4, None), (5, None), (6, 60), (7, 12)]
 
 
+@functools.lru_cache(maxsize=None)
+def reference_graph(n):
+    """The graph on S_n from the edge list of the length rule, rows in a
+    tuple: built with no `_out_edges` scan."""
+    return qbgraph.QuantumBruhatGraph(n, length_rule_edges(n))
+
+
 def _queries(g, u, v):
     ti = interval(u, v, g)
     return ti, oracle_distance(g, u, v), hasse_export(ti, g, "dot"), hasse_export(ti, g, "json")
 
 
 class TestRowsOnDemand:
-    """A graph whose rows are scanned on first read answers every query as
-    the built graph does, and a query from u to v reads only the rows of
-    vertices nearer to u than v."""
+    """The graph of `build_graph`, whose rows are scanned on first read,
+    answers every query as the graph built from the length rule's edge list
+    does, and a query from u to v reads only the rows of vertices nearer to
+    u than v."""
 
     @pytest.mark.parametrize("n, count", ON_DEMAND_SIZES)
     def test_queries_match_the_built_graph(self, n, count):
-        built = build_graph(n)
-        for u, v in _pairs(built, count):
-            assert _queries(qbgraph._graph_on_demand(n), u, v) == _queries(built, u, v)
+        reference = reference_graph(n)
+        for u, v in _pairs(reference, count):
+            assert _queries(build_graph(n), u, v) == _queries(reference, u, v)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_iterating_readers_never_see_a_part_filled_graph(self, n):
-        built = build_graph(n)
-        g = qbgraph._graph_on_demand(n)
+        reference = reference_graph(n)
+        g = build_graph(n)
         interval(g.vertices[0], g.vertices[min(1, n - 1)], g)  # fills one row
         ordering = reflection_ordering(next(iter(reduced_words_of_longest(n))))
-        assert g.edge_count() == built.edge_count()
-        assert list(g.all_edges()) == list(built.all_edges())
+        assert g.edge_count() == reference.edge_count()
+        assert list(g.all_edges()) == list(reference.all_edges())
         for fmt in ("dot", "json"):
-            assert export_graph(g, fmt) == export_graph(built, fmt)
+            assert export_graph(g, fmt) == export_graph(reference, fmt)
         assert list(increasing_path_lengths(g, ordering)) == list(
-            increasing_path_lengths(built, ordering))
-        assert tuple(g.out_adj) == built.out_adj
+            increasing_path_lengths(reference, ordering))
+        assert tuple(g.out_adj) == reference.out_adj
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_rows_are_stored_when_indexed_not_when_iterated(self, n):
+        g = build_graph(n)
+        assert tuple(g.out_adj) == reference_graph(n).out_adj
+        assert list(g.out_adj.keys()) == []
+        read = list(range(0, len(g.vertices), 2))
+        rows = [g.out_adj[x] for x in read]
+        assert sorted(g.out_adj.keys()) == read
+        passed = tuple(g.out_adj)  # a later pass yields each stored row itself
+        assert all(passed[x] is row for x, row in zip(read, rows))
+        assert sorted(g.out_adj.keys()) == read
+
+    def test_edge_count_of_a_fresh_graph_keeps_no_row(self):
+        g = build_graph(7)
+        assert g.edge_count() == 56196
+        assert list(g.out_adj.keys()) == []
 
     def test_a_query_reads_only_the_rows_nearer_than_its_end(self, monkeypatch):
-        built = build_graph(7)
+        built = reference_graph(7)
         scan, scanned = qbgraph._out_edges, []
 
         def counted(w, n, index):
@@ -433,11 +459,11 @@ class TestRowsOnDemand:
             nearer = {w for w, e in zip(built.vertices, dist) if e < d}
             for route in (oracle_distance, lambda g, u, v: interval(u, v, g)):
                 scanned.clear()
-                route(qbgraph._graph_on_demand(7), u, v)
+                route(build_graph(7), u, v)
                 assert sorted(scanned) == sorted(nearer)  # each row once, and only those
         assert len(nearer) < len(built.vertices)
         scanned.clear()
-        interval(*near, qbgraph._graph_on_demand(7))
+        interval(*near, build_graph(7))
         assert scanned == [near[0]]  # a near pair reads one row of 5,040
 
     def test_a_graph_is_freed_without_the_cyclic_collector(self):
@@ -445,7 +471,7 @@ class TestRowsOnDemand:
         the last reference frees the graph at once, rows and all."""
         gc.disable()
         try:
-            g = qbgraph._graph_on_demand(5)
+            g = build_graph(5)
             interval((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), g)
             ref = weakref.ref(g)
             del g
@@ -454,10 +480,10 @@ class TestRowsOnDemand:
             gc.enable()
 
     def test_threads_filling_one_graph_agree(self):
-        built = build_graph(6)
-        pairs = _pairs(built, 20)
-        expected = [interval(u, v, built) for u, v in pairs]
-        shared = qbgraph._graph_on_demand(6)
+        reference = reference_graph(6)
+        pairs = _pairs(reference, 20)
+        expected = [interval(u, v, reference) for u, v in pairs]
+        shared = build_graph(6)
         barrier = threading.Barrier(6, timeout=60)
         results = [None] * 6
 
@@ -479,7 +505,7 @@ class TestRowsOnDemand:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert all(r == expected for r in results)
-        assert tuple(shared.out_adj) == built.out_adj
+        assert tuple(shared.out_adj) == reference.out_adj
 
 
 class TestDistances:
@@ -738,7 +764,7 @@ class TestExport:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_json_roundtrip_keeps_the_adjacency(self, n):
         g = build_graph(n)
-        assert graph_from_json(export_graph(g, "json")).out_adj == g.out_adj
+        assert graph_from_json(export_graph(g, "json")).out_adj == tuple(g.out_adj)
 
     def test_unknown_format(self):
         with pytest.raises(PreconditionError):
@@ -817,6 +843,19 @@ class TestGraphFromJson:
     def test_malformed_documents_refused(self, text):
         with pytest.raises(ParseError, match="malformed graph JSON"):
             graph_from_json(text)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("change", [
+        lambda payload: payload.update(n="BIG"),
+        set_first_edge("exps", [1, "BIG"]),
+        lambda payload: payload.update(ignored="BIG"),
+    ])
+    def test_an_int_past_the_digit_limit_is_a_parse_error(self, change):
+        # the JSON decoder refuses such an int with a plain ValueError
+        text = json_export_with(change).replace('"BIG"', "9" * 5000)
+        with pytest.raises(ParseError, match="^malformed graph JSON: Exceeds the limit") as info:
+            graph_from_json(text)
+        assert len(str(info.value)) < 200
 
 
 def test_monomial_text():
