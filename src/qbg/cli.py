@@ -209,7 +209,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     try:
         F = exactgeom.sample_in_open_stratum(u, v, args.seed)
     except SamplingError as exc:
-        print(f"error: {exc} (failing column {exc.column})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)  # the message names the failing column
         return 1
     _emit(exactgeom.format_matrix(F.matrix), args.out)
     return 0

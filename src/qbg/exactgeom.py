@@ -19,8 +19,8 @@ builds as integers over one denominator, carries for each rank cap's row
 mask the pivots of the built columns restricted to it, so no column is
 eliminated twice for one mask, and finishes the flag from its integer
 columns; the incidence relations compare integer sums of minors.
-Fractions appear only at the API boundary (`Flag.matrix`, `Flag.plucker`
-and the signed coordinates, `nullspace_basis`).
+Fractions appear only at the API boundary: `Flag.matrix`, `Flag.plucker`
+and `Flag.plucker_perm`.
 
 Membership of a flag in the (open) tilted Richardson variety of a pair
 (u, v) is decided three provably equivalent ways: rank bounds on cyclic
@@ -135,14 +135,6 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return -last[col] if inversions % 2 else last[col]
 
 
-def _integer_row(row: Iterable[Fraction]) -> list[int]:
-    """Clear the denominators of a rational row (scaling a row changes no
-    rank, no zero test and no kernel)."""
-    row = list(row)
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
 def _free_columns(pivots: Pivots, ncols: int) -> list[int]:
     """The columns without a pivot, in order."""
     pivot_cols = {col for col, _ in pivots}
@@ -174,21 +166,6 @@ def _integer_kernel(pivots: Pivots, ncols: int) -> list[list[int]]:
             vec[col] = -total // p
         basis.append(vec)
     return basis
-
-
-def nullspace_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """The canonical basis of {x : Rx = 0}, the one the reduced row echelon
-    form gives: per free column, 1 there and 0 at the other free columns.
-    Every row must have ncols entries."""
-    pivots: Pivots = []
-    for row in rows:
-        ints = _integer_row(row)
-        if len(ints) != ncols:
-            raise PreconditionError(f"rows must have {ncols} entries, got {len(ints)}")
-        _add_row(pivots, ints)
-    kernel = _integer_kernel(pivots, ncols)
-    ends = [vec[f] for f, vec in zip(_free_columns(pivots, ncols), kernel)]
-    return [[Fraction(x, d) for x in vec] for d, vec in zip(ends, kernel)]
 
 
 def _slot(k: int, start: int, length: int, n: int) -> int:
@@ -421,6 +398,8 @@ def permutation_flag(w: Perm) -> Flag:
 
 def random_flag(n: int, seed: int | random.Random) -> Flag:
     """A generic flag: integer entries uniform on [-SAMPLE_BOUND, SAMPLE_BOUND]."""
+    if n < 1:  # no draw of an empty matrix is a flag, so redrawing would never end
+        raise PreconditionError(f"a flag needs n >= 1, got {n}")
     _check_table_n(n)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     while True:
@@ -432,22 +411,21 @@ def random_flag(n: int, seed: int | random.Random) -> Flag:
 
 
 # ---------------------------------------------------------------------------
-# Signed coordinates and the incidence relations
+# The incidence relations
 #
-# Every sign comes from diagrams.signed_sorted_insert, the rule the ledgers
-# use, applied to the flag's integer minors: P_K is minor[K] / scale[|K|].
+# The relations read signed coordinates as the flag's integer minors (P_K
+# is minor[K] / scale[|K|]), each sign from diagrams.signed_sorted_insert,
+# the rule the ledgers use.
 
 
 def _signed_minor(F: Flag, I: frozenset[int], drop: int | None, add: int | None) -> int:
     """
-    P_{(I - drop) + add} times the scale of its row count: drop `drop` from
-    sorted I, with the sign (-1)^(k - position), then append `add`, zero
-    when it is already there; either index may be None.
+    P_{(I - drop) + add} times the scale of its row count: drop `drop`, a
+    member of I, from sorted I, with the sign (-1)^(k - position), then
+    append `add`, zero when it is already there; either index may be None.
     """
     sign = 1
     if drop is not None:
-        if drop not in I:
-            raise PreconditionError(f"index {drop} is not in {sorted(I)}")
         I = I - {drop}
         sign = signed_sorted_insert(I, drop)[1]
     if add is not None:
@@ -456,29 +434,6 @@ def _signed_minor(F: Flag, I: frozenset[int], drop: int | None, add: int | None)
         I, flip = signed_sorted_insert(I, add)
         sign *= flip
     return sign * F._minor(I)
-
-
-def _over_scale(F: Flag, minor: int, k: int) -> Fraction:
-    """A signed minor on k rows as its coordinate; k is not read for a zero."""
-    return Fraction(minor, F._scale[k]) if minor else Fraction(0)
-
-
-def plucker_plus(F: Flag, J: Iterable[int], i: int) -> Fraction:
-    """P_{J + i}: append i to the sorted list of J; zero when i is in J."""
-    J = frozenset(J)
-    return _over_scale(F, _signed_minor(F, J, None, i), len(J) + 1)
-
-
-def plucker_minus(F: Flag, I: Iterable[int], i: int) -> Fraction:
-    """P_{I - i}: drop i from sorted I, with the sign (-1)^(k - position)."""
-    I = frozenset(I)
-    return _over_scale(F, _signed_minor(F, I, i, None), len(I) - 1)
-
-
-def plucker_minus_plus(F: Flag, I: Iterable[int], i: int, j: int) -> Fraction:
-    """P_{(I - i) + j}."""
-    I = frozenset(I)
-    return _over_scale(F, _signed_minor(F, I, i, j), len(I))
 
 
 def _incidence_sum(F: Flag, I: frozenset[int], J: frozenset[int], j: int | None = None) -> int:
@@ -877,15 +832,16 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
     columns restricted to S reach it: the new column's restriction must
     then stay in their span.  For each mask the sampler carries the pivots
     of those restrictions, extended by one `_add_row` per column it has
-    not yet seen, so no built column is eliminated twice for one mask.  A
-    random point of the solution space is drawn on its canonical basis
-    (`_integer_kernel`'s vectors, scaled to integers over one
-    denominator), redrawn until the chart coordinates of the column are
-    nonzero, and kept as integers over that denominator; the finished
-    flag is made from those integer columns (`Flag._from_columns`), so
-    the sampler makes no Fraction.  That flag is re-verified through the
-    Plucker membership route, so n is bounded like a flag: n <=
-    MAX_TABLE_N, checked first.
+    not yet seen, so no built column is eliminated twice for one mask; the
+    constraint rows a mask at its cap imposes are kept with its pivots and
+    made again only when they gain one.  A random point of the solution
+    space is drawn on its canonical basis (`_integer_kernel`'s vectors,
+    scaled to integers over one denominator), redrawn until the chart
+    coordinates of the column are nonzero, and kept as integers over that
+    denominator; the finished flag is made from those integer columns
+    (`Flag._from_columns`), so the sampler makes no Fraction.  That flag
+    is re-verified through the Plucker membership route, so n is bounded
+    like a flag: n <= MAX_TABLE_N, checked first.
     """
     n = len(u)
     if len(v) != n:
@@ -902,31 +858,37 @@ def sample_in_open_stratum(u: Perm, v: Perm, seed: int = 0) -> Flag:
         # column c is cols[c] / dens[c], a column of integers over one denominator
         cols: list[list[int]] = []
         dens: list[int] = []
-        # per mask S: how many built columns its pivots hold, and the pivots
-        # of those columns restricted to the rows of S
-        carried: dict[int, tuple[int, Pivots]] = {}
+        # per mask S: how many built columns its pivots hold, the pivots of
+        # those columns restricted to the rows of S, and the constraint rows
+        # their kernel gives (None until the mask is at its cap)
+        carried: dict[int, tuple[int, Pivots, list[list[int]] | None]] = {}
         for k in range(1, n + 1):
             pivots: Pivots = []
             for S, cap in caps_for_column[k - 1].items():
                 if cap >= k:  # k columns have rank at most k
                     continue
                 rows_idx = [r for r in range(n) if S >> r & 1]
-                done, held = carried.get(S, (0, []))
+                done, held, lifted = carried.get(S, (0, [], None))
                 for col in cols[done:]:
-                    _add_row(held, [col[r] for r in rows_idx])
-                carried[S] = len(cols), held
+                    if _add_row(held, [col[r] for r in rows_idx]) is not None:
+                        lifted = None  # a new pivot shrinks the kernel
                 if len(held) > cap:
                     raise InternalInvariantError(
                         f"partial matrix broke a rank cap at column {k}"
                     )
+                if len(held) == cap and lifted is None:
+                    # each kernel vector of the restricted columns (they may
+                    # be scaled, which keeps the span) is one constraint
+                    lifted = []
+                    for lam in _integer_kernel(held, len(rows_idx)):
+                        coeffs = [0] * n
+                        for m, r in enumerate(rows_idx):
+                            coeffs[r] = lam[m]
+                        lifted.append(coeffs)
+                carried[S] = len(cols), held, lifted
                 if len(held) < cap:  # below the cap the new column is free
                     continue
-                # at the cap: each kernel vector of the restricted columns
-                # (they may be scaled, which keeps the span) is one constraint
-                for lam in _integer_kernel(held, len(rows_idx)):
-                    coeffs = [0] * n
-                    for m, r in enumerate(rows_idx):
-                        coeffs[r] = lam[m]
+                for coeffs in lifted:
                     _add_row(pivots, coeffs)
             # the draw is made on the canonical basis of the solution space,
             # the same in any order and any spanning set of the constraints:

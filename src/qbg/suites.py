@@ -584,28 +584,28 @@ def suite_equivalence(n: int, seed: int, samples: int, found: _Findings) -> str:
             f"{found.failures} disagreements")
 
 
-Classes = list[tuple[int, list[tuple[Perm, Perm]], int]]
+Classes = dict[int, tuple[tuple[Perm, Perm], int]]
 
 
 def _subinterval_classes(u: Perm, v: Perm, F: exactgeom.Flag) -> Classes:
     """
     Subintervals of [u, v] grouped by their `tiltedorder.interval_nodes`
-    (one int per member set), in the order of their first (x, y) pair.  A
-    subinterval is a geodesically nested pair: x and y on a common shortest
-    u -> v path in that order (member-set containment alone is weaker and
-    would break the disjointness being tested).  For x in [u, v] those y
-    are exactly [x, v], by the triangle inequality.  Each pair's open cell
-    is tested on F as it is named, while its admissible nodes are cached; a
-    class's `seen` has bit 0 set if a rep fails and bit 1 if one passes.
+    (one int per member set), in the order of their first (x, y) pair: each
+    node set maps to that pair and its `seen` bits.  A subinterval is a
+    geodesically nested pair: x and y on a common shortest u -> v path in
+    that order (member-set containment alone is weaker and would break the
+    disjointness being tested).  For x in [u, v] those y are exactly
+    [x, v], by the triangle inequality.  Each pair's open cell is tested on
+    F as it is named, while its admissible nodes are cached; a class's
+    `seen` has bit 0 set if a pair fails and bit 1 if one passes.
     """
-    reps: dict[int, list[tuple[Perm, Perm]]] = {}
-    seen: dict[int, int] = {}
+    classes: Classes = {}
     for x in sorted(tiltedorder.interval_member_set(u, v)):
         for y in sorted(tiltedorder.interval_member_set(x, v)):
             nodes = tiltedorder.interval_nodes(x, y)
-            reps.setdefault(nodes, []).append((x, y))
-            seen[nodes] = seen.get(nodes, 0) | 1 << exactgeom.member_T_plucker(x, y, F, True)
-    return [(nodes, pairs, seen[nodes]) for nodes, pairs in reps.items()]
+            first, seen = classes.get(nodes, ((x, y), 0))
+            classes[nodes] = first, seen | 1 << exactgeom.member_T_plucker(x, y, F, True)
+    return classes
 
 
 def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None:
@@ -633,7 +633,7 @@ def _stratify_one(u: Perm, v: Perm, F: exactgeom.Flag, found: _Findings) -> None
 
 def _disjointness(u: Perm, v: Perm, classes: Classes, found: _Findings) -> None:
     hits = 0
-    for _, _, seen in classes:
+    for _, seen in classes.values():
         if seen == 3:
             found.note(f"open test splits within one member set under {_tuple_text(u, v)}")
         hits += seen >> 1
@@ -663,7 +663,7 @@ def suite_stratify(n: int, seed: int, samples: int, found: _Findings) -> str:
         _disjointness(u, v, classes, found)
         # a flag sampled on the boundary must land in its own substratum
         whole = tiltedorder.interval_nodes(u, v)
-        proper = [reps[0] for nodes, reps, _ in classes if nodes != whole]
+        proper = [first for nodes, (first, _) in classes.items() if nodes != whole]
         if proper:
             x, y = proper[len(proper) // 2]
             try:

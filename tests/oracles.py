@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from qbg import exactgeom
@@ -15,7 +16,7 @@ from qbg.diagrams import find_flat
 from qbg.errors import InternalInvariantError, PreconditionError, SamplingError
 from qbg.exactgeom import (
     MAX_COLUMN_TRIES, MAX_RESTARTS, SAMPLE_BOUND, Flag, Matrix, Pivots, _add_row,
-    _check_table_n, _det, _integer_row, _slot, member_T_plucker, nullspace_basis,
+    _check_table_n, _det, _free_columns, _integer_kernel, _slot, member_T_plucker,
 )
 from qbg.latticepath import _check_perms, _walk, shifted_interval
 from qbg.permcore import (
@@ -349,6 +350,29 @@ def _nullspace(pivots: Pivots, ncols: int) -> list[list[Fraction]]:
             vec[col] = -row[free]
         basis.append(vec)
     return basis
+
+
+def _integer_row(row: Iterable[Fraction]) -> list[int]:
+    """Clear the denominators of a rational row (scaling a row changes no
+    rank, no zero test and no kernel)."""
+    row = list(row)
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def nullspace_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """The canonical basis of {x : Rx = 0}, the one the reduced row echelon
+    form gives: per free column, 1 there and 0 at the other free columns,
+    read off exactgeom's integer kernel.  Every row must have ncols entries."""
+    pivots: Pivots = []
+    for row in rows:
+        ints = _integer_row(row)
+        if len(ints) != ncols:
+            raise PreconditionError(f"rows must have {ncols} entries, got {len(ints)}")
+        _add_row(pivots, ints)
+    kernel = _integer_kernel(pivots, ncols)
+    ends = [vec[f] for f, vec in zip(_free_columns(pivots, ncols), kernel)]
+    return [[Fraction(x, d) for x in vec] for d, vec in zip(ends, kernel)]
 
 
 def _cap_constraints(

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from qbg import cli, qbgraph, tiltedorder
+from qbg import cli, exactgeom, qbgraph, tiltedorder
 from qbg.cli import MAX_CLI_N, MAX_MATRIX_BYTES, main
 from qbg.errors import ResourceLimitError
 from qbg.exactgeom import (
@@ -597,6 +597,13 @@ class TestSample:
         assert code == 0
         F = Flag(parse_matrix(out))
         assert member_T_plucker(identity(3), longest_element(3), F, True)
+
+    def test_a_failed_sample_names_its_column_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(exactgeom, "MAX_COLUMN_TRIES", 0)  # no draw is ever tried
+        code, out, err = run(capsys, "sample", "--u", "213", "--v", "213")
+        assert (code, out) == (1, "")
+        assert err == ("error: could not sample the open stratum of (213, 213); "
+                       "column 1 kept failing\n")
 
 
 class TestVerify:

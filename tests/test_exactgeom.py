@@ -16,7 +16,6 @@ from qbg.exactgeom import (
     MAX_TABLE_N,
     Flag,
     _det,
-    _integer_row,
     all_equations_vanish,
     complete_to_permutation,
     format_matrix,
@@ -26,12 +25,8 @@ from qbg.exactgeom import (
     member_T_grassmann,
     member_T_plucker,
     member_T_rank,
-    nullspace_basis,
     parse_matrix,
     permutation_flag,
-    plucker_minus,
-    plucker_minus_plus,
-    plucker_plus,
     random_flag,
     sample_in_open_stratum,
     stratum,
@@ -49,7 +44,8 @@ from qbg.permcore import (
 from qbg.tiltedorder import interval_member_set, interval_members_criterion
 
 import oracles
-from oracles import _rank, chi_rotate, chi_set, rank_region
+from oracles import _integer_row, _rank, chi_rotate, chi_set, nullspace_basis, rank_region
+from test_suites import time_limit
 
 
 class TestMatrixFormat:
@@ -146,6 +142,12 @@ class TestFlag:
         with pytest.raises(PreconditionError):
             Flag([[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_random_flag_refuses_an_empty_size_before_drawing(self, n):
+        # no draw of an empty matrix is a flag, so redrawing would never end
+        with time_limit(5), pytest.raises(PreconditionError, match="n >= 1"):
+            random_flag(n, 0)
+
     def test_empty_plucker(self):
         F = random_flag(3, 0)
         assert F.plucker([]) == 1
@@ -228,10 +230,6 @@ class TestIncidenceRelations:
         lambda F: incidence_exchange_rule_holds(F, [1, 2, 3], [4], 5),
         lambda F: incidence_exchange_rule_holds(F, [1, 2, 3], [4], 0),
         lambda F: incidence_exchange_rule_holds(F, [1, 2, 7], [4], 3),
-        lambda F: plucker_plus(F, [1, 2], 5),
-        lambda F: plucker_minus(F, [1, 5], 1),
-        lambda F: plucker_minus(F, [1, 2], 3),
-        lambda F: plucker_minus_plus(F, [1, 2], 1, 5),
     ])
     def test_rows_and_indices_out_of_range_are_refused(self, call):
         with pytest.raises(PreconditionError):
@@ -246,12 +244,24 @@ RULES = {
 
 
 def _by_fractions(F, rule, I, J, j):
-    """The same relation in Fractions, from the public signed coordinates."""
-    I, J = frozenset(I), frozenset(J)
+    """The same relation in Fractions, each signed coordinate read as the
+    coordinate of an index sequence (`_sequence_coordinate`), so this side
+    shares no sign code with the library's: P_{J+i} is the sequence (sorted
+    J, i), and P_{I-i} and P_{(I-i)+j} are (sorted I - i) and (sorted I - i,
+    j) times the sign of moving i to the end of sorted I."""
+    I, J = sorted(I), sorted(J)
+
+    def minus_plus(i, *add):
+        rest = [x for x in I if x != i]
+        return _moved_to_end(I, i) * _sequence_coordinate(F, rest + list(add))
+
+    def plus(i):
+        return _sequence_coordinate(F, J + [i])
+
     if rule == "exchange":
-        lhs = F.plucker(I) * plucker_plus(F, J, j)
-        return lhs == sum(plucker_minus_plus(F, I, i, j) * plucker_plus(F, J, i) for i in I)
-    rhs = sum(plucker_minus(F, I, i) * plucker_plus(F, J, i) for i in I)
+        lhs = F.plucker(I) * plus(j)
+        return lhs == sum(minus_plus(i, j) * plus(i) for i in I)
+    rhs = sum(minus_plus(i) * plus(i) for i in I)
     return (F.plucker(I) * F.plucker(J) if rule == "product" else 0) == rhs
 
 
@@ -301,25 +311,33 @@ def _sequence_coordinate(F, seq):
     return (-1) ** inversions * F.plucker(seq)
 
 
+def _moved_to_end(I, i):
+    """The sign of moving i from its place in sorted I to the end."""
+    return (-1) ** (len(I) - 1 - I.index(i))
+
+
+def _signed_coordinate(F, K, drop, add):
+    """`exactgeom._signed_minor` over the scale of its row count."""
+    size = len(K) - (drop is not None) + (add is not None)
+    return Fraction(exactgeom._signed_minor(F, frozenset(K), drop, add), F._scale[size])
+
+
 class TestSignedCoordinates:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_match_the_sequence_signs(self, n):
         rng = random.Random(100 + n)
         universe = range(1, n + 1)
-        for F in (random_flag(n, rng), random_flag(n, rng)):
+        for F in (random_flag(n, rng), random_flag(n, rng), _rational_flag(rng, n)):
             for _ in range(60):
                 k = rng.randint(1, n)
                 I = sorted(rng.sample(universe, k))
                 i = rng.choice(I)
                 j = rng.choice(universe)
                 rest = [x for x in I if x != i]
-                # moving i from its place in I to the end
-                sign = (-1) ** (len(I) - 1 - I.index(i))
-                assert plucker_plus(F, rest, j) == _sequence_coordinate(F, rest + [j])
-                assert plucker_minus(F, I, i) == sign * _sequence_coordinate(F, rest)
-                assert plucker_minus_plus(F, I, i, j) == sign * _sequence_coordinate(
-                    F, rest + [j]
-                )
+                sign = _moved_to_end(I, i)
+                assert _signed_coordinate(F, rest, None, j) == _sequence_coordinate(F, rest + [j])
+                assert _signed_coordinate(F, I, i, None) == sign * _sequence_coordinate(F, rest)
+                assert _signed_coordinate(F, I, i, j) == sign * _sequence_coordinate(F, rest + [j])
 
 
 class TestRankRegion:
@@ -1128,19 +1146,29 @@ def test_the_sampler_eliminates_each_built_column_once_per_mask(monkeypatch):
     # with the caps planned, this sample makes 811 eliminations when every
     # built column is eliminated again for every binding mask at every column
     # (49 of them for the flag's tables); carrying each mask's pivots, and
-    # skipping the full-length windows, leaves fewer than 600
+    # skipping the full-length windows, leaves fewer than 600.  A mask at its
+    # cap gains no pivot from the accepted column, so its constraint rows are
+    # kept too: 112 kernels, where making them at every column took 168
     u, v = parse_permutation("1763254"), parse_permutation("3214756")
     expected = sample_in_open_stratum(u, v, 78782).matrix
     calls = []
-    add_row = exactgeom._add_row
+    add_row, kernel = exactgeom._add_row, exactgeom._integer_kernel
 
     def counted(pivots, row):
         calls.append(len(row))
         return add_row(pivots, row)
 
+    kernels = []
+
+    def counted_kernel(pivots, ncols):
+        kernels.append(ncols)
+        return kernel(pivots, ncols)
+
     monkeypatch.setattr(exactgeom, "_add_row", counted)
+    monkeypatch.setattr(exactgeom, "_integer_kernel", counted_kernel)
     assert sample_in_open_stratum(u, v, 78782).matrix == expected
     assert 0 < len(calls) < 600
+    assert len(kernels) == 112
 
 
 def test_integer_kernel_spans_the_kernel():

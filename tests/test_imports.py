@@ -93,3 +93,35 @@ def test_there_is_one_graph_on_s_n():
     qbgraph = importlib.import_module("qbg.qbgraph")
     assert not hasattr(qbgraph, "_graph_on_demand")
     assert not hasattr(qbgraph.QuantumBruhatGraph, "_list_vertices")
+
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that no library code reads and the package does not
+    # export carries nothing the library states; a helper only the tests
+    # read belongs in tests/oracles.py
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "qbg").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+              for name in _top_level_names(node)
+              if not name.startswith("_") and name not in read | exported]
+    assert unread == []

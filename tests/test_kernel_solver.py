@@ -1,6 +1,6 @@
 """The one kernel solver: `exactgeom._integer_kernel` against the rational
-reduced row echelon form, `nullspace_basis` on it, and the sampler that
-draws on its vectors; and what the sampler plans once per (u, v, a)."""
+reduced row echelon form, `oracles.nullspace_basis` on it, and the sampler
+that draws on its vectors; and what the sampler plans once per (u, v, a)."""
 import random
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ import pytest
 from qbg import exactgeom, latticepath, suites
 from qbg.diagrams import find_flat
 from qbg.errors import PreconditionError
-from qbg.exactgeom import nullspace_basis, sample_in_open_stratum
+from qbg.exactgeom import sample_in_open_stratum
 from qbg.permcore import parse_permutation
 
 import oracles
@@ -64,7 +64,7 @@ def test_integer_kernel_over_its_free_entries_is_the_rref_basis():
 @pytest.mark.parametrize("rows, ncols", [([[1, 2]], 3), ([[1, 2, 3]], 2), ([[1, 2], [1]], 2)])
 def test_nullspace_basis_refuses_rows_of_another_length(rows, ncols):
     with pytest.raises(PreconditionError, match=f"rows must have {ncols} entries"):
-        nullspace_basis(rows, ncols)
+        oracles.nullspace_basis(rows, ncols)
 
 
 def test_sampler_makes_no_fraction(monkeypatch):

@@ -828,14 +828,18 @@ def pairwise_subinterval_classes(u, v):
 
 
 def assert_classes_match_the_pairwise_oracle(u, v, F):
-    """The same classes in the same order, each named by its node set where
-    the oracle names it by its member set; up to n = 4, each class's `seen`
-    bits are read off the open test of F on every rep."""
+    """The same classes in the same order, each kept as its first pair: the
+    oracle names a class by its member set and the library by its node set,
+    so every rep of an oracle class has the library class's node set, and
+    no two oracle classes share one.  Up to n = 4, each class's `seen` bits
+    are read off the open test of F on every rep the oracle lists."""
     classes = suites._subinterval_classes(u, v, F)
     expected = pairwise_subinterval_classes(u, v)
-    assert [reps for _, reps, _ in classes] == [reps for _, reps in expected]
-    for (_, reps, seen), (member_set, _) in zip(classes, expected):
-        assert tiltedorder.interval_member_set(*reps[0]) == member_set
+    assert [first for first, _ in classes.values()] == [reps[0] for _, reps in expected]
+    assert len({tiltedorder.interval_nodes(*reps[0]) for _, reps in expected}) == len(expected)
+    for (nodes, (first, seen)), (member_set, reps) in zip(classes.items(), expected):
+        assert tiltedorder.interval_member_set(*first) == member_set
+        assert all(tiltedorder.interval_nodes(x, y) == nodes for x, y in reps)
         if len(u) <= 4:
             assert seen == sum({1 << exactgeom.member_T_plucker(x, y, F, True) for x, y in reps})
 
@@ -895,4 +899,4 @@ def test_subinterval_classes_use_no_graph_distance(monkeypatch):
     F = exactgeom.permutation_flag((1, 2, 3, 4))
     monkeypatch.setattr(qbgraph, "prefix_paths", refuse)
     classes = suites._subinterval_classes((1, 2, 3, 4), (4, 3, 2, 1), F)
-    assert sum(len(reps) for _, reps, _ in classes) > 24
+    assert len(classes) > 24  # more strata than the interval's 24 members
