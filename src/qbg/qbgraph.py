@@ -10,7 +10,10 @@ a pair of permutations are provided: breadth-first search on the built
 graph (the oracle) and the closed-form prefix-depth formula, which needs
 no graph at all.  The graph stores each edge once, and every question
 about shortest u -> v walks (the oracle, intervals, weight sets) reads one
-BFS from u; the weight sets take it from their caller.  `build_graph`
+BFS from u; the weight sets take it from their caller.  Their walk
+carries one packed weight per vertex, or a set of packed weights at a
+vertex that shortest walks of several weights reach, and equal answers
+are one frozenset object.  `build_graph`
 scans each row when it is first read, and the oracle and intervals stop
 that BFS once v is reached, so they scan only the rows of vertices nearer
 to u than v.
@@ -385,25 +388,70 @@ def shortest_path_weight_sets(g: QuantumBruhatGraph, dist: list[int]) -> list[fr
     Per vertex index, the weights of ALL shortest walks from the source with
     BFS distances `dist` (empty if unreachable), pushed along out-edges that
     step one layer further (exact: prefixes of shortest walks are shortest).
+    `dist` must hold one distance per vertex and exactly one 0, the source's.
+
+    Inside the walk a weight is one packed int (`_pack`).  A vertex reached
+    with one weight carries that int alone and pushes it along each such
+    edge; only a vertex reached with several carries a set of them, and
+    pushes them all.  On the quantum Bruhat graph every vertex has one
+    weight; a tampered edge list can give some several.  Unreachable
+    vertices carry nothing.  Equal answers are one frozenset object, so
+    each distinct one is unpacked once.
 
     >>> g = build_graph(3)
     >>> shortest_path_weight_sets(g, g.distance_vector_from((3, 2, 1)))[g.index[(2, 1, 3)]]
     frozenset({(1, 1)})
     """
+    if len(dist) != len(g.vertices) or dist.count(0) != 1:
+        raise PreconditionError(f"a distance vector of the graph on S_{g.n} holds "
+                                f"{len(g.vertices)} entries and exactly one 0, the source's")
     # weights packed inside the walk: a shortest walk is shorter than |S_n|
     # steps and raises each coordinate by at most 1 per step
     steps: dict[QExponent, int] = {}
-    weights: list[set[int]] = [set() for _ in dist]
-    weights[dist.index(0)].add(0)
-    for x in sorted(range(len(dist)), key=dist.__getitem__):  # stable: ties by index
-        for y, _, exps in g.out_adj[x]:
-            if dist[y] == dist[x] + 1:
-                if exps not in steps:
-                    steps[exps] = _pack(exps)
-                step = steps[exps]
-                weights[y].update([prev + step for prev in weights[x]])
-    unpacked = {packed: _unpack(packed, g.n) for packed in set().union(*weights)}
-    return [frozenset([unpacked[packed] for packed in row]) for row in weights]
+    weights: list[int | set[int] | None] = [None] * len(dist)  # None: not reached
+    weights[dist.index(0)] = 0
+    rows = g.out_adj
+    for x in sorted(range(len(dist)), key=dist.__getitem__):
+        here = weights[x]
+        if here is None:
+            continue
+        ahead = dist[x] + 1
+        for y, _, exps in rows[x]:
+            if dist[y] == ahead:
+                try:
+                    step = steps[exps]
+                except KeyError:
+                    step = steps[exps] = _pack(exps)
+                old = weights[y]
+                if type(here) is int:
+                    new = here + step
+                    if old is None:
+                        weights[y] = new
+                    elif old != new:
+                        weights[y] = _joined(old, {new})
+                else:
+                    weights[y] = _joined(old, {prev + step for prev in here})
+    answers: dict[int | frozenset[int] | None, frozenset[QExponent]] = {None: frozenset()}
+    result = []
+    for here in weights:
+        key = frozenset(here) if type(here) is set else here
+        if key not in answers:
+            packed = key if type(key) is frozenset else (key,)
+            answers[key] = frozenset([_unpack(p, g.n) for p in packed])
+        result.append(answers[key])
+    return result
+
+
+def _joined(old: int | set[int] | None, new: set[int]) -> set[int]:
+    """A vertex's packed weights once `new` reach it: `new` itself, or the
+    set it already carries grown by them."""
+    if old is None:
+        return new
+    if type(old) is int:
+        new.add(old)
+        return new
+    old |= new
+    return old
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,34 @@ def path_weight(path: Sequence[QbgEdge], n: int) -> QExponent:
 
 
 # ---------------------------------------------------------------------------
+# Shortest-walk weights
+
+
+def shortest_walk_weights(g: QuantumBruhatGraph, u: Perm) -> list[frozenset[QExponent]]:
+    """
+    Per vertex index, the weights of every shortest walk from u (empty if
+    unreachable), read from no BFS list: walk forward from u one length at
+    a time, keeping per vertex the weights of the walks of that length, and
+    answer each vertex with the set at the first length that reaches it.
+    A length that reaches no new vertex ends the walk: no vertex lies at
+    that distance, so none lies further.
+    """
+    _check_vertices(g, u)
+    found: list[frozenset[QExponent] | None] = [None] * len(g.vertices)
+    layer = {g.index[u]: {zero_exponent(g.n)}}
+    while any(found[x] is None for x in layer):
+        for x, weights in layer.items():
+            if found[x] is None:
+                found[x] = frozenset(weights)
+        following: dict[int, set[QExponent]] = {}
+        for x, weights in layer.items():
+            for y, _, exps in g.out_adj[x]:
+                following.setdefault(y, set()).update(exponent_add(w, exps) for w in weights)
+        layer = following
+    return [frozenset() if weights is None else weights for weights in found]
+
+
+# ---------------------------------------------------------------------------
 # Label-increasing paths
 
 

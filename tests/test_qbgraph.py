@@ -41,7 +41,9 @@ from qbg.qbgraph import (
 )
 from qbg.tiltedorder import hasse_export, interval
 
-from oracles import checked_greedy_path, cover_edges, increasing_paths_from, path_weight
+from oracles import (
+    checked_greedy_path, cover_edges, increasing_paths_from, path_weight, shortest_walk_weights,
+)
 
 
 class BackwardRule:
@@ -565,6 +567,42 @@ class TestDistances:
         for u in g.vertices:
             for weights in shortest_path_weight_sets(g, g.distance_vector_from(u)):
                 assert len(weights) == 1
+
+    @pytest.mark.parametrize("n, count", [(4, None), (5, 12)])
+    def test_weight_sets_match_the_forward_walk(self, n, count):
+        """Every source at n = 4 and seeded ones at n = 5, against walks of
+        each length counted forward from the source with no BFS list."""
+        g = build_graph(n)
+        sources = g.vertices if count is None else random.Random(n).sample(g.vertices, count)
+        for u in sources:
+            assert shortest_path_weight_sets(g, g.distance_vector_from(u)) == \
+                shortest_walk_weights(g, u)
+
+    def test_weight_sets_carry_several_weights_past_a_tampered_edge(self):
+        """One up edge out of 123 given the weight q1: 231 is then reached
+        by shortest walks of weights 1 and q1, and 321, reached only
+        through 231 and 312, must be pushed both of them."""
+        edges = sorted(length_rule_edges(3))
+        k = edges.index(((1, 2, 3), (1, 3, 2), (2, 3), (0, 0)))
+        edges[k] = edges[k][:3] + ((1, 0),)
+        g = qbgraph.QuantumBruhatGraph(3, edges)
+        weights = shortest_path_weight_sets(g, g.distance_vector_from((1, 2, 3)))
+        for w in [(2, 3, 1), (3, 2, 1)]:
+            assert weights[g.index[w]] == {(0, 0), (1, 0)}
+        assert weights[g.index[(2, 3, 1)]] is weights[g.index[(3, 2, 1)]]  # unpacked once
+        for u in g.vertices:
+            assert shortest_path_weight_sets(g, g.distance_vector_from(u)) == \
+                shortest_walk_weights(g, u)
+
+    @pytest.mark.parametrize("dist", [[1] * 6, [0, 1], [0] * 6],
+                             ids=["no-source", "too-short", "six-sources"])
+    def test_weight_sets_refuse_a_bad_distance_vector(self, monkeypatch, dist):
+        def no_rows(*args):
+            raise AssertionError("a row was read before the distances were checked")
+
+        monkeypatch.setattr(qbgraph, "_out_edges", no_rows)
+        with pytest.raises(PreconditionError, match="exactly one 0"):
+            shortest_path_weight_sets(build_graph(3), dist)
 
     def test_closed_form_distance(self):
         g = build_graph(3)
